@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from importlib import resources
 
 import numpy as np
@@ -72,6 +73,17 @@ class KnotCurve:
             if sin_coeffs.shape != (3, self.cos_coeffs.shape[1] - 1):
                 raise InvalidParams("sine coefficients must cover harmonics 1..H")
             self.sin_coeffs = sin_coeffs
+            # rows match the basis of _harmonics: 1, cos 2pi t, sin 2pi t, cos 4pi t, ...
+            # built here rather than lazily because threads share the curve
+            fac = _TWO_PI * np.arange(1, sin_coeffs.shape[1] + 1)
+            self._pos_matrix = np.empty((2 * fac.size + 1, 3))
+            self._pos_matrix[0] = self.cos_coeffs[:, 0]
+            self._pos_matrix[1::2] = self.cos_coeffs[:, 1:].T
+            self._pos_matrix[2::2] = sin_coeffs.T
+            self._tan_matrix = np.zeros_like(self._pos_matrix)
+            self._tan_matrix[1::2] = sin_coeffs.T * fac[:, None]
+            self._tan_matrix[2::2] = -self.cos_coeffs[:, 1:].T * fac[:, None]
+        self._validated: set[tuple[float, float, int]] = set()
 
     @property
     def kind(self) -> str:
@@ -84,51 +96,34 @@ class KnotCurve:
     def _warp(self, t):
         return t + self.warp_amplitude * np.sin(_TWO_PI * t) / _TWO_PI
 
-    def eval(self, t) -> np.ndarray:
+    def eval_with_deriv(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Position and tangent at t, from one pass over the parameters.
+
+        Both arrays have shape ``t.shape + (3,)`` and are C-contiguous.
+        """
         t = np.mod(np.asarray(t, dtype=float), 1.0)
         if self.warp_base is not None:
-            return self.warp_base.eval(self._warp(t))
+            pos, tan = self.warp_base.eval_with_deriv(self._warp(t))
+            speed = 1.0 + self.warp_amplitude * np.cos(_TWO_PI * t)
+            return pos, tan * speed[..., None]
         if self.points is not None:
-            return self._eval_polyline(t, derivative=False)
-        h = np.arange(self.cos_coeffs.shape[1])
-        ang = _TWO_PI * np.multiply.outer(t, h)
-        return np.cos(ang) @ self.cos_coeffs.T + np.sin(ang[..., 1:]) @ self.sin_coeffs.T
+            pts = self.points
+            n = len(pts)
+            s = t * n
+            idx = np.minimum(s.astype(int), n - 1)
+            seg = pts[(idx + 1) % n] - pts[idx]
+            return pts[idx] + (s - idx)[..., None] * seg, seg * n
+        basis = _harmonics(t.reshape(-1), self.sin_coeffs.shape[1]).T
+        shape = t.shape + (3,)
+        return (basis @ self._pos_matrix).reshape(shape), (basis @ self._tan_matrix).reshape(shape)
+
+    def eval(self, t) -> np.ndarray:
+        return self.eval_with_deriv(t)[0]
 
     def deriv(self, t) -> np.ndarray:
-        t = np.mod(np.asarray(t, dtype=float), 1.0)
-        if self.warp_base is not None:
-            speed = 1.0 + self.warp_amplitude * np.cos(_TWO_PI * t)
-            return self.warp_base.deriv(self._warp(t)) * speed[..., None]
-        if self.points is not None:
-            return self._eval_polyline(t, derivative=True)
-        h = np.arange(self.cos_coeffs.shape[1])
-        ang = _TWO_PI * np.multiply.outer(t, h)
-        fac = _TWO_PI * h
-        return (-np.sin(ang) * fac) @ self.cos_coeffs.T + (
-            np.cos(ang[..., 1:]) * fac[1:]
-        ) @ self.sin_coeffs.T
-
-    def _eval_polyline(self, t, derivative: bool) -> np.ndarray:
-        pts = self.points
-        n = len(pts)
-        s = np.mod(t, 1.0) * n
-        idx = np.minimum(s.astype(int), n - 1)
-        nxt = (idx + 1) % n
-        seg = pts[nxt] - pts[idx]
-        if derivative:
-            return seg * n
-        frac = (s - idx)[..., None]
-        return pts[idx] + frac * seg
+        return self.eval_with_deriv(t)[1]
 
     # --- geometry ---
-
-    def length(self, samples: int = 8192) -> float:
-        if self.points is not None:
-            diffs = np.diff(np.vstack([self.points, self.points[:1]]), axis=0)
-            return float(np.linalg.norm(diffs, axis=1).sum())
-        p = self.eval(np.arange(samples) / samples)
-        diffs = np.diff(np.vstack([p, p[:1]]), axis=0)
-        return float(np.linalg.norm(diffs, axis=1).sum())
 
     def diameter(self, samples: int = 512) -> float:
         p = self.eval(np.arange(samples) / samples)
@@ -136,7 +131,15 @@ class KnotCurve:
         return float(np.sqrt(d2.max()))
 
     def validate(self, eps_reg: float = EPS_REG, eps_emb: float = EPS_EMB, samples: int = 2048):
-        """Raise CurveValidationError unless regular and embedded."""
+        """Raise CurveValidationError unless regular and embedded.
+
+        Embeddedness compares every pair of the ``samples`` uniform points
+        at cyclic separation 3 or more.  A passing result is remembered
+        per (eps_reg, eps_emb, samples), since curves are not mutated.
+        """
+        key = (eps_reg, eps_emb, samples)
+        if key in self._validated:
+            return self
         t = np.arange(samples) / samples
         speed = np.linalg.norm(self.deriv(t), axis=1)
         if speed.min() <= eps_reg:
@@ -146,7 +149,7 @@ class KnotCurve:
         p = self.eval(t)
         window = 2
         min_d = math.inf
-        for k in range(window + 1, samples - window + 1):
+        for k in range(window + 1, samples // 2 + 1):
             d = np.linalg.norm(p - np.roll(p, -k, axis=0), axis=1).min()
             min_d = min(min_d, float(d))
         if min_d <= eps_emb:
@@ -154,6 +157,7 @@ class KnotCurve:
                 "embedded",
                 f"min distance between non-adjacent points = {min_d:.3g} <= eps_emb = {eps_emb:.3g}",
             )
+        self._validated.add(key)
         return self
 
     # --- serialization ---
@@ -205,6 +209,24 @@ class KnotCurve:
     def content_hash(self) -> str:
         payload = json.dumps(self.to_json_obj(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+def _harmonics(t: np.ndarray, hmax: int) -> np.ndarray:
+    """Rows 1, cos 2pi t, sin 2pi t, ..., cos 2pi H t, sin 2pi H t for flat t.
+
+    Harmonics 2..H come from the angle-addition recurrence, so cos and
+    sin are evaluated once per parameter.
+    """
+    out = np.empty((2 * hmax + 1, t.size))
+    out[0] = 1.0
+    if hmax:
+        c1, s1 = np.cos(_TWO_PI * t), np.sin(_TWO_PI * t)
+        out[1], out[2] = c1, s1
+        for h in range(2, hmax + 1):
+            c, s = out[2 * h - 3], out[2 * h - 2]
+            np.subtract(c * c1, s * s1, out=out[2 * h - 1])
+            np.add(s * c1, c * s1, out=out[2 * h])
+    return out
 
 
 # --- generators ---
@@ -357,8 +379,6 @@ def bundled_curve(name: str) -> KnotCurve:
 
 def load_curve(path_or_name: str) -> KnotCurve:
     """Load a curve from a JSON file path, falling back to bundled names."""
-    import os
-
     if os.path.exists(path_or_name):
         with open(path_or_name) as fh:
             return KnotCurve.from_json_obj(json.load(fh))

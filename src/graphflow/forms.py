@@ -199,7 +199,10 @@ class CompiledIntegrand:
     integral, precompiled as a signed sum of entry products.
 
     The assignment list enumerates exactly the nonzero terms of the
-    brute-force wedge expansion, using each edge form's sparsity.
+    brute-force wedge expansion, using each edge form's sparsity.  The
+    curve is not evaluated here: ``evaluate_batch`` takes the positions
+    and tangents of the knot points, which the caller evaluates once
+    per sample.
     """
 
     def __init__(self, graph: DecoratedGraph):
@@ -218,6 +221,13 @@ class CompiledIntegrand:
         self.edges = graph.edges
         self.assignments = self._expand()
         self._needed = self.edge_entries_needed()
+        # row of each needed entry in evaluate_batch's stacked entry values
+        entries = [(e, p, q) for e in sorted(self._needed) for p, q in sorted(self._needed[e])]
+        self._entries = {key: row for row, key in enumerate(entries)}
+        self._signs = np.array([sign for sign, _ in self.assignments])
+        self._picks = np.array(
+            [[self._entries[pick] for pick in picks] for _, picks in self.assignments]
+        )
 
     def _dofs(self, v: int) -> list[int]:
         if v <= self.n:
@@ -257,21 +267,20 @@ class CompiledIntegrand:
         return needed
 
     def evaluate_batch(
-        self, curve: KnotCurve, tvals: np.ndarray, xvals: np.ndarray, eps_coll: float
+        self, pos: np.ndarray, tan: np.ndarray, xvals: np.ndarray, eps_coll: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Integrand values for a batch of configurations.
 
-        ``tvals``: (B, n) sorted knot parameters; ``xvals``: (B, t, 3).
-        Returns (values, bad) where ``bad`` flags configurations inside
-        the collision guard (their value is unreliable and the caller
-        resamples them).
+        ``pos`` and ``tan``: (B, n, 3) positions and tangents of the
+        sorted knot points, evaluated once by the caller; ``xvals``:
+        (B, t, 3).  Returns (values, bad) where ``bad`` flags
+        configurations inside the collision guard (their value is
+        unreliable and the caller resamples them).
         """
-        b = tvals.shape[0]
-        pos = curve.eval(tvals.reshape(-1)).reshape(b, self.n, 3)
-        tan = curve.deriv(tvals.reshape(-1)).reshape(b, self.n, 3)
+        b = pos.shape[0]
         bad = np.zeros(b, dtype=bool)
 
-        entry_vals: dict[tuple[int, int, int], np.ndarray] = {}
+        entry_vals = np.empty((len(self._entries), b))
         for e, (i, j) in enumerate(self.edges):
             pi = pos[:, i - 1] if i <= self.n else xvals[:, i - self.n - 1]
             pj = pos[:, j - 1] if j <= self.n else xvals[:, j - self.n - 1]
@@ -294,12 +303,9 @@ class CompiledIntegrand:
             for p, q in self._needed[e]:
                 dp = partial(dof_owner[p], p) * (1.0 if dof_owner[p] == j else -1.0)
                 dq = partial(dof_owner[q], q) * (1.0 if dof_owner[q] == j else -1.0)
-                entry_vals[(e, p, q)] = np.einsum("bi,bi->b", v, np.cross(dp, dq)) / denom
+                row = self._entries[(e, p, q)]
+                entry_vals[row] = np.einsum("bi,bi->b", v, np.cross(dp, dq)) / denom
 
-        values = np.zeros(b)
-        for sign, picks in self.assignments:
-            term = np.full(b, sign)
-            for e, p, q in picks:
-                term = term * entry_vals[(e, p, q)]
-            values += term
+        terms = np.prod(entry_vals[self._picks], axis=1)
+        values = (self._signs[:, None] * terms).sum(axis=0)
         return values, bad

@@ -4,12 +4,15 @@ Deterministic product quadrature covers the two-point integrals
 (self-linking and Gauss linking); the higher configuration integrals
 attached to trivalent knot graphs run Monte Carlo with knot parameters
 on the ordered simplex and spatial vertices importance-sampled from
-kernels centered on the sampled knot points.  All estimators are
+kernels centered on the sampled knot points.  Each sample's knot
+points are evaluated once, position and tangent together, and shared by
+the sampler and the compiled integrand.  All estimators are
 bit-reproducible for a fixed (inputs, seed) pair.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -75,8 +78,6 @@ def _gauss_coeff(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hash_graph(graph: DecoratedGraph) -> int:
     """Stable 63-bit tag of a graph encoding, for seed derivation."""
-    import hashlib
-
     text = f"{graph.flavor.value}|{graph.n_ext}|{graph.n_int}|{graph.edges}"
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
@@ -170,14 +171,13 @@ def _mc_batch(
     n, t = integrand.n, integrand.t
     n_fact = math.factorial(n)
     todo = np.arange(m)
-    tvals = np.empty((m, n))
-    xvals = np.empty((m, t, 3))
     weights = np.empty(m)
     values = np.empty(m)
     for _ in range(64):
         mm = todo.size
         tv = np.sort(rng.random((mm, n)), axis=1)
-        knot_pts = curve.eval(tv.reshape(-1)).reshape(mm, n, 3)
+        # knot points are evaluated once; the sampler and integrand share them
+        knot_pts, knot_tan = curve.eval_with_deriv(tv)
         if t:
             centers = rng.integers(0, n, size=(mm, t))
             use_near = rng.random((mm, t)) < NEAR_WEIGHT
@@ -201,9 +201,8 @@ def _mc_batch(
         else:
             xv = np.zeros((mm, 0, 3))
             w = np.full(mm, 1.0 / n_fact)
-        vals, bad = integrand.evaluate_batch(curve, tv, xv, eps_coll)
-        tvals[todo], xvals[todo], weights[todo], values[todo] = tv, xv, w, vals
-        keep = ~bad
+        vals, bad = integrand.evaluate_batch(knot_pts, knot_tan, xv, eps_coll)
+        weights[todo], values[todo] = w, vals
         todo = todo[bad]
         if todo.size == 0:
             break
@@ -277,10 +276,8 @@ def a_gamma_quadrature(
             block = list(itertools.islice(combos, chunk_size))
             if not block:
                 break
-            tv = t[np.array(block)]
-            vals, bad = integrand.evaluate_batch(
-                curve, tv, np.zeros((len(block), 0, 3)), 0.0
-            )
+            pos, tan = curve.eval_with_deriv(t[np.array(block)])
+            vals, bad = integrand.evaluate_batch(pos, tan, np.zeros((len(block), 0, 3)), 0.0)
             total += float(np.where(bad, 0.0, vals).sum())
         return total / g**n
 

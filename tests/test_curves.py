@@ -160,3 +160,97 @@ def test_content_hash_stable_and_distinct():
     a = bundled_curve("trefoil")
     assert a.content_hash() == bundled_curve("trefoil").content_hash()
     assert a.content_hash() != bundled_curve("circle").content_hash()
+
+
+def _fourier_reference(k, t):
+    """Position and tangent from the cos/sin sums written out term by term."""
+    pos = np.zeros(t.shape + (3,))
+    tan = np.zeros(t.shape + (3,))
+    pos += k.cos_coeffs[:, 0]
+    for h in range(1, k.cos_coeffs.shape[1]):
+        w = 2 * np.pi * h
+        c, s = np.cos(w * t)[..., None], np.sin(w * t)[..., None]
+        a, b = k.cos_coeffs[:, h], k.sin_coeffs[:, h - 1]
+        pos += a * c + b * s
+        tan += w * (b * c - a * s)
+    return pos, tan
+
+
+EVAL_T = np.concatenate([np.linspace(0, 1, 257), [-0.3, 1.7, 0.999999999]])
+
+
+@pytest.mark.parametrize("name", ["circle", "trefoil", "torus_2_5", "figure_eight", "hopf_a", "hopf_b"])
+def test_eval_with_deriv_matches_cos_sin_sums(name):
+    k = bundled_curve(name)
+    pos, tan = k.eval_with_deriv(EVAL_T)
+    ref_pos, ref_tan = _fourier_reference(k, np.mod(EVAL_T, 1.0))
+    assert np.abs(pos - ref_pos).max() <= 1e-12
+    assert np.abs(tan - ref_tan).max() <= 1e-12
+
+
+def test_eval_with_deriv_reparametrized():
+    tref = bundled_curve("trefoil")
+    rep = reparametrized(tref, 0.3)
+    t = np.mod(EVAL_T, 1.0)
+    warped = t + 0.3 * np.sin(2 * np.pi * t) / (2 * np.pi)
+    ref_pos, ref_tan = _fourier_reference(tref, warped)
+    ref_tan *= (1.0 + 0.3 * np.cos(2 * np.pi * t))[:, None]
+    pos, tan = rep.eval_with_deriv(EVAL_T)
+    assert np.abs(pos - ref_pos).max() <= 1e-12
+    assert np.abs(tan - ref_tan).max() <= 1e-12
+
+
+def test_eval_with_deriv_polyline():
+    poly = resample_arclength(bundled_curve("trefoil"), 64)
+    pts, n = poly.points, len(poly.points)
+    pos, tan = poly.eval_with_deriv(EVAL_T)
+    for row, t in enumerate(np.mod(EVAL_T, 1.0)):
+        i = min(int(t * n), n - 1)
+        seg = pts[(i + 1) % n] - pts[i]
+        assert np.abs(pos[row] - (pts[i] + (t * n - i) * seg)).max() <= 1e-12
+        assert np.abs(tan[row] - n * seg).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        bundled_curve("trefoil"),
+        reparametrized(bundled_curve("trefoil"), 0.3),
+        resample_arclength(bundled_curve("trefoil"), 64),
+    ],
+    ids=["fourier", "warped", "polyline"],
+)
+def test_eval_with_deriv_shapes_and_layout(curve):
+    pos, tan = curve.eval_with_deriv(0.37)
+    assert pos.shape == tan.shape == (3,)
+    assert np.array_equal(pos, curve.eval(0.37)) and np.array_equal(tan, curve.deriv(0.37))
+    pos, tan = curve.eval_with_deriv(np.random.default_rng(1).random((5, 4)))
+    assert pos.shape == tan.shape == (5, 4, 3)
+    assert pos.flags.c_contiguous and tan.flags.c_contiguous
+
+
+def test_validate_accepts_small_round_circle():
+    # its separation-2 chord (0.00092) is below eps_emb, but separation 2
+    # is adjacent: only separations >= 3 are compared
+    round_circle(0.15).validate()
+
+
+def test_validate_remembers_success_only(monkeypatch):
+    tref = bundled_curve("trefoil")
+    tref.validate()
+    calls = []
+    original = KnotCurve.eval_with_deriv
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return original(self, t)
+
+    monkeypatch.setattr(KnotCurve, "eval_with_deriv", counted)
+    assert tref.validate() is tref
+    assert calls == []
+    tref.validate(samples=1024)  # other settings are checked afresh
+    assert calls == [1024, 1024]
+    irregular = KnotCurve(cos_coeffs=[[0.0, 1.0]] * 3, sin_coeffs=[[0.0]] * 3)
+    for _ in range(2):
+        with pytest.raises(CurveValidationError):
+            irregular.validate()

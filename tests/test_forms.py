@@ -137,7 +137,8 @@ def test_compiled_matches_scalar_wedge():
         n, t = ci.n, ci.t
         tvals = np.sort(rng.random((6, n)), axis=1)
         xvals = rng.normal(scale=2.0, size=(6, t, 3))
-        fast, bad = ci.evaluate_batch(tref, tvals, xvals, 1e-12)
+        pos, tan = tref.eval_with_deriv(tvals)
+        fast, bad = ci.evaluate_batch(pos, tan, xvals, 1e-12)
         assert not bad.any()
         for row in range(6):
             conf = Configuration(tref, tvals[row], xvals[row])

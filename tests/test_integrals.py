@@ -170,3 +170,15 @@ def test_estimate_provenance_fields():
     assert est.method == "mc"
     assert est.n_samples == (100_000 // 64) * 64
     assert est.std_error >= 0
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure_eight", "torus_2_5"])
+def test_v2_difference_matches_a2(name):
+    """The paper's claim: v2(K) - v2(unknot) is the order-2 invariant a2(K)."""
+    from graphflow.diagrams import a2_of_curve
+
+    knot = bundled_curve(name)
+    circle = v2_invariant(bundled_curve("circle"), n_samples=200_000, seed=1997)
+    est = v2_invariant(knot, n_samples=200_000, seed=1997)
+    sigma = math.hypot(est.std_error, circle.std_error)
+    assert abs(est.value - circle.value - a2_of_curve(knot)) <= 4 * sigma
