@@ -91,8 +91,9 @@ def _cached(command: str, config_fn, cache_dir: str | None, no_cache: bool, comp
         )
         key = hashlib.sha256(key_src.encode()).hexdigest()
         path = base / key[:2] / (key + ".json")
-        if not no_cache and path.exists():
-            sys.stdout.write(path.read_text())
+        stored = None if no_cache else _read_entry(path, command, config)
+        if stored is not None:
+            sys.stdout.write(stored)
             return
         result = compute()
     except ResourceLimit as exc:
@@ -106,8 +107,35 @@ def _cached(command: str, config_fn, cache_dir: str | None, no_cache: bool, comp
     else:
         text = _emit(command, config, result) + "\n"
         if not no_cache:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            _write_entry(path, text)
+
+
+def _read_entry(path: Path, command: str, config: dict) -> str | None:
+    """The stored output for this command and config, verbatim; None when
+    the entry is missing, unreadable, truncated or for another run."""
+    try:
+        text = path.read_text()
+        doc = json.loads(text)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(doc, dict) or "result" not in doc:
+        return None
+    if doc.get("command") != command or doc.get("config") != config:
+        return None
+    return text
+
+
+def _write_entry(path: Path, text: str) -> None:
+    """Write a temp file beside the entry and move it into place, so a
+    reader sees the whole entry or none of it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @click.group()

@@ -228,6 +228,25 @@ class CompiledIntegrand:
         self._picks = np.array(
             [[self._entries[pick] for pick in picks] for _, picks in self.assignments]
         )
+        # per edge, each needed entry as (row, partial of the edge vector
+        # along p, along q); see _partial
+        self._partials = [
+            [(self._entries[(e, p, q)], self._partial(i, j, p), self._partial(i, j, q))
+             for p, q in sorted(self._needed[e])]
+            for e, (i, j) in enumerate(self.edges)
+        ]
+
+    def _partial(self, i: int, j: int, coord: int) -> tuple[int, float | np.ndarray]:
+        """Derivative of x_j - x_i along one coordinate of vertex i or j:
+        (k, sign) for sign times the tangent at knot point k, or
+        (-1, signed unit vector) for a coordinate of a spatial vertex."""
+        owner = j if coord in self._dofs(j) else i
+        sign = 1.0 if owner == j else -1.0
+        if owner <= self.n:
+            return owner - 1, sign
+        e3 = np.zeros(3)
+        e3[coord - (self.n + 3 * (owner - self.n - 1))] = 1.0
+        return -1, e3 * sign
 
     def _dofs(self, v: int) -> list[int]:
         if v <= self.n:
@@ -289,21 +308,9 @@ class CompiledIntegrand:
             bad |= r2 <= eps_coll**2
             denom = FOUR_PI * np.maximum(r2, 1e-300) ** 1.5
 
-            def partial(vertex, coord):
-                if vertex <= self.n:
-                    return tan[:, vertex - 1]
-                e3 = np.zeros(3)
-                e3[coord - (self.n + 3 * (vertex - self.n - 1))] = 1.0
-                return np.broadcast_to(e3, (b, 3))
-
-            dof_owner = {}
-            for vv in (i, j):
-                for c in self._dofs(vv):
-                    dof_owner[c] = vv
-            for p, q in self._needed[e]:
-                dp = partial(dof_owner[p], p) * (1.0 if dof_owner[p] == j else -1.0)
-                dq = partial(dof_owner[q], q) * (1.0 if dof_owner[q] == j else -1.0)
-                row = self._entries[(e, p, q)]
+            for row, (kp, fp), (kq, fq) in self._partials[e]:
+                dp = tan[:, kp] * fp if kp >= 0 else np.broadcast_to(fp, (b, 3))
+                dq = tan[:, kq] * fq if kq >= 0 else np.broadcast_to(fq, (b, 3))
                 entry_vals[row] = np.einsum("bi,bi->b", v, np.cross(dp, dq)) / denom
 
         terms = np.prod(entry_vals[self._picks], axis=1)

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import (
     GradeMismatch,
@@ -221,47 +224,54 @@ def _perm_parity(perm: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _manifold_symmetries(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All permutations of 1..n as (image tuple, parity)."""
-    out = []
-    for p in itertools.permutations(range(n)):
-        out.append((tuple(x + 1 for x in p), _perm_parity(p)))
-    return tuple(out)
+def _group(flavor: Flavor, n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
+    """Admissible relabelings as a (|G|, V+1) image array and parities.
 
-
-@lru_cache(maxsize=None)
-def _knot_symmetries(n_ext: int, n_int: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Cyclic rotations of external labels composed with all internal
-    permutations, as (image tuple over 1..V, parity)."""
-    out = []
-    for k in range(n_ext):
+    Manifold: all permutations of 1..V.  Knot: cyclic rotations of the
+    external labels composed with all internal permutations.  Row k maps
+    label v to ``images[k, v]``; column 0 is unused.
+    """
+    if flavor is Flavor.MANIFOLD:
+        rotations = [((), 0)]
+    else:
         # rotation by k steps of n_ext labels has parity (n_ext-1)*k
-        rot = tuple((i + k) % n_ext + 1 for i in range(n_ext))
-        rot_par = ((n_ext - 1) * k) & 1
+        rotations = [
+            (tuple((i + k) % n_ext + 1 for i in range(n_ext)), ((n_ext - 1) * k) & 1)
+            for k in range(n_ext)
+        ]
+    images, parity = [], []
+    for rot, rot_par in rotations:
         for p in itertools.permutations(range(n_int)):
-            images = rot + tuple(x + n_ext + 1 for x in p)
-            out.append((images, rot_par ^ _perm_parity(p)))
-    return tuple(out)
+            images.append((0,) + rot + tuple(x + n_ext + 1 for x in p))
+            parity.append(rot_par ^ _perm_parity(p))
+    images_arr, parity_arr = np.array(images, dtype=np.intp), np.array(parity)
+    images_arr.flags.writeable = parity_arr.flags.writeable = False
+    return images_arr, parity_arr
 
 
-def _normalize_edges(edges: Iterable[Edge]) -> tuple[tuple[Edge, ...], int]:
-    """Orient every edge ascending and sort; return (encoding, flip count)."""
-    flips = 0
-    norm = []
-    for i, j in edges:
-        if i > j:
-            norm.append((j, i))
-            flips += 1
-        else:
-            norm.append((i, j))
-    norm.sort()
-    return tuple(norm), flips
+def _orbit(
+    flavor: Flavor, n_ext: int, n_int: int, enc: Iterable[Edge]
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Every admissible relabeling of the oriented edges ``enc`` at once.
 
-
-def _symmetries(g: DecoratedGraph):
-    if g.flavor is Flavor.MANIFOLD:
-        return _manifold_symmetries(g.n_vertices)
-    return _knot_symmetries(g.n_ext, g.n_int)
+    Row k of ``codes`` is the k-th relabeling with each edge oriented
+    ascending, encoded as lo*(V+1)+hi, and sorted; ``signs[k]`` is
+    (-1)^(parity + reversed edges).  ``best`` indexes the lexicographically
+    minimal row, or is None when the class is zero: equal rows carry
+    opposite signs, so the graph equals its own negative.
+    """
+    images, parity = _group(flavor, n_ext, n_int)
+    e = np.asarray(enc, dtype=np.intp).reshape(-1, 2)
+    a, b = images[:, e[:, 0]], images[:, e[:, 1]]
+    flips = np.count_nonzero(a > b, axis=1)
+    codes = np.sort(np.minimum(a, b) * (n_ext + n_int + 1) + np.maximum(a, b), axis=1)
+    signs = 1 - 2 * ((parity + flips) & 1)
+    # without edges every row is empty, and the sign alone decides
+    best = int(np.lexsort(codes.T[::-1])[0]) if len(e) else 0
+    ties = signs[(codes == codes[best]).all(axis=1)]
+    if (ties != signs[best]).any():
+        return codes, signs, None
+    return codes, signs, best
 
 
 def canonicalize(g: DecoratedGraph) -> CanonicalResult:
@@ -270,26 +280,12 @@ def canonicalize(g: DecoratedGraph) -> CanonicalResult:
     Returns Zero when some admissible symmetry fixes the underlying
     encoding with sign -1, i.e. the graph equals its own negative.
     """
-    base_enc, base_flips = _normalize_edges(g.edges)
-    base_sign = -1 if base_flips & 1 else 1
-
-    seen: dict[tuple[Edge, ...], int] = {}
-    best_enc = None
-    best_sign = 0
-    for images, parity in _symmetries(g):
-        relabeled = ((images[i - 1], images[j - 1]) for i, j in base_enc)
-        enc, flips = _normalize_edges(relabeled)
-        sign = -1 if (parity ^ (flips & 1)) else 1
-        prev = seen.get(enc)
-        if prev is None:
-            seen[enc] = sign
-        elif prev != sign:
-            return CanonicalResult.zero()
-        if best_enc is None or enc < best_enc:
-            best_enc = enc
-            best_sign = sign
-    canon = DecoratedGraph(g.flavor, g.n_ext, g.n_int, best_enc)
-    return CanonicalResult(canon, base_sign * best_sign)
+    codes, signs, best = _orbit(g.flavor, g.n_ext, g.n_int, g.edges)
+    if best is None:
+        return CanonicalResult.zero()
+    nv1 = g.n_vertices + 1
+    edges = tuple(divmod(c, nv1) for c in codes[best].tolist())
+    return CanonicalResult(DecoratedGraph(g.flavor, g.n_ext, g.n_int, edges), int(signs[best]))
 
 
 # --- contraction and coboundary ---
@@ -573,55 +569,89 @@ def _enumerate_cached(
     return tuple(result)
 
 
+#: Candidate edge multisets generated and filtered per numpy chunk.
+_CHUNK = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _lex_rank_table(n_pairs: int, n_edges: int) -> np.ndarray:
+    """Cumulative counts for the lex rank of non-decreasing rows.
+
+    ``table[k, v]`` sums, over values w < v, the number of non-decreasing
+    tails of length n_edges-1-k with entries >= w.  The rows that share a
+    row's first k entries and are smaller at column k number
+    table[k, row[k]] - table[k, row[k-1]], with row[-1] = 0; the lex rank
+    is the sum of these over k.  Ranks stay below C(n_pairs+n_edges-1,
+    n_edges), which is under 2**63 within MAX_VERTICES and MAX_EDGES.
+    """
+    table = np.zeros((n_edges, n_pairs + 1), dtype=np.int64)
+    for k in range(n_edges):
+        tail = n_edges - 1 - k
+        counts = [comb(n_pairs - u + tail - 1, tail) for u in range(n_pairs)]
+        table[k, 1:] = np.cumsum(counts)
+    table.flags.writeable = False
+    return table
+
+
 def _enumerate_combo(
     flavor: Flavor, n_ext: int, n_int: int, n_edges: int, connected: bool
 ) -> list[DecoratedGraph]:
+    """Orbit minima among the edge multisets, walked in lex order.
+
+    Candidates come from ``combinations_with_replacement`` in chunks, so
+    row i of the walk has lex rank i.  A row not covered by an earlier
+    orbit is its orbit's minimum; its orbit is computed once and every
+    member's rank is marked covered.
+    """
     nv = n_ext + n_int
     pairs = [(i, j) for i in range(1, nv) for j in range(i + 1, nv + 1)]
-    sym = (
-        _manifold_symmetries(nv)
-        if flavor is Flavor.MANIFOLD
-        else _knot_symmetries(n_ext, n_int)
-    )
+    # the rank table indexed by edge code lo*(V+1)+hi; code 0 reads as 0
+    pair_of_code = np.zeros((nv + 1) ** 2, dtype=np.intp)
+    for k, (i, j) in enumerate(pairs):
+        pair_of_code[i * (nv + 1) + j] = k
+    rank_of = _lex_rank_table(len(pairs), n_edges)[:, pair_of_code]
+    column = np.arange(n_edges)
+    touches = np.array([(1 << i) | (1 << j) for i, j in pairs])
+    every_vertex = (1 << (nv + 1)) - 2
 
-    seen: set[tuple[Edge, ...]] = set()
+    candidates = itertools.combinations_with_replacement(range(len(pairs)), n_edges)
     found: list[DecoratedGraph] = []
-    for combo in itertools.combinations_with_replacement(pairs, n_edges):
+    ahead = np.empty(0, dtype=np.int64)  # covered ranks past the current chunk
+    start = 0
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(candidates, _CHUNK))
+        rows = np.fromiter(chunk, dtype=np.intp).reshape(-1, n_edges)
+        if not len(rows):
+            break
+        end = start + len(rows)
+        todo = np.ones(len(rows), dtype=bool)
         if connected:
-            deg = [0] * (nv + 1)
-            for a, b in combo:
-                deg[a] += 1
-                deg[b] += 1
-            if any(d == 0 for d in deg[1:]):
+            todo &= np.bitwise_or.reduce(touches[rows], axis=1) == every_vertex
+        here = ahead < end
+        todo[ahead[here] - start] = False
+        later = [ahead[~here]]
+        for r in np.flatnonzero(todo).tolist():
+            if not todo[r]:
                 continue
-        if combo in seen:
-            continue
-        if connected:
-            if flavor is Flavor.MANIFOLD:
-                if not _is_connected(nv, combo):
+            combo = tuple(pairs[k] for k in rows[r].tolist())
+            codes, _, best = _orbit(flavor, n_ext, n_int, combo)
+            prev = np.concatenate((np.zeros((len(codes), 1), np.intp), codes[:, :-1]), axis=1)
+            ranks = np.unique((rank_of[column, codes] - rank_of[column, prev]).sum(axis=1))
+            inside = ranks < end
+            todo[ranks[inside] - start] = False
+            later.append(ranks[~inside])
+            if best is None:
+                continue
+            if connected:
+                # connectivity is orbit-invariant: checked once per orbit
+                if flavor is Flavor.MANIFOLD:
+                    if not _is_connected(nv, combo):
+                        continue
+                elif not _knot_connected(n_ext, n_int, combo):
                     continue
-            elif not _knot_connected(n_ext, n_int, combo):
-                continue
-        # canonicalize the whole orbit at once
-        orbit: dict[tuple[Edge, ...], int] = {}
-        is_zero = False
-        best = None
-        for images, parity in sym:
-            relabeled = ((images[i - 1], images[j - 1]) for i, j in combo)
-            enc, flips = _normalize_edges(relabeled)
-            sign = -1 if (parity ^ (flips & 1)) else 1
-            prev = orbit.get(enc)
-            if prev is None:
-                orbit[enc] = sign
-            elif prev != sign:
-                is_zero = True
-            if best is None or enc < best:
-                best = enc
-        seen.update(orbit)
-        # lex iteration visits the orbit minimum first, so reaching this
-        # point means the current combo is the canonical encoding
-        if not is_zero:
-            found.append(DecoratedGraph(flavor, n_ext, n_int, best))
+            found.append(DecoratedGraph(flavor, n_ext, n_int, combo))
+        ahead = np.concatenate(later)
+        start = end
     return found
 
 

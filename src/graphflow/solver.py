@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import GradeMismatch
 from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs, graph_grade
@@ -23,7 +22,11 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        m = cls.__new__(cls)
+        zero = Fraction(0)
+        m.entries = [[zero] * cols for _ in range(rows)]
+        m.rows, m.cols = rows, cols
+        return m
 
     def __getitem__(self, rc):
         r, c = rc
@@ -75,61 +78,72 @@ def delta_matrix(
     return basis0, basis1, m
 
 
-def _row_echelon_fraction_free(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free elimination; returns (echelon, pivot columns)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    piv_cols: list[int] = []
-    prev_pivot = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
+def _rref(m: RationalMatrix) -> list[tuple[int, dict[int, Fraction]]]:
+    """Reduced row echelon form as sparse (pivot column, {col: entry}) rows.
+
+    Columns are eliminated left to right, each with the first remaining
+    row that has an entry there; every pivot row is scaled to a leading 1
+    and the pivot column is cleared from all other rows.
+    """
+    pending = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+    pending = [row for row in pending if row]
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    for c in range(m.cols):
+        k = next((k for k, row in enumerate(pending) if c in row), None)
+        if k is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev_pivot
-            m[i][c] = 0
-        prev_pivot = m[r][c]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, piv_cols
+        top = pending.pop(k)
+        lead = top[c]
+        top = {j: x / lead for j, x in top.items()}
+        for row in pending:
+            _eliminate(row, top, c)
+        for _, row in pivots:
+            _eliminate(row, top, c)
+        pending = [row for row in pending if row]
+        pivots.append((c, top))
+    return pivots
+
+
+def _eliminate(row: dict[int, Fraction], top: dict[int, Fraction], c: int) -> None:
+    """row -= row[c] * top, for a pivot row ``top`` with top[c] == 1."""
+    f = row.get(c)
+    if not f:
+        return
+    for j, x in top.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
 
 
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     """Exact nullspace basis; each vector's first nonzero entry is 1.
 
     Vectors are ordered by the index of their free column, matching the
-    deterministic basis order used to build the matrix.
+    deterministic basis order used to build the matrix.  The vector of
+    free column fc is e_fc - sum over pivot rows r of R[r, fc] e_pc(r).
     """
     if m.cols == 0:
         return []
-    # scale rows to integers; row scaling leaves the kernel unchanged
-    int_rows = []
-    for row in m.entries:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * mult) for x in row])
-    echelon, piv_cols = _row_echelon_fraction_free(int_rows)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(m.cols) if c not in piv_set]
+    # the pivot-column entries of each free column's vector, by column
+    entries: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in range(m.cols)}
+    for pc, row in _rref(m):
+        del entries[pc]
+        for fc, x in row.items():
+            if fc != pc:
+                entries[fc].append((pc, -x))
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        # back-substitute pivot variables from bottom to top
-        for r in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[r]
-            s = sum(
-                (Fraction(echelon[r][c]) * v[c] for c in range(pc + 1, m.cols) if v[c]),
-                Fraction(0),
-            )
-            v[pc] = -s / echelon[r][pc]
-        # normalize leading entry to 1
-        lead = next(x for x in v if x)
-        basis.append([x / lead for x in v])
+    zero = Fraction(0)
+    for fc, column in entries.items():
+        # normalize leading entry to 1; a reduced row has no entry left of
+        # its pivot, so the smallest pivot column, listed first, leads
+        lead = column[0][1] if column else Fraction(1)
+        v = [zero] * m.cols
+        v[fc] = 1 / lead
+        for pc, x in column:
+            v[pc] = x / lead
+        basis.append(v)
     return basis
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from graphflow.cli import main
@@ -164,3 +166,50 @@ def test_curve_file_and_bundled_name_equivalent(tmp_path):
     a = run("knot", "sln", "--curve", str(path), "--grid", "256", "--no-cache")
     b = run("knot", "sln", "--curve", "circle", "--grid", "256", "--no-cache")
     assert json.loads(a.output)["result"]["value"] == json.loads(b.output)["result"]["value"]
+
+
+#: sha256 of the stdout of ``graphs cocycles``: the basis, its order and
+#: every kernel vector, byte for byte, as the brute-force canonical forms
+#: and the Bareiss kernel produced them.
+COCYCLES_SHA256 = {
+    ("manifold", 2): "74e01de98fd68467d2a28e0cb818cd7f4b99d39a2dec22c88d1057a93b17eb5b",
+    ("manifold", 3): "33b6482db6c710da65f5b2a6c355711b6f81c46c108e88592c9457d41c6e44cf",
+    ("knot", 2): "8ee68530d2717ea15c7f0504af4c0d90339f84ffeaf69cee5c5c6d1bb44db9a9",
+}
+
+
+@pytest.mark.parametrize("flavor, order", list(COCYCLES_SHA256))
+def test_cocycles_stdout_pinned(flavor, order):
+    res = run("graphs", "cocycles", "--flavor", flavor, "--order", str(order))
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == COCYCLES_SHA256[(flavor, order)]
+
+
+def _sln_circle(cache_dir):
+    return run("knot", "sln", "--curve", "circle", "--grid", "64", "--cache-dir", str(cache_dir))
+
+
+def test_truncated_cache_entry_is_recomputed(tmp_path):
+    first = _sln_circle(tmp_path)
+    (entry,) = tmp_path.rglob("*.json")
+    full = entry.read_text()
+    assert full == first.output
+    entry.write_text(full[: len(full) // 2])
+    again = _sln_circle(tmp_path)
+    assert again.exit_code == 0
+    assert again.output == first.output
+    assert entry.read_text() == full
+    assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+
+
+def test_cache_entry_for_another_config_is_recomputed(tmp_path):
+    first = _sln_circle(tmp_path)
+    (entry,) = tmp_path.rglob("*.json")
+    doc = json.loads(entry.read_text())
+    doc["config"]["grid"] = 65
+    doc["result"]["value"] = 123.0
+    entry.write_text(json.dumps(doc))
+    again = _sln_circle(tmp_path)
+    assert again.exit_code == 0
+    assert again.output == first.output
+    assert entry.read_text() == first.output

@@ -145,3 +145,65 @@ def test_compiled_matches_scalar_wedge():
             forms = [gauss_two_form(conf, i, j) for i, j in g.edges]
             slow = wedge_top(forms, conf.dim)
             assert fast[row] == pytest.approx(slow, rel=1e-10)
+
+
+def _evaluate_batch_rebuilt_per_edge(ci, pos, tan, xvals, eps_coll):
+    """``evaluate_batch`` with the partials rebuilt for every edge of every
+    batch: the same arithmetic, in the form it had before they were
+    precomputed in ``__init__``."""
+    b = pos.shape[0]
+    bad = np.zeros(b, dtype=bool)
+    entry_vals = np.empty((len(ci._entries), b))
+    for e, (i, j) in enumerate(ci.edges):
+        pi = pos[:, i - 1] if i <= ci.n else xvals[:, i - ci.n - 1]
+        pj = pos[:, j - 1] if j <= ci.n else xvals[:, j - ci.n - 1]
+        v = pj - pi
+        r2 = np.einsum("bi,bi->b", v, v)
+        bad |= r2 <= eps_coll**2
+        denom = 4.0 * np.pi * np.maximum(r2, 1e-300) ** 1.5
+
+        def partial(vertex, coord):
+            if vertex <= ci.n:
+                return tan[:, vertex - 1]
+            e3 = np.zeros(3)
+            e3[coord - (ci.n + 3 * (vertex - ci.n - 1))] = 1.0
+            return np.broadcast_to(e3, (b, 3))
+
+        dof_owner = {}
+        for vv in (i, j):
+            for c in ci._dofs(vv):
+                dof_owner[c] = vv
+        for p, q in ci._needed[e]:
+            dp = partial(dof_owner[p], p) * (1.0 if dof_owner[p] == j else -1.0)
+            dq = partial(dof_owner[q], q) * (1.0 if dof_owner[q] == j else -1.0)
+            entry_vals[ci._entries[(e, p, q)]] = np.einsum("bi,bi->b", v, np.cross(dp, dq)) / denom
+    terms = np.prod(entry_vals[ci._picks], axis=1)
+    return (ci._signs[:, None] * terms).sum(axis=0), bad
+
+
+def test_precomputed_partials_are_bit_identical():
+    tref = make_torus_knot(2, 3, 2.0, 0.5)
+    rng = np.random.default_rng(11)
+    for g in knot_order2_graphs()[:2]:
+        ci = CompiledIntegrand(g)
+        tvals = np.sort(rng.random((500, ci.n)), axis=1)
+        xvals = rng.normal(scale=2.0, size=(500, ci.t, 3))
+        pos, tan = tref.eval_with_deriv(tvals)
+        fast, bad = ci.evaluate_batch(pos, tan, xvals, 0.05)
+        slow, slow_bad = _evaluate_batch_rebuilt_per_edge(ci, pos, tan, xvals, 0.05)
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(bad, slow_bad)
+
+
+@pytest.mark.parametrize("curve", ["circle", "trefoil", "figure_eight", "torus_2_5"])
+def test_v2_stdout_unchanged_by_precomputed_partials(curve, monkeypatch):
+    from click.testing import CliRunner
+
+    from graphflow.cli import main
+
+    args = ["knot", "v2", "--curve", curve, "--samples", "2e4", "--seed", "11", "--no-cache"]
+    fast = CliRunner().invoke(main, args, catch_exceptions=False)
+    monkeypatch.setattr(CompiledIntegrand, "evaluate_batch", _evaluate_batch_rebuilt_per_edge)
+    slow = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert fast.exit_code == slow.exit_code == 0
+    assert fast.stdout_bytes == slow.stdout_bytes

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphflow.errors import InvalidGraph, NotContractible, NotRegular, ResourceLimit
+from graphflow import graphs as graphs_module
 from graphflow.graphs import (
     CanonicalResult,
     DecoratedGraph,
     Flavor,
     GraphSum,
+    _grading_combos,
+    _is_connected,
+    _knot_connected,
     canonicalize,
     contract_edge,
     delta,
@@ -388,3 +392,144 @@ def test_knot_two_externals_never_contracts_arcs():
         g = kg(2, 1, edges)
         for term, _ in delta(g).items():
             assert term.n_ext == 2
+
+
+# --- brute-force oracles for canonical forms and enumeration ---
+
+
+def _oracle_symmetries(flavor, n_ext, n_int):
+    """Admissible relabelings as (images of 1..V, parity), one at a time."""
+    for k in range(n_ext) if flavor is K else [0]:
+        rot = [(i + k) % n_ext + 1 for i in range(n_ext)]
+        for p in itertools.permutations(range(n_ext + 1, n_ext + n_int + 1)):
+            images = rot + list(p)
+            yield images, _parity(images)
+
+
+def _oracle_normalize(edges):
+    """Orient every edge ascending and sort; return (encoding, flip count)."""
+    flips = 0
+    norm = []
+    for i, j in edges:
+        if i > j:
+            norm.append((j, i))
+            flips += 1
+        else:
+            norm.append((i, j))
+    norm.sort()
+    return tuple(norm), flips
+
+
+def _oracle_canonicalize(g):
+    """Minimum over every relabeling, one Python loop step per symmetry."""
+    base_enc, base_flips = _oracle_normalize(g.edges)
+    base_sign = -1 if base_flips & 1 else 1
+    seen = {}
+    best_enc = None
+    best_sign = 0
+    for images, parity in _oracle_symmetries(g.flavor, g.n_ext, g.n_int):
+        relabeled = ((images[i - 1], images[j - 1]) for i, j in base_enc)
+        enc, flips = _oracle_normalize(relabeled)
+        sign = -1 if (parity ^ (flips & 1)) else 1
+        prev = seen.get(enc)
+        if prev is None:
+            seen[enc] = sign
+        elif prev != sign:
+            return CanonicalResult.zero()
+        if best_enc is None or enc < best_enc:
+            best_enc = enc
+            best_sign = sign
+    canon = DecoratedGraph(g.flavor, g.n_ext, g.n_int, best_enc)
+    return CanonicalResult(canon, base_sign * best_sign)
+
+
+def _oracle_enumerate(flavor, order, degree, connected):
+    """Every edge multiset in lex order; the first of each orbit is kept."""
+    found = []
+    for n_ext, n_int, n_edges in _grading_combos(flavor, order, degree):
+        if n_edges == 0:
+            continue
+        nv = n_ext + n_int
+        pairs = [(i, j) for i in range(1, nv) for j in range(i + 1, nv + 1)]
+        sym = list(_oracle_symmetries(flavor, n_ext, n_int))
+        seen = set()
+        for combo in itertools.combinations_with_replacement(pairs, n_edges):
+            if combo in seen:
+                continue
+            if connected:
+                if flavor is M and not _is_connected(nv, combo):
+                    continue
+                if flavor is K and not _knot_connected(n_ext, n_int, combo):
+                    continue
+            orbit = {}
+            is_zero = False
+            for images, parity in sym:
+                enc, flips = _oracle_normalize((images[i - 1], images[j - 1]) for i, j in combo)
+                sign = -1 if (parity ^ (flips & 1)) else 1
+                is_zero |= orbit.setdefault(enc, sign) != sign
+            seen.update(orbit)
+            if not is_zero:
+                found.append(DecoratedGraph(flavor, n_ext, n_int, combo))
+    return sorted(found, key=lambda g: (g.n_ext, g.n_int, g.edges))
+
+
+def _flavored_graph(draw, flavor):
+    if flavor is M:
+        n_ext, n_int = 0, draw(st.integers(1, 5))
+    else:
+        n_ext, n_int = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    nv = n_ext + n_int
+    pairs = [(i, j) for i in range(1, nv) for j in range(i + 1, nv + 1)]
+    edges = []
+    for _ in range(draw(st.integers(0, 7)) if pairs else 0):
+        i, j = draw(st.sampled_from(pairs))
+        edges.append((j, i) if draw(st.booleans()) else (i, j))
+    return DecoratedGraph(flavor, n_ext, n_int, tuple(edges))
+
+
+def _assert_same_class(res, ref):
+    assert res.is_zero == ref.is_zero
+    assert res.graph == ref.graph
+    assert res.sign == ref.sign
+
+
+@pytest.mark.parametrize("flavor", [M, K])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonicalize_matches_brute_force(flavor, data):
+    g = data.draw(st.composite(_flavored_graph)(flavor))
+    _assert_same_class(canonicalize(g), _oracle_canonicalize(g))
+
+
+def test_edgeless_graph_is_zero_iff_a_symmetry_is_odd():
+    # the transposition of two vertices, or the rotation of two externals,
+    # is odd; one vertex, or a 3-cycle of externals, has only even ones
+    for g, zero in [(mg(1, []), False), (mg(2, []), True), (kg(2, 0, []), True), (kg(3, 0, []), False)]:
+        res = canonicalize(g)
+        assert res.is_zero == zero
+        _assert_same_class(res, _oracle_canonicalize(g))
+
+
+@pytest.mark.parametrize("connected", [True, False])
+@pytest.mark.parametrize(
+    "flavor, order, degree",
+    # each order from degree -1 up to 2*order - 2, the largest with graphs
+    [(f, o, d) for f in (M, K) for o in (1, 2) for d in range(-1, 2 * o - 1)],
+)
+def test_enumerate_matches_brute_force(flavor, order, degree, connected):
+    assert enumerate_graphs(flavor, order, degree, connected=connected) == _oracle_enumerate(
+        flavor, order, degree, connected
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_enumeration_walk_crosses_chunks(chunk, monkeypatch):
+    """Orbits found in one chunk cover rows of later chunks."""
+    monkeypatch.setattr(graphs_module, "_CHUNK", chunk)
+    for flavor, order, degree in [(M, 2, 0), (M, 2, -1), (K, 2, 0), (K, 2, -1)]:
+        for connected in (True, False):
+            found = []
+            for n_ext, n_int, n_edges in _grading_combos(flavor, order, degree):
+                found += graphs_module._enumerate_combo(flavor, n_ext, n_int, n_edges, connected)
+            found.sort(key=lambda g: (g.n_ext, g.n_int, g.edges))
+            assert found == _oracle_enumerate(flavor, order, degree, connected)

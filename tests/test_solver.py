@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphflow.errors import GradeMismatch
 from graphflow.graphs import (
@@ -93,17 +95,92 @@ def test_kernel_contains_paper_cocycle(flavor):
     assert len(kernel_basis_transpose_rank(aug)) == len(basis)
 
 
-def kernel_basis_transpose_rank(m: RationalMatrix):
-    """Row space basis (here: used to check rank doesn't grow)."""
-    from graphflow.solver import _row_echelon_fraction_free
-    from math import lcm
-
+def _integer_rows(m: RationalMatrix) -> list[list[int]]:
+    """Rows scaled to integers; row scaling leaves rank and kernel unchanged."""
     int_rows = []
     for row in m.entries:
         mult = lcm(*(x.denominator for x in row)) if row else 1
         int_rows.append([int(x * mult) for x in row])
-    echelon, piv = _row_echelon_fraction_free(int_rows)
+    return int_rows
+
+
+def _row_echelon_fraction_free(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Bareiss fraction-free elimination; returns (echelon, pivot columns).
+
+    Oracle for the solver's sparse reduced row echelon form: an
+    independent elimination over the integers.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    piv_cols: list[int] = []
+    prev_pivot = 1
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev_pivot
+            m[i][c] = 0
+        prev_pivot = m[r][c]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, piv_cols
+
+
+def kernel_basis_transpose_rank(m: RationalMatrix):
+    """Pivot columns of the row space, from the Bareiss oracle."""
+    _, piv = _row_echelon_fraction_free(_integer_rows(m))
     return piv
+
+
+def _kernel_basis_oracle(m: RationalMatrix) -> list[list[Fraction]]:
+    """Kernel by Bareiss elimination and per-free-column back-substitution."""
+    if m.cols == 0:
+        return []
+    echelon, piv_cols = _row_echelon_fraction_free(_integer_rows(m))
+    piv_set = set(piv_cols)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in piv_set):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r in range(len(piv_cols) - 1, -1, -1):
+            pc = piv_cols[r]
+            s = sum(
+                (Fraction(echelon[r][c]) * v[c] for c in range(pc + 1, m.cols) if v[c]),
+                Fraction(0),
+            )
+            v[pc] = -s / echelon[r][pc]
+        lead = next(x for x in v if x)
+        basis.append([x / lead for x in v])
+    return basis
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Mostly zero entries, as in coboundary matrices; some rows repeat an
+    earlier row up to scale, so that the rank drops."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 9))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    out = []
+    for _ in range(rows):
+        if out and draw(st.integers(0, 3)) == 0:
+            earlier = out[draw(st.integers(0, len(out) - 1))]
+            scale = draw(entry.filter(bool))
+            out.append([scale * x for x in earlier])
+        else:
+            out.append([draw(entry) if draw(st.integers(0, 3)) == 0 else Fraction(0) for _ in range(cols)])
+    return RationalMatrix(out, cols=cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rational_matrices())
+def test_kernel_basis_matches_bareiss_back_substitution(m):
+    assert kernel_basis(m) == _kernel_basis_oracle(m)
 
 
 @pytest.mark.parametrize("flavor", [M, K])
