@@ -30,7 +30,7 @@ from .errors import (
     InvalidParams,
     ResourceLimit,
 )
-from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs
+from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs, knot_order2_cocycle
 from .integrals import (
     DEFAULT_SEED,
     linking_integral,
@@ -40,11 +40,19 @@ from .integrals import (
 )
 from .solver import delta_matrix, kernel_basis
 
-_PARSE_ERRORS = (InvalidGraph, InvalidParams, json.JSONDecodeError)
-_VALIDATION_ERRORS = (CurveValidationError, CurvesIntersect, InconsistentDiagram)
+#: Exit code of each handled error; the first matching row wins.
+_EXIT_CODES = (
+    (ResourceLimit, 3),
+    ((CurveValidationError, CurvesIntersect, InconsistentDiagram), 4),
+    ((InvalidGraph, InvalidParams, json.JSONDecodeError), 2),
+    (GraphflowError, 1),
+)
+_HANDLED = (GraphflowError, json.JSONDecodeError)
 
 
-def _fail(exc: Exception, code: int):
+def _fail(exc: Exception):
+    """Report ``exc`` as JSON on stderr and exit with its code."""
+    code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, CurveValidationError):
         payload["error"]["invariant"] = exc.invariant
@@ -62,14 +70,8 @@ def _emit(command: str, config: dict, result) -> str:
 def _run(command: str, config: dict, compute):
     try:
         result = compute()
-    except ResourceLimit as exc:
-        _fail(exc, 3)
-    except _VALIDATION_ERRORS as exc:
-        _fail(exc, 4)
-    except _PARSE_ERRORS as exc:
-        _fail(exc, 2)
-    except GraphflowError as exc:
-        _fail(exc, 1)
+    except _HANDLED as exc:
+        _fail(exc)
     else:
         _emit(command, config, result)
 
@@ -96,14 +98,8 @@ def _cached(command: str, config_fn, cache_dir: str | None, no_cache: bool, comp
             sys.stdout.write(stored)
             return
         result = compute()
-    except ResourceLimit as exc:
-        _fail(exc, 3)
-    except _VALIDATION_ERRORS as exc:
-        _fail(exc, 4)
-    except _PARSE_ERRORS as exc:
-        _fail(exc, 2)
-    except GraphflowError as exc:
-        _fail(exc, 1)
+    except _HANDLED as exc:
+        _fail(exc)
     else:
         text = _emit(command, config, result) + "\n"
         if not no_cache:
@@ -210,23 +206,17 @@ def knot():
     """Numerical knot quantities."""
 
 
-_CACHE_OPTS = [
-    click.option("--cache-dir", type=click.Path(file_okay=False), default=None),
-    click.option("--no-cache", is_flag=True),
-]
-
-
-def _with_cache_opts(f):
-    for opt in reversed(_CACHE_OPTS):
-        f = opt(f)
-    return f
+def _cache_options(f):
+    """Add ``--cache-dir`` and ``--no-cache`` to a knot command."""
+    f = click.option("--no-cache", is_flag=True)(f)
+    return click.option("--cache-dir", type=click.Path(file_okay=False), default=None)(f)
 
 
 @knot.command("a2")
 @click.option("--curve", "curve_path", required=True)
 @click.option("--directions", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@_with_cache_opts
+@_cache_options
 def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
     """Order-2 combinatorial invariant from planar projections."""
 
@@ -249,7 +239,7 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
 @knot.command("sln")
 @click.option("--curve", "curve_path", required=True)
 @click.option("--grid", type=int, default=1024, show_default=True)
-@_with_cache_opts
+@_cache_options
 def knot_sln(curve_path, grid, cache_dir, no_cache):
     """Self-linking integral by banded quadrature."""
 
@@ -275,7 +265,7 @@ def knot_sln(curve_path, grid, cache_dir, no_cache):
 @click.option("--curve", "curve_path", required=True)
 @click.option("--curve2", "curve2_path", required=True)
 @click.option("--grid", type=int, default=1024, show_default=True)
-@_with_cache_opts
+@_cache_options
 def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
     """Gauss linking number of two disjoint curves."""
 
@@ -305,14 +295,12 @@ def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
 @click.option("--samples", type=float, default=1e6, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--workers", type=int, default=None)
-@_with_cache_opts
+@_cache_options
 def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
     """Order-2 cocycle configuration integral (Monte Carlo)."""
     n_samples = int(samples)
 
     def compute():
-        from .graphs import knot_order2_cocycle
-
         curve = load_curve(curve_path)
         cocycle = knot_order2_cocycle()
         est = v2_invariant(curve, cocycle, n_samples=n_samples, seed=seed, workers=workers)

@@ -85,12 +85,6 @@ class KnotCurve:
             self._tan_matrix[2::2] = -self.cos_coeffs[:, 1:].T * fac[:, None]
         self._validated: set[tuple[float, float, int]] = set()
 
-    @property
-    def kind(self) -> str:
-        if self.warp_base is not None:
-            return "warped"
-        return "polyline" if self.points is not None else "fourier"
-
     # --- evaluation ---
 
     def _warp(self, t):
@@ -134,8 +128,10 @@ class KnotCurve:
         """Raise CurveValidationError unless regular and embedded.
 
         Embeddedness compares every pair of the ``samples`` uniform points
-        at cyclic separation 3 or more.  A passing result is remembered
-        per (eps_reg, eps_emb, samples), since curves are not mutated.
+        at cyclic separation 3 or more against ``eps_emb`` times the
+        largest side of their bounding box, so the check does not depend
+        on the curve's size.  A passing result is remembered per
+        (eps_reg, eps_emb, samples), since curves are not mutated.
         """
         key = (eps_reg, eps_emb, samples)
         if key in self._validated:
@@ -152,10 +148,12 @@ class KnotCurve:
         for k in range(window + 1, samples // 2 + 1):
             d = np.linalg.norm(p - np.roll(p, -k, axis=0), axis=1).min()
             min_d = min(min_d, float(d))
-        if min_d <= eps_emb:
+        extent = float(np.ptp(p, axis=0).max())
+        if min_d <= eps_emb * extent:
             raise CurveValidationError(
                 "embedded",
-                f"min distance between non-adjacent points = {min_d:.3g} <= eps_emb = {eps_emb:.3g}",
+                f"min distance between non-adjacent points = {min_d:.3g} "
+                f"<= eps_emb = {eps_emb:.3g} times the extent {extent:.3g}",
             )
         self._validated.add(key)
         return self
@@ -309,6 +307,12 @@ def reparametrized(curve: KnotCurve, amplitude: float = 0.3) -> KnotCurve:
 
 
 def scaled(curve: KnotCurve, factor: float) -> KnotCurve:
+    if curve.warp_base is not None:
+        return KnotCurve(
+            warp_base=scaled(curve.warp_base, factor),
+            warp_amplitude=curve.warp_amplitude,
+            name=curve.name,
+        )
     if curve.points is not None:
         return KnotCurve(points=curve.points * factor, name=curve.name)
     return KnotCurve(

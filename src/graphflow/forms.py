@@ -16,14 +16,18 @@ import numpy as np
 
 from .curves import KnotCurve
 from .errors import CoincidentPoints, DimensionMismatch, UnsupportedGraph
-from .graphs import DecoratedGraph, Flavor, is_trivalent
+from .graphs import DecoratedGraph, Flavor, has_internal_loop, is_trivalent
 
 FOUR_PI = 4.0 * np.pi
 MAX_WEDGE_DIM = 12
 
 
 class TwoForm:
-    """Antisymmetric coefficient matrix of a 2-form over d coordinates."""
+    """Antisymmetric coefficient matrix of a 2-form over d coordinates.
+
+    Test oracle, with ``Configuration``, ``gauss_two_form`` and
+    ``wedge_top``: the scalar reference for ``CompiledIntegrand``.
+    """
 
     __slots__ = ("matrix",)
 
@@ -53,9 +57,6 @@ class TwoForm:
         """Evaluate on a pair of tangent vectors."""
         return float(np.asarray(a) @ self.matrix @ np.asarray(b))
 
-    def __neg__(self) -> "TwoForm":
-        return TwoForm(-self.matrix)
-
 
 @dataclass
 class Configuration:
@@ -63,6 +64,7 @@ class Configuration:
 
     Vertices 1..n live on the curve; vertices n+1..n+t are free points
     of R^3.  Coordinates are ordered (t_1..t_n, x_{n+1}, y, z, ...).
+    Test oracle: only ``gauss_two_form`` reads it.
     """
 
     curve: KnotCurve | None
@@ -101,7 +103,11 @@ class Configuration:
 
 def gauss_two_form(conf: Configuration, i: int, j: int, eps_coll: float = 0.0) -> TwoForm:
     """Pullback of the unit S^2 area form by the direction map from
-    vertex i to vertex j, on the configuration's coordinates."""
+    vertex i to vertex j, on the configuration's coordinates.
+
+    Test oracle: one configuration at a time, against which the batched
+    entries of ``CompiledIntegrand.evaluate_batch`` are checked.
+    """
     if i == j:
         raise ValueError("propagator needs distinct vertices")
     pi, pj = conf.position(i), conf.position(j)
@@ -141,7 +147,8 @@ def wedge_top(forms: list[TwoForm], d: int) -> float:
     """Coefficient of dx_1 ^ ... ^ dx_d in the wedge of the given 2-forms.
 
     Brute-force sum over assignments of coordinate pairs to forms with
-    permutation signs; requires 2*len(forms) == d <= 12.
+    permutation signs; requires 2*len(forms) == d <= 12.  Test oracle
+    for the assignment list that ``CompiledIntegrand`` compiles.
     """
     if 2 * len(forms) != d:
         raise DimensionMismatch(f"{len(forms)} two-forms cannot fill dimension {d}")
@@ -172,26 +179,6 @@ def _wedge_rec(mats, coords: list[int], unused: frozenset) -> float:
 
 
 # --- compiled integrands for trivalent knot graphs ---
-
-
-def has_internal_loop(g: DecoratedGraph) -> bool:
-    """Cycle made entirely of edges between internal vertices."""
-    parent = list(range(g.n_vertices + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in g.edges:
-        if g.is_external(i) or g.is_external(j):
-            continue
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return True
-        parent[ri] = rj
-    return False
 
 
 class CompiledIntegrand:

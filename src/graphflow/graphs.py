@@ -14,7 +14,6 @@ single-edge contractions of regular edges and squares to zero.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -438,9 +437,6 @@ class GraphSum:
             out._add(DecoratedGraph.from_json_obj(entry["graph"]), c)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def _sort_key(g: DecoratedGraph):
     return (g.flavor.value, g.n_ext, g.n_int, g.edges)
@@ -497,7 +493,9 @@ def _grading_combos(flavor: Flavor, order: int, degree: int) -> list[tuple[int, 
     return combos
 
 
-def _is_connected(n_vertices: int, undirected: Iterable[Edge]) -> bool:
+def _merges(n_vertices: int, undirected: Iterable[Edge]) -> Iterator[bool]:
+    """Union-find over vertices 1..n_vertices: for each edge in turn,
+    whether it joined two components (False means it closed a cycle)."""
     parent = list(range(n_vertices + 1))
 
     def find(x):
@@ -506,13 +504,21 @@ def _is_connected(n_vertices: int, undirected: Iterable[Edge]) -> bool:
             x = parent[x]
         return x
 
-    count = n_vertices
     for a, b in undirected:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-            count -= 1
-    return count == 1
+        yield ra != rb
+
+
+def _is_connected(n_vertices: int, undirected: Iterable[Edge]) -> bool:
+    return n_vertices - sum(_merges(n_vertices, undirected)) == 1
+
+
+def has_internal_loop(g: DecoratedGraph) -> bool:
+    """Cycle made entirely of edges between internal vertices."""
+    internal = [(i, j) for i, j in g.edges if not (g.is_external(i) or g.is_external(j))]
+    return not all(_merges(g.n_vertices, internal))
 
 
 def _knot_connected(n_ext: int, n_int: int, edges: tuple[Edge, ...]) -> bool:

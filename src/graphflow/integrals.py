@@ -24,8 +24,16 @@ import numpy as np
 
 from .curves import KnotCurve
 from .errors import CurvesIntersect, UnsupportedGraph
-from .forms import FOUR_PI, CompiledIntegrand, has_internal_loop
-from .graphs import DecoratedGraph, Flavor, GraphSum, graph_grade, is_trivalent
+from .forms import FOUR_PI, CompiledIntegrand
+from .graphs import (
+    DecoratedGraph,
+    Flavor,
+    GraphSum,
+    graph_grade,
+    has_internal_loop,
+    is_trivalent,
+    knot_order2_cocycle,
+)
 
 #: Orientation of the component of cyclically ordered knot points,
 #: relative to the coordinate order (t_1..t_n, x, y, z, ...).  Like the
@@ -85,21 +93,31 @@ def hash_graph(graph: DecoratedGraph) -> int:
 # --- two-point quadratures ---
 
 
-def _sln_grid_sum(curve: KnotCurve, n: int, bands: list[float]) -> list[float]:
-    """Banded midpoint sums of the self-linking integrand on an n x n grid."""
-    t = (np.arange(n) + 0.5) / n
-    pos = curve.eval(t)
-    tan = curve.deriv(t)
-    out = [0.0 for _ in bands]
+def _gauss_blocks(p1, d1, p2, d2):
+    """Row blocks (i0, i1, f) of the n x n Gauss integrand grid
+    f[i, j] = _gauss_coeff(p2[j] - p1[i], -d1[i], d2[j]), for positions
+    and tangents of two curves at the same n parameters.  Coincident
+    points give nan or inf entries."""
+    n = len(p1)
     chunk = max(1, 4_000_000 // n)
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
-        v = pos[None, :, :] - pos[i0:i1, None, :]
         with np.errstate(invalid="ignore", divide="ignore"):
-            f = _gauss_coeff(v, -tan[i0:i1, None, :], tan[None, :, :])
+            f = _gauss_coeff(
+                p2[None, :, :] - p1[i0:i1, None, :], -d1[i0:i1, None, :], d2[None, :, :]
+            )
+        yield i0, i1, f
+
+
+def _sln_grid_sum(curve: KnotCurve, n: int, bands: list[float]) -> list[float]:
+    """Banded midpoint sums of the self-linking integrand on an n x n grid."""
+    t = (np.arange(n) + 0.5) / n
+    pos, tan = curve.eval_with_deriv(t)
+    out = [0.0 for _ in bands]
+    for i0, i1, f in _gauss_blocks(pos, tan, pos, tan):
         dt = np.abs(t[None, :] - t[i0:i1, None])
         cyc = np.minimum(dt, 1.0 - dt)
-        f = np.nan_to_num(f, nan=0.0, posinf=0.0, neginf=0.0)
+        np.nan_to_num(f, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
         for k, band in enumerate(bands):
             out[k] += float(f[cyc > band].sum())
     return [s / (n * n) for s in out]
@@ -128,14 +146,10 @@ def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
 
 def _linking_grid(k1: KnotCurve, k2: KnotCurve, n: int) -> float:
     t = (np.arange(n) + 0.5) / n
-    p1, d1 = k1.eval(t), k1.deriv(t)
-    p2, d2 = k2.eval(t), k2.deriv(t)
+    p1, d1 = k1.eval_with_deriv(t)
+    p2, d2 = k2.eval_with_deriv(t)
     total = 0.0
-    chunk = max(1, 4_000_000 // n)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        v = p2[None, :, :] - p1[i0:i1, None, :]
-        f = _gauss_coeff(v, -d1[i0:i1, None, :], d2[None, :, :])
+    for _, _, f in _gauss_blocks(p1, d1, p2, d2):
         total += float(f.sum())
     return total / (n * n)
 
@@ -257,7 +271,7 @@ def a_gamma_mc(
 def a_gamma_quadrature(
     graph: DecoratedGraph, curve: KnotCurve, grid: int = 64
 ) -> IntegralEstimate:
-    """Deterministic oracle for graphs with no internal vertices.
+    """Test oracle for ``a_gamma_mc`` on graphs with no internal vertices.
 
     Midpoint quadrature over ordered tuples of an equispaced grid, with
     one Richardson refinement in the grid size.
@@ -320,8 +334,6 @@ def v2_invariant(
     setting used here and are omitted; differences of this quantity
     between knots match the order-2 combinatorial invariant.
     """
-    from .graphs import knot_order2_cocycle
-
     if cocycle is None:
         cocycle = knot_order2_cocycle()
     supported, _ = split_cocycle_terms(cocycle)

@@ -45,13 +45,15 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         out = RationalMatrix.zeros(self.rows, other.cols)
+        # the coboundary matrices are almost all zeros: visit nonzeros only
+        nonzero = [[(c, b) for c, b in enumerate(row) if b] for row in other.entries]
         for r in range(self.rows):
             for k in range(self.cols):
                 a = self.entries[r][k]
                 if not a:
                     continue
-                for c in range(other.cols):
-                    out.entries[r][c] += a * other.entries[k][c]
+                for c, b in nonzero[k]:
+                    out.entries[r][c] += a * b
         return out
 
     def is_zero(self) -> bool:

@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from graphflow import cli, errors
 from graphflow.cli import main
 from graphflow.curves import round_circle
 from graphflow.graphs import theta_graph
@@ -213,3 +214,56 @@ def test_cache_entry_for_another_config_is_recomputed(tmp_path):
     assert again.exit_code == 0
     assert again.output == first.output
     assert entry.read_text() == first.output
+
+
+def _every_error():
+    """An instance of each exception class in graphflow.errors, plus the
+    JSON parse error a bad curve file raises."""
+    out = [json.JSONDecodeError("bad", "{", 1)]
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, errors.GraphflowError):
+            if cls is errors.CurveValidationError:
+                out.append(cls("embedded", "boom"))
+            else:
+                out.append(cls("boom"))
+    return out
+
+
+EXIT_CODES = {
+    "JSONDecodeError": 2,
+    "GraphflowError": 1,
+    "InvalidGraph": 2,
+    "NotRegular": 1,
+    "NotContractible": 1,
+    "ResourceLimit": 3,
+    "GradeMismatch": 1,
+    "InvalidParams": 2,
+    "CurveValidationError": 4,
+    "DegenerateProjection": 1,
+    "InconsistentDiagram": 4,
+    "CoincidentPoints": 1,
+    "DimensionMismatch": 1,
+    "UnsupportedGraph": 1,
+    "CurvesIntersect": 4,
+}
+
+
+def test_exit_code_table_covers_every_error():
+    assert sorted(type(e).__name__ for e in _every_error()) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc", _every_error(), ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("caller", ["_run", "_cached"])
+def test_exit_code_table(exc, caller, tmp_path, capsys):
+    def compute():
+        raise exc
+
+    with pytest.raises(SystemExit) as stop:
+        if caller == "_run":
+            cli._run("test", {}, compute)
+        else:
+            cli._cached("test", lambda: {}, str(tmp_path), False, compute)
+    assert stop.value.code == EXIT_CODES[type(exc).__name__]
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == type(exc).__name__
+    assert not list(tmp_path.iterdir())  # nothing cached

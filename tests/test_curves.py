@@ -230,9 +230,10 @@ def test_eval_with_deriv_shapes_and_layout(curve):
 
 
 def test_validate_accepts_small_round_circle():
-    # its separation-2 chord (0.00092) is below eps_emb, but separation 2
-    # is adjacent: only separations >= 3 are compared
-    round_circle(0.15).validate()
+    # at 8192 samples its separation-2 chord is 0.00077 of its extent,
+    # below eps_emb, but separation 2 is adjacent: only separations >= 3
+    # (0.00115 of the extent) are compared
+    round_circle(0.15).validate(samples=8192)
 
 
 def test_validate_remembers_success_only(monkeypatch):
@@ -254,3 +255,16 @@ def test_validate_remembers_success_only(monkeypatch):
     for _ in range(2):
         with pytest.raises(CurveValidationError):
             irregular.validate()
+
+
+@pytest.mark.parametrize("factor", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("name", ["circle", "trefoil", "torus_2_5", "figure_eight", "hopf_a", "hopf_b"])
+def test_validate_is_scale_invariant(name, factor):
+    scaled(bundled_curve(name), factor).validate()
+
+
+def test_scaled_warped_curve():
+    rep = reparametrized(bundled_curve("trefoil"), 0.3)
+    big = scaled(rep, 2.0)
+    assert big.warp_amplitude == rep.warp_amplitude
+    assert np.array_equal(big.eval(EVAL_T), 2.0 * rep.eval(EVAL_T))

@@ -11,6 +11,7 @@ from graphflow.curves import (
     round_circle,
     scaled,
 )
+from graphflow import integrals
 from graphflow.errors import CurvesIntersect, UnsupportedGraph
 from graphflow.graphs import knot_order2_cocycle, knot_order2_graphs
 from graphflow.integrals import (
@@ -182,3 +183,58 @@ def test_v2_difference_matches_a2(name):
     est = v2_invariant(knot, n_samples=200_000, seed=1997)
     sigma = math.hypot(est.std_error, circle.std_error)
     assert abs(est.value - circle.value - a2_of_curve(knot)) <= 4 * sigma
+
+
+def _oracle_sln_grid_sum(curve, n, bands):
+    """The separate self-linking grid loop that _gauss_blocks replaced."""
+    t = (np.arange(n) + 0.5) / n
+    pos = curve.eval(t)
+    tan = curve.deriv(t)
+    out = [0.0 for _ in bands]
+    chunk = max(1, 4_000_000 // n)
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        v = pos[None, :, :] - pos[i0:i1, None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            f = integrals._gauss_coeff(v, -tan[i0:i1, None, :], tan[None, :, :])
+        dt = np.abs(t[None, :] - t[i0:i1, None])
+        cyc = np.minimum(dt, 1.0 - dt)
+        f = np.nan_to_num(f, nan=0.0, posinf=0.0, neginf=0.0)
+        for k, band in enumerate(bands):
+            out[k] += float(f[cyc > band].sum())
+    return [s / (n * n) for s in out]
+
+
+def _oracle_linking_grid(k1, k2, n):
+    """The separate linking grid loop that _gauss_blocks replaced."""
+    t = (np.arange(n) + 0.5) / n
+    p1, d1 = k1.eval(t), k1.deriv(t)
+    p2, d2 = k2.eval(t), k2.deriv(t)
+    total = 0.0
+    chunk = max(1, 4_000_000 // n)
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        v = p2[None, :, :] - p1[i0:i1, None, :]
+        f = integrals._gauss_coeff(v, -d1[i0:i1, None, :], d2[None, :, :])
+        total += float(f.sum())
+    return total / (n * n)
+
+
+@pytest.mark.parametrize("curve", [CIRCLE, TREFOIL], ids=["circle", "trefoil"])
+def test_sln_quadrature_bit_identical_to_separate_loop(curve, monkeypatch):
+    est = sln_integral(curve, grid=256)
+    monkeypatch.setattr(integrals, "_sln_grid_sum", _oracle_sln_grid_sum)
+    assert est == sln_integral(curve, grid=256)
+
+
+def test_linking_quadrature_bit_identical_to_separate_loop(monkeypatch):
+    a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
+    est = linking_integral(a, b)
+    monkeypatch.setattr(integrals, "_linking_grid", _oracle_linking_grid)
+    assert est == linking_integral(a, b)
+
+
+def test_gauss_blocks_cross_chunks():
+    # n = 2048 gives row chunks of 1953 and 95
+    a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
+    assert integrals._linking_grid(a, b, 2048) == _oracle_linking_grid(a, b, 2048)

@@ -212,6 +212,16 @@ def test_delta_matrices_compose_to_zero(flavor, order):
     assert m12.matmul(m01).is_zero()
 
 
+def test_matmul_matches_dense_triple_loop():
+    a = RationalMatrix([[1, 0, Fraction(1, 2)], [0, 0, 0], [0, -3, 2]])
+    b = RationalMatrix([[0, 2], [Fraction(1, 3), 0], [0, 0]])
+    expect = [
+        [sum((a[r, k] * b[k, c] for k in range(3)), Fraction(0)) for c in range(2)]
+        for r in range(3)
+    ]
+    assert a.matmul(b).entries == expect
+
+
 def test_verify_cocycle():
     assert verify_cocycle(GraphSum.of([(1, theta_graph(M))]))
     assert verify_cocycle(manifold_order2_cocycle())
