@@ -212,6 +212,28 @@ def _cache_options(f):
     return click.option("--cache-dir", type=click.Path(file_okay=False), default=None)(f)
 
 
+def _knot_command(command: str, evaluate, curves: dict, cache_dir, no_cache, **params):
+    """Run a knot command through the cache.
+
+    ``curves`` maps config keys (``curve``, ``curve2``) to curve paths or
+    bundled names.  The config holds each path, its ``<key>_hash`` and
+    ``params``; the result is ``evaluate(*loaded curves)`` plus the same
+    hashes.  Each curve is loaded once for the config and once for the
+    result.
+    """
+
+    def config():
+        hashes = {key + "_hash": load_curve(path).content_hash() for key, path in curves.items()}
+        return {**{key: str(path) for key, path in curves.items()}, **hashes, **params}
+
+    def compute():
+        loaded = [load_curve(path) for path in curves.values()]
+        hashes = {key + "_hash": curve.content_hash() for key, curve in zip(curves, loaded)}
+        return {**evaluate(*loaded), **hashes}
+
+    _cached(command, config, cache_dir, no_cache, compute)
+
+
 @knot.command("a2")
 @click.option("--curve", "curve_path", required=True)
 @click.option("--directions", type=int, default=3, show_default=True)
@@ -220,20 +242,11 @@ def _cache_options(f):
 def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
     """Order-2 combinatorial invariant from planar projections."""
 
-    def compute():
-        curve = load_curve(curve_path)
-        value = a2_of_curve(curve, directions=directions, seed=seed)
-        return {"a2": value, "curve_hash": curve.content_hash()}
+    def evaluate(curve):
+        return {"a2": a2_of_curve(curve, directions=directions, seed=seed)}
 
-    def config():
-        return {
-            "curve": str(curve_path),
-            "curve_hash": load_curve(curve_path).content_hash(),
-            "directions": directions,
-            "seed": seed,
-        }
-
-    _cached("knot a2", config, cache_dir, no_cache, compute)
+    params = {"directions": directions, "seed": seed}
+    _knot_command("knot a2", evaluate, {"curve": curve_path}, cache_dir, no_cache, **params)
 
 
 @knot.command("sln")
@@ -243,22 +256,10 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
 def knot_sln(curve_path, grid, cache_dir, no_cache):
     """Self-linking integral by banded quadrature."""
 
-    def compute():
-        curve = load_curve(curve_path)
-        est = sln_integral(curve, grid=grid)
-        out = est.to_json_obj()
-        out["op"] = "sln"
-        out["curve_hash"] = curve.content_hash()
-        return out
+    def evaluate(curve):
+        return {**sln_integral(curve, grid=grid).to_json_obj(), "op": "sln"}
 
-    def config():
-        return {
-            "curve": str(curve_path),
-            "curve_hash": load_curve(curve_path).content_hash(),
-            "grid": grid,
-        }
-
-    _cached("knot sln", config, cache_dir, no_cache, compute)
+    _knot_command("knot sln", evaluate, {"curve": curve_path}, cache_dir, no_cache, grid=grid)
 
 
 @knot.command("lk")
@@ -269,25 +270,11 @@ def knot_sln(curve_path, grid, cache_dir, no_cache):
 def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
     """Gauss linking number of two disjoint curves."""
 
-    def compute():
-        k1, k2 = load_curve(curve_path), load_curve(curve2_path)
-        est = linking_integral(k1, k2, grid=grid)
-        out = est.to_json_obj()
-        out["op"] = "lk"
-        out["curve_hash"] = k1.content_hash()
-        out["curve2_hash"] = k2.content_hash()
-        return out
+    def evaluate(k1, k2):
+        return {**linking_integral(k1, k2, grid=grid).to_json_obj(), "op": "lk"}
 
-    def config():
-        return {
-            "curve": str(curve_path),
-            "curve2": str(curve2_path),
-            "curve_hash": load_curve(curve_path).content_hash(),
-            "curve2_hash": load_curve(curve2_path).content_hash(),
-            "grid": grid,
-        }
-
-    _cached("knot lk", config, cache_dir, no_cache, compute)
+    curves = {"curve": curve_path, "curve2": curve2_path}
+    _knot_command("knot lk", evaluate, curves, cache_dir, no_cache, grid=grid)
 
 
 @knot.command("v2")
@@ -300,29 +287,15 @@ def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
     """Order-2 cocycle configuration integral (Monte Carlo)."""
     n_samples = int(samples)
 
-    def compute():
-        curve = load_curve(curve_path)
+    def evaluate(curve):
         cocycle = knot_order2_cocycle()
         est = v2_invariant(curve, cocycle, n_samples=n_samples, seed=seed, workers=workers)
         _, skipped = split_cocycle_terms(cocycle)
-        out = est.to_json_obj()
-        out["op"] = "v2"
-        out["curve_hash"] = curve.content_hash()
-        out["omitted_terms"] = [
-            {"coeff": f"{c.numerator}/{c.denominator}", "graph": g.to_json_obj()}
-            for c, g in skipped
-        ]
-        return out
+        omitted = GraphSum({g: c for c, g in skipped}).to_json_obj()
+        return {**est.to_json_obj(), "op": "v2", "omitted_terms": omitted}
 
-    def config():
-        return {
-            "curve": str(curve_path),
-            "curve_hash": load_curve(curve_path).content_hash(),
-            "samples": n_samples,
-            "seed": seed,
-        }
-
-    _cached("knot v2", config, cache_dir, no_cache, compute)
+    params = {"samples": n_samples, "seed": seed}
+    _knot_command("knot v2", evaluate, {"curve": curve_path}, cache_dir, no_cache, **params)
 
 
 if __name__ == "__main__":

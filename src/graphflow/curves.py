@@ -18,8 +18,11 @@ import numpy as np
 
 from .errors import CurveValidationError, InvalidParams
 
+#: Bounds of ``validate``, as fractions of the curve's extent.
 EPS_REG = 1e-6
 EPS_EMB = 1e-3
+#: Uniform points whose pairwise distances give ``diameter``.
+DIAMETER_SAMPLES = 512
 
 _TWO_PI = 2.0 * np.pi
 
@@ -83,7 +86,7 @@ class KnotCurve:
             self._tan_matrix = np.zeros_like(self._pos_matrix)
             self._tan_matrix[1::2] = sin_coeffs.T * fac[:, None]
             self._tan_matrix[2::2] = -self.cos_coeffs[:, 1:].T * fac[:, None]
-        self._validated: set[tuple[float, float, int]] = set()
+        self._validated: set[int] = set()
 
     # --- evaluation ---
 
@@ -119,43 +122,46 @@ class KnotCurve:
 
     # --- geometry ---
 
-    def diameter(self, samples: int = 512) -> float:
-        p = self.eval(np.arange(samples) / samples)
+    def diameter(self) -> float:
+        p = self.eval(np.arange(DIAMETER_SAMPLES) / DIAMETER_SAMPLES)
         d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
 
-    def validate(self, eps_reg: float = EPS_REG, eps_emb: float = EPS_EMB, samples: int = 2048):
+    def validate(self, samples: int = 2048):
         """Raise CurveValidationError unless regular and embedded.
 
-        Embeddedness compares every pair of the ``samples`` uniform points
-        at cyclic separation 3 or more against ``eps_emb`` times the
-        largest side of their bounding box, so the check does not depend
-        on the curve's size.  A passing result is remembered per
-        (eps_reg, eps_emb, samples), since curves are not mutated.
+        Both checks use the ``samples`` uniform points and are relative to
+        the largest side of their bounding box (the extent), so they do
+        not depend on the curve's size: the speed |gamma'| must exceed
+        EPS_REG times the extent, and every pair of points at cyclic
+        separation 3 or more must be farther apart than EPS_EMB times the
+        extent.  A passing result is remembered per ``samples``, since
+        curves are not mutated.
         """
-        key = (eps_reg, eps_emb, samples)
-        if key in self._validated:
+        if samples in self._validated:
             return self
         t = np.arange(samples) / samples
-        speed = np.linalg.norm(self.deriv(t), axis=1)
-        if speed.min() <= eps_reg:
-            raise CurveValidationError(
-                "regular", f"min |gamma'| = {speed.min():.3g} <= eps_reg = {eps_reg:.3g}"
-            )
         p = self.eval(t)
+        extent = float(np.ptp(p, axis=0).max())
+        speed = np.linalg.norm(self.deriv(t), axis=1)
+        if speed.min() <= EPS_REG * extent:
+            raise CurveValidationError(
+                "regular",
+                f"min |gamma'| = {speed.min():.3g} "
+                f"<= eps_reg = {EPS_REG:.3g} times the extent {extent:.3g}",
+            )
         window = 2
         min_d = math.inf
         for k in range(window + 1, samples // 2 + 1):
             d = np.linalg.norm(p - np.roll(p, -k, axis=0), axis=1).min()
             min_d = min(min_d, float(d))
-        extent = float(np.ptp(p, axis=0).max())
-        if min_d <= eps_emb * extent:
+        if min_d <= EPS_EMB * extent:
             raise CurveValidationError(
                 "embedded",
                 f"min distance between non-adjacent points = {min_d:.3g} "
-                f"<= eps_emb = {eps_emb:.3g} times the extent {extent:.3g}",
+                f"<= eps_emb = {EPS_EMB:.3g} times the extent {extent:.3g}",
             )
-        self._validated.add(key)
+        self._validated.add(samples)
         return self
 
     # --- serialization ---

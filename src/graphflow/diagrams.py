@@ -17,6 +17,9 @@ from .curves import KnotCurve
 from .errors import DegenerateProjection, InconsistentDiagram
 
 _PAR_TOL = 1e-9
+#: Segment counts of the first and the finest projected polyline.
+MIN_SEGMENTS = 2048
+MAX_SEGMENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -179,19 +182,18 @@ def _crossings_match(a: list[Crossing], b: list[Crossing], tol: float) -> bool:
     return True
 
 
-def project_to_diagram(
-    curve: KnotCurve, direction, min_segments: int = 2048, max_segments: int = 32768
-) -> GaussDiagram:
+def project_to_diagram(curve: KnotCurve, direction) -> GaussDiagram:
     """Gauss diagram of the projection along ``direction``.
 
-    The projected polyline is refined by doubling until the crossing set
-    stabilizes twice in a row; unstable or tangential projections raise
-    DegenerateProjection (callers retry with a perturbed direction).
+    The projected polyline is refined by doubling from MIN_SEGMENTS up to
+    MAX_SEGMENTS segments until the crossing set stabilizes twice in a
+    row; unstable or tangential projections raise DegenerateProjection
+    (callers retry with a perturbed direction).
     """
     history = []
     levels = []
-    n = min_segments
-    while n <= max_segments:
+    n = MIN_SEGMENTS
+    while n <= MAX_SEGMENTS:
         history.append(_segment_crossings(curve, direction, n))
         levels.append(n)
         if len(history) >= 3:

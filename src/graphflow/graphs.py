@@ -33,6 +33,7 @@ from .errors import (
 
 Edge = tuple[int, int]
 
+#: Largest graphs ``enumerate_graphs`` builds.
 MAX_VERTICES = 10
 MAX_EDGES = 15
 
@@ -343,24 +344,6 @@ def contract_edge(g: DecoratedGraph, e: Edge) -> tuple[DecoratedGraph, int]:
     return merged, _sigma(i, j)
 
 
-def _contractible_edges(g: DecoratedGraph) -> Iterator[Edge]:
-    seen_pairs = set()
-    for i, j in g.edges:
-        pair = frozenset((i, j))
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        if g.connection_count(i, j) != 1:
-            continue
-        if g.flavor is Flavor.KNOT and g.is_external(i) and g.is_external(j):
-            continue
-        yield (i, j)
-    if g.flavor is Flavor.KNOT:
-        for i, j in g.knot_arcs():
-            if g.connection_count(i, j) == 1:
-                yield (i, j)
-
-
 class GraphSum:
     """Formal rational linear combination of canonical decorated graphs."""
 
@@ -404,12 +387,6 @@ class GraphSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __add__(self, other: "GraphSum") -> "GraphSum":
-        out = GraphSum(self._terms)
-        for g, c in other._terms.items():
-            out._add(g, c)
-        return out
-
     def __rmul__(self, c) -> "GraphSum":
         c = Fraction(c)
         return GraphSum({g: c * v for g, v in self._terms.items()})
@@ -444,7 +421,8 @@ def _sort_key(g: DecoratedGraph):
 
 def delta(g: DecoratedGraph | GraphSum) -> GraphSum:
     """Coboundary: signed sum of single contractions of regular edges
-    (and, in knot flavor, regular knot arcs), extended linearly."""
+    (and, in knot flavor, regular knot arcs), extended linearly.  The
+    edges and arcs that ``contract_edge`` refuses are skipped."""
     if isinstance(g, GraphSum):
         out = GraphSum()
         for graph, c in g.items():
@@ -452,8 +430,11 @@ def delta(g: DecoratedGraph | GraphSum) -> GraphSum:
                 out._add(term, c * coeff)
         return out
     out = GraphSum()
-    for e in _contractible_edges(g):
-        contracted, sign = contract_edge(g, e)
+    for e in dict.fromkeys(g.edges + g.knot_arcs()):
+        try:
+            contracted, sign = contract_edge(g, e)
+        except (NotRegular, NotContractible):
+            continue
         res = canonicalize(contracted)
         if not res.is_zero:
             out._add(res.graph, Fraction(sign * res.sign))
@@ -533,39 +514,27 @@ def _knot_connected(n_ext: int, n_int: int, edges: tuple[Edge, ...]) -> bool:
 
 
 def enumerate_graphs(
-    flavor: Flavor,
-    order: int,
-    degree: int,
-    connected: bool = True,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
+    flavor: Flavor, order: int, degree: int, connected: bool = True
 ) -> list[DecoratedGraph]:
     """All canonical nonzero decorated graphs of the given grade.
 
     Deterministically ordered by encoding.  Raises ResourceLimit when
-    the grade requires more vertices/edges than the configured bounds.
+    the grade needs more than MAX_VERTICES vertices or MAX_EDGES edges.
     """
-    return list(
-        _enumerate_cached(flavor, order, degree, connected, max_vertices, max_edges)
-    )
+    return list(_enumerate_cached(flavor, order, degree, connected))
 
 
 @lru_cache(maxsize=64)
 def _enumerate_cached(
-    flavor: Flavor,
-    order: int,
-    degree: int,
-    connected: bool,
-    max_vertices: int,
-    max_edges: int,
+    flavor: Flavor, order: int, degree: int, connected: bool
 ) -> tuple[DecoratedGraph, ...]:
     result: list[DecoratedGraph] = []
     for n_ext, n_int, n_edges in _grading_combos(flavor, order, degree):
         nv = n_ext + n_int
-        if nv > max_vertices or n_edges > max_edges:
+        if nv > MAX_VERTICES or n_edges > MAX_EDGES:
             raise ResourceLimit(
                 f"grade (ord={order}, deg={degree}) needs V={nv}, E={n_edges} "
-                f"(bounds {max_vertices}, {max_edges})"
+                f"(bounds {MAX_VERTICES}, {MAX_EDGES})"
             )
         if n_edges == 0:
             # no edges: only valid if a single vertex class makes sense; skip

@@ -64,14 +64,14 @@ class RationalMatrix:
 
 
 def delta_matrix(
-    flavor: Flavor, order: int, **enumerate_kwargs
+    flavor: Flavor, order: int
 ) -> tuple[list[DecoratedGraph], list[DecoratedGraph], RationalMatrix]:
     """Matrix of the coboundary from degree 0 to degree 1 at fixed order.
 
     Column k expresses delta(basis0[k]) in basis1.
     """
-    basis0 = enumerate_graphs(flavor, order, 0, connected=True, **enumerate_kwargs)
-    basis1 = enumerate_graphs(flavor, order, 1, connected=True, **enumerate_kwargs)
+    basis0 = enumerate_graphs(flavor, order, 0, connected=True)
+    basis1 = enumerate_graphs(flavor, order, 1, connected=True)
     index = {g: r for r, g in enumerate(basis1)}
     m = RationalMatrix.zeros(len(basis1), len(basis0))
     for c, g in enumerate(basis0):

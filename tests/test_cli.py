@@ -4,10 +4,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from graphflow import cli, errors
+from graphflow import __version__, cli, errors
 from graphflow.cli import main
-from graphflow.curves import round_circle
-from graphflow.graphs import theta_graph
+from graphflow.curves import load_curve, round_circle
+from graphflow.diagrams import a2_of_curve
+from graphflow.graphs import knot_order2_cocycle, theta_graph
+from graphflow.integrals import linking_integral, sln_integral, split_cocycle_terms, v2_invariant
 
 
 def run(*args):
@@ -267,3 +269,116 @@ def test_exit_code_table(exc, caller, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == type(exc).__name__
     assert not list(tmp_path.iterdir())  # nothing cached
+
+
+def _a2_doc():
+    curve = load_curve("trefoil")
+    h = curve.content_hash()
+    config = {"curve": "trefoil", "curve_hash": h, "directions": 3, "seed": 7}
+    return config, {"a2": a2_of_curve(curve, directions=3, seed=7), "curve_hash": h}
+
+
+def _sln_doc():
+    curve = load_curve("circle")
+    h = curve.content_hash()
+    config = {"curve": "circle", "curve_hash": h, "grid": 256}
+    return config, {**sln_integral(curve, grid=256).to_json_obj(), "op": "sln", "curve_hash": h}
+
+
+def _lk_doc():
+    k1, k2 = load_curve("hopf_a"), load_curve("hopf_b")
+    hashes = {"curve_hash": k1.content_hash(), "curve2_hash": k2.content_hash()}
+    config = {"curve": "hopf_a", "curve2": "hopf_b", "grid": 256, **hashes}
+    return config, {**linking_integral(k1, k2, grid=256).to_json_obj(), "op": "lk", **hashes}
+
+
+def _v2_doc():
+    curve = load_curve("trefoil")
+    h = curve.content_hash()
+    _, skipped = split_cocycle_terms(knot_order2_cocycle())
+    omitted = [
+        {"coeff": f"{c.numerator}/{c.denominator}", "graph": g.to_json_obj()} for c, g in skipped
+    ]
+    result = v2_invariant(curve, n_samples=20000, seed=11).to_json_obj()
+    config = {"curve": "trefoil", "curve_hash": h, "samples": 20000, "seed": 11}
+    return config, {**result, "op": "v2", "curve_hash": h, "omitted_terms": omitted}
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["a2", "--curve", "trefoil"], _a2_doc),
+        (["sln", "--curve", "circle", "--grid", "256"], _sln_doc),
+        (["lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "256"], _lk_doc),
+        (["v2", "--curve", "trefoil", "--samples", "2e4", "--seed", "11"], _v2_doc),
+    ],
+    ids=["a2", "sln", "lk", "v2"],
+)
+def test_knot_command_whole_document(args, expected, tmp_path):
+    """Every field of a knot command's output equals the library's own
+    values for the same curves and parameters."""
+    res = run("knot", *args, "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0
+    config, result = expected()
+    command = "knot " + args[0]
+    assert json.loads(res.output) == {
+        "command": command, "config": config, "version": __version__, "result": result
+    }
+
+
+#: Every option of every command: (name, type, default or "required").
+#: Adding, dropping or renaming an option has to update this table.
+CLI_OPTIONS = {
+    "": [("version", "boolean", False)],
+    "graphs": [],
+    "graphs cocycles": [("flavor", "choice", "required"), ("order", "integer", "required")],
+    "graphs delta": [("path", "file", "required")],
+    "graphs enumerate": [
+        ("flavor", "choice", "required"),
+        ("order", "integer", "required"),
+        ("degree", "integer", 0),
+        ("disconnected", "boolean", False),
+    ],
+    "knot": [],
+    "knot a2": [
+        ("curve_path", "text", "required"),
+        ("directions", "integer", 3),
+        ("seed", "integer", 7),
+        ("cache_dir", "directory", None),
+        ("no_cache", "boolean", False),
+    ],
+    "knot lk": [
+        ("curve_path", "text", "required"),
+        ("curve2_path", "text", "required"),
+        ("grid", "integer", 1024),
+        ("cache_dir", "directory", None),
+        ("no_cache", "boolean", False),
+    ],
+    "knot sln": [
+        ("curve_path", "text", "required"),
+        ("grid", "integer", 1024),
+        ("cache_dir", "directory", None),
+        ("no_cache", "boolean", False),
+    ],
+    "knot v2": [
+        ("curve_path", "text", "required"),
+        ("samples", "float", 1e6),
+        ("seed", "integer", 20259),
+        ("workers", "integer", None),
+        ("cache_dir", "directory", None),
+        ("no_cache", "boolean", False),
+    ],
+}
+
+
+def test_cli_option_surface_pinned():
+    def walk(cmd, path):
+        yield " ".join(path), cmd
+        for name, sub in getattr(cmd, "commands", {}).items():
+            yield from walk(sub, path + (name,))
+
+    surface = {
+        path: [(p.name, p.type.name, "required" if p.required else p.default) for p in cmd.params]
+        for path, cmd in walk(main, ())
+    }
+    assert surface == CLI_OPTIONS

@@ -230,6 +230,45 @@ def test_single_generator_not_cocycle():
     assert not delta(GraphSum.of([(1, g1)])).is_zero
 
 
+def _oracle_contractible_edges(g):
+    """The regular edges and knot arcs that may be contracted, by an
+    explicit test of each rule rather than through ``contract_edge``."""
+    seen_pairs = set()
+    for i, j in g.edges:
+        pair = frozenset((i, j))
+        if pair in seen_pairs:
+            continue
+        seen_pairs.add(pair)
+        if g.connection_count(i, j) != 1:
+            continue
+        if g.flavor is K and g.is_external(i) and g.is_external(j):
+            continue
+        yield (i, j)
+    if g.flavor is K:
+        for i, j in g.knot_arcs():
+            if g.connection_count(i, j) == 1:
+                yield (i, j)
+
+
+def _oracle_delta(g):
+    out = GraphSum()
+    for e in _oracle_contractible_edges(g):
+        contracted, sign = contract_edge(g, e)
+        res = canonicalize(contracted)
+        if not res.is_zero:
+            out._add(res.graph, Fraction(sign * res.sign))
+    return out
+
+
+@pytest.mark.parametrize(
+    "flavor, order, degree",
+    [(f, o, 0) for f in (M, K) for o in (1, 2, 3)] + [(f, o, 1) for f in (M, K) for o in (1, 2)],
+)
+def test_delta_matches_explicit_contraction_rule(flavor, order, degree):
+    for g in enumerate_graphs(flavor, order, degree):
+        assert delta(g) == _oracle_delta(g)
+
+
 # --- enumeration ---
 
 
