@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -285,6 +286,8 @@ def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
 @_cache_options
 def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
     """Order-2 cocycle configuration integral (Monte Carlo)."""
+    if not math.isfinite(samples):
+        _fail(InvalidParams(f"samples must be finite, got {samples}"))
     n_samples = int(samples)
 
     def evaluate(curve):

@@ -1,9 +1,9 @@
-"""Closed parametric curves in R^3: generators, validation, resampling.
+"""Closed parametric curves in R^3: generators, validation, loading.
 
 A curve is stored either as a truncated Fourier series per coordinate
-(exact for torus knots and fitted samples) or as a closed polyline.
-The parameter runs over [0, 1); Fourier curves close exactly and
-polylines wrap cyclically.
+(exact for torus knots), as a closed polyline, or as a reparametrized
+warp of another curve.  The parameter runs over [0, 1); Fourier curves
+close exactly and polylines wrap cyclically.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ class KnotCurve:
 
     Exactly one of (cos_coeffs, sin_coeffs) / points is set.  For the
     Fourier form, cos_coeffs has shape (3, H+1) and sin_coeffs (3, H)
-    starting at harmonic 1.  ``arclength`` optionally carries the
-    cumulative arclength table of a resampled curve.
+    starting at harmonic 1.
     """
 
     def __init__(
@@ -41,7 +40,6 @@ class KnotCurve:
         cos_coeffs=None,
         sin_coeffs=None,
         points=None,
-        arclength=None,
         name=None,
         warp_base=None,
         warp_amplitude=0.0,
@@ -50,7 +48,6 @@ class KnotCurve:
         if reps != 1:
             raise InvalidParams("exactly one of Fourier coefficients, points or warp base required")
         self.name = name
-        self.arclength = None if arclength is None else np.asarray(arclength, dtype=float)
         self.warp_base = warp_base
         self.warp_amplitude = float(warp_amplitude)
         if warp_base is not None:
@@ -281,24 +278,6 @@ def make_torus_knot(p: int, q: int, R: float, r: float) -> KnotCurve:
     return curve.validate()
 
 
-def fourier_from_samples(points: np.ndarray, tol: float = 1e-12, name=None) -> KnotCurve:
-    """Fit a Fourier curve through uniformly spaced samples via FFT.
-
-    Exact when the samples come from a trigonometric polynomial with
-    fewer than N/2 harmonics; trailing negligible harmonics are dropped.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    f = np.fft.rfft(pts, axis=0) / n
-    cos_c = 2.0 * f.real.T
-    cos_c[:, 0] /= 2.0
-    sin_c = -2.0 * f.imag.T[:, 1:]
-    mags = np.maximum(np.abs(cos_c[:, 1:]), np.abs(sin_c)).max(axis=0)
-    keep = np.nonzero(mags > tol * max(mags.max(), 1e-300))[0]
-    hmax = int(keep[-1]) + 1 if keep.size else 0
-    return KnotCurve(cos_coeffs=cos_c[:, : hmax + 1], sin_coeffs=sin_c[:, :hmax], name=name)
-
-
 def reparametrized(curve: KnotCurve, amplitude: float = 0.3) -> KnotCurve:
     """Same geometric curve traversed at non-uniform speed.
 
@@ -328,51 +307,6 @@ def scaled(curve: KnotCurve, factor: float) -> KnotCurve:
     )
 
 
-def resample_arclength(curve: KnotCurve, n: int, dense: int | None = None) -> KnotCurve:
-    """Resample to n points uniformly spaced in arclength.
-
-    The returned polyline carries the cumulative arclength table of the
-    sample positions; its total matches the curve length to ~1e-8
-    relative at the default density.
-    """
-    if n < 3:
-        raise InvalidParams("need at least 3 sample points")
-    dense = dense or max(8192, 8 * n)
-    t = np.arange(dense + 1) / dense
-    p = curve.eval(t)
-    seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    targets = np.arange(n) * (total / n)
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, dense - 1)
-    frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
-    params = (idx + frac) / dense
-
-    # refine to the chord-uniform fixed point so that resampling an
-    # already-resampled polyline reproduces it to machine precision
-    for _ in range(40):
-        pts = curve.eval(params)
-        chords = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
-        ccum = np.concatenate([[0.0], np.cumsum(chords)])
-        want = np.arange(n) * (ccum[-1] / n)
-        dev = np.abs(ccum[:-1] - want).max()
-        if dev < 1e-13 * total:
-            break
-        j = np.clip(np.searchsorted(ccum, want, side="right") - 1, 0, n - 1)
-        f = (want - ccum[j]) / np.where(chords[j] > 0, chords[j], 1.0)
-        wrapped = np.concatenate([params, [params[0] + 1.0]])
-        params = wrapped[j] + f * (wrapped[j + 1] - wrapped[j])
-        params -= np.floor(params)
-
-    table = np.interp(params, t, cum)
-    table[0] = 0.0
-    return KnotCurve(
-        points=curve.eval(params),
-        arclength=np.concatenate([table, [total]]),
-        name=curve.name and curve.name + f"-resampled{n}",
-    )
-
-
 # --- bundled curve library ---
 
 BUNDLED = ("circle", "trefoil", "torus_2_5", "figure_eight", "hopf_a", "hopf_b")
@@ -390,6 +324,9 @@ def bundled_curve(name: str) -> KnotCurve:
 def load_curve(path_or_name: str) -> KnotCurve:
     """Load a curve from a JSON file path, falling back to bundled names."""
     if os.path.exists(path_or_name):
-        with open(path_or_name) as fh:
-            return KnotCurve.from_json_obj(json.load(fh))
+        try:
+            with open(path_or_name) as fh:
+                return KnotCurve.from_json_obj(json.load(fh))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParams(f"cannot read curve file: {exc}") from exc
     return bundled_curve(path_or_name)

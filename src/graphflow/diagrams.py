@@ -1,10 +1,10 @@
 """Planar projections, Gauss diagrams, and combinatorial knot invariants.
 
-The second-coefficient invariant is computed two independent ways: a
-signed count of interlaced crossing pairs on the Gauss diagram, and the
-z^2 coefficient of the Conway polynomial obtained by skein recursion on
-the same diagram.  Both are used to cross-check the configuration-space
-integrals elsewhere in the package.
+The second-coefficient invariant a2 is a signed count of interlaced
+crossing pairs on the Gauss diagram; it is the reference value for the
+configuration-space integrals of ``integrals``.  Its own reference, the
+z^2 coefficient of the Conway polynomial by skein recursion on the same
+diagram, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import KnotCurve
-from .errors import DegenerateProjection, InconsistentDiagram
+from .errors import DegenerateProjection, InconsistentDiagram, InvalidParams
 
 _PAR_TOL = 1e-9
 #: Segment counts of the first and the finest projected polyline.
@@ -268,150 +268,10 @@ def a2_oracle(d: GaussDiagram) -> int:
     return counts[0]
 
 
-# --- Conway polynomial by skein recursion ---
-
-
-def _diagram_components(d: GaussDiagram) -> list[list[tuple[int, bool]]]:
-    """Single cyclic visit sequence: (crossing index, is_over) by parameter."""
-    events = []
-    for k, c in enumerate(d.crossings):
-        events.append((c.over, k, True))
-        events.append((c.under, k, False))
-    events.sort()
-    return [[(k, over) for _, k, over in events]]
-
-
-def _first_bad(components, signs, over_state):
-    """First crossing whose first visit is an under-visit, in traversal order."""
-    visited = set()
-    for ci, comp in enumerate(components):
-        for pi, (k, is_over) in enumerate(comp):
-            if k in visited:
-                continue
-            visited.add(k)
-            effective_over = is_over if over_state[k] else not is_over
-            if not effective_over:
-                return ci, pi, k
-    return None
-
-
-def _smooth(components, k):
-    """Oriented smoothing at crossing k: drop both visits and reconnect."""
-    locs = []
-    for ci, comp in enumerate(components):
-        for pi, (kk, _) in enumerate(comp):
-            if kk == k:
-                locs.append((ci, pi))
-    (c1, p1), (c2, p2) = locs
-    out = [comp for ci, comp in enumerate(components) if ci not in (c1, c2)]
-    if c1 == c2:
-        comp = components[c1]
-        lo, hi = sorted((p1, p2))
-        out.append(comp[lo + 1 : hi])
-        out.append(comp[hi + 1 :] + comp[:lo])
-    else:
-        a, b = components[c1], components[c2]
-        out.append(a[p1 + 1 :] + a[:p1] + b[p2 + 1 :] + b[:p2])
-    return [c for c in out if c is not None]
-
-
-def _drop_kinks(components):
-    """Remove crossings whose two visits are cyclically adjacent (R1)."""
-    changed = True
-    while changed:
-        changed = False
-        for ci, comp in enumerate(components):
-            m = len(comp)
-            for p in range(m):
-                k1, _ = comp[p]
-                k2, _ = comp[(p + 1) % m]
-                if k1 == k2 and m >= 2:
-                    lo, hi = sorted((p, (p + 1) % m))
-                    if hi == lo + 1:
-                        comp = comp[:lo] + comp[hi + 1 :]
-                    else:  # positions m-1 and 0
-                        comp = comp[1:-1]
-                    components = components[:ci] + [comp] + components[ci + 1 :]
-                    changed = True
-                    break
-            if changed:
-                break
-    return components
-
-
-def _state_key(components, signs, over_state):
-    """Canonical key of the effective diagram state: crossings renamed
-    by first-visit order, over/under and signs folded through flips."""
-    rank: dict[int, int] = {}
-    for comp in components:
-        for k, _ in comp:
-            if k not in rank:
-                rank[k] = len(rank)
-    parts = []
-    for comp in components:
-        visits = []
-        for k, is_over in comp:
-            eff_over = is_over if over_state[k] else not is_over
-            eff_sign = signs[k] if over_state[k] else -signs[k]
-            visits.append((rank[k], eff_over, eff_sign))
-        parts.append(tuple(visits))
-    return tuple(parts)
-
-
-def _conway(components, signs, over_state, memo) -> dict[int, int]:
-    """Conway polynomial (z-degree -> coeff) of the diagram state."""
-    components = _drop_kinks(components)
-    key = _state_key(components, signs, over_state)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    bad = _first_bad(components, signs, over_state)
-    if bad is None:
-        # descending diagram: unknot if one component, split unlink else
-        out = {0: 1} if len(components) == 1 else {}
-        memo[key] = out
-        return out
-    _, _, k = bad
-    flipped = dict(over_state)
-    flipped[k] = not over_state[k]
-    switched = _conway(components, signs, flipped, memo)
-    smoothed = _conway(_smooth(components, k), signs, over_state, memo)
-    sign = signs[k] * (1 if over_state[k] else -1)
-    # positive crossing: P(+) = P(-) + z P(0); negative: P(-) = P(+) - z P(0)
-    out = dict(switched)
-    for deg, coeff in smoothed.items():
-        out[deg + 1] = out.get(deg + 1, 0) + sign * coeff
-    out = {deg: c for deg, c in out.items() if c}
-    memo[key] = out
-    return out
-
-
-def conway_polynomial(d: GaussDiagram) -> list[int]:
-    """Coefficients of the Conway polynomial in z, ascending degree.
-
-    Test oracle: the skein recursion cross-checks ``a2_oracle`` and is
-    not on any command's path.
-    """
-    if not d.crossings:
-        return [1]
-    components = _diagram_components(d)
-    signs = {k: c.sign for k, c in enumerate(d.crossings)}
-    over_state = {k: True for k in range(len(d.crossings))}
-    poly = _conway(components, signs, over_state, {})
-    if not poly:
-        return [0]
-    top = max(poly)
-    return [poly.get(i, 0) for i in range(top + 1)]
-
-
-def a2_from_conway(d: GaussDiagram) -> int:
-    """Test oracle: a2 as the z^2 coefficient of ``conway_polynomial``."""
-    poly = conway_polynomial(d)
-    return poly[2] if len(poly) > 2 else 0
-
-
 def a2_of_curve(curve: KnotCurve, directions: int = 3, seed: int = 7) -> int:
     """a2 from several generic projections; the values must agree."""
+    if directions < 1:
+        raise InvalidParams(f"need at least one direction, got {directions}")
     values = []
     for direction in generic_directions(seed=seed, count=directions + 13):
         try:

@@ -26,7 +26,7 @@ class GradeMismatch(GraphflowError):
 
 
 class InvalidParams(GraphflowError):
-    """Bad arguments to a curve generator."""
+    """Bad input: a curve's parameters or file, or a grid, sample or direction count."""
 
 
 class CurveValidationError(GraphflowError):
@@ -47,14 +47,6 @@ class DegenerateProjection(GraphflowError):
 
 class InconsistentDiagram(GraphflowError):
     """Gauss diagram fails internal consistency checks."""
-
-
-class CoincidentPoints(GraphflowError):
-    """Two configuration points closer than the collision guard."""
-
-
-class DimensionMismatch(GraphflowError):
-    """Wedge evaluation called with incompatible form count / dimension."""
 
 
 class UnsupportedGraph(GraphflowError):

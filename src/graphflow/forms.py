@@ -1,184 +1,23 @@
-"""The flat-space propagator two-form and a top-degree wedge evaluator.
+"""The flat-space propagator and the compiled configuration integrand.
 
 With a trivial framing on R^3 the propagator reduces to the Gauss
 form: the unit-normalized area form of S^2 pulled back by the
 direction map (x_j - x_i)/|x_j - x_i|.  A configuration point mixes
 knot vertices (one degree of freedom along the curve) and free spatial
-vertices (three each); the pullback is carried as an antisymmetric
-coefficient matrix over those coordinates.
+vertices (three each).  ``CompiledIntegrand`` evaluates the top-degree
+wedge of a graph's edge forms on a batch of configurations; its scalar
+reference, two-form by two-form, is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .curves import KnotCurve
-from .errors import CoincidentPoints, DimensionMismatch, UnsupportedGraph
+from .errors import UnsupportedGraph
 from .graphs import DecoratedGraph, Flavor, has_internal_loop, is_trivalent
 
 FOUR_PI = 4.0 * np.pi
 MAX_WEDGE_DIM = 12
-
-
-class TwoForm:
-    """Antisymmetric coefficient matrix of a 2-form over d coordinates.
-
-    Test oracle, with ``Configuration``, ``gauss_two_form`` and
-    ``wedge_top``: the scalar reference for ``CompiledIntegrand``.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("two-form matrix must be square")
-        if not np.array_equal(m, -m.T):
-            raise DimensionMismatch("two-form matrix must be exactly antisymmetric")
-        self.matrix = m
-
-    @classmethod
-    def from_upper(cls, d: int, entries: dict[tuple[int, int], float]) -> "TwoForm":
-        m = np.zeros((d, d))
-        for (p, q), val in entries.items():
-            if not 0 <= p < q < d:
-                raise DimensionMismatch(f"bad index pair ({p},{q})")
-            m[p, q] = val
-            m[q, p] = -val
-        return cls(m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, a, b) -> float:
-        """Evaluate on a pair of tangent vectors."""
-        return float(np.asarray(a) @ self.matrix @ np.asarray(b))
-
-
-@dataclass
-class Configuration:
-    """A configuration point: n knot parameters plus t spatial points.
-
-    Vertices 1..n live on the curve; vertices n+1..n+t are free points
-    of R^3.  Coordinates are ordered (t_1..t_n, x_{n+1}, y, z, ...).
-    Test oracle: only ``gauss_two_form`` reads it.
-    """
-
-    curve: KnotCurve | None
-    knot_params: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.knot_params = np.atleast_1d(np.asarray(self.knot_params, dtype=float))
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if self.knot_params.size and self.curve is None:
-            raise ValueError("knot parameters require a curve")
-
-    @property
-    def n_knot(self) -> int:
-        return self.knot_params.size
-
-    @property
-    def n_spatial(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.n_knot + 3 * self.n_spatial
-
-    def position(self, v: int) -> np.ndarray:
-        if v <= self.n_knot:
-            return self.curve.eval(self.knot_params[v - 1])
-        return self.points[v - self.n_knot - 1]
-
-    def dof_slice(self, v: int) -> list[int]:
-        if v <= self.n_knot:
-            return [v - 1]
-        base = self.n_knot + 3 * (v - self.n_knot - 1)
-        return [base, base + 1, base + 2]
-
-
-def gauss_two_form(conf: Configuration, i: int, j: int, eps_coll: float = 0.0) -> TwoForm:
-    """Pullback of the unit S^2 area form by the direction map from
-    vertex i to vertex j, on the configuration's coordinates.
-
-    Test oracle: one configuration at a time, against which the batched
-    entries of ``CompiledIntegrand.evaluate_batch`` are checked.
-    """
-    if i == j:
-        raise ValueError("propagator needs distinct vertices")
-    pi, pj = conf.position(i), conf.position(j)
-    v = pj - pi
-    r = float(np.linalg.norm(v))
-    if r <= eps_coll or r == 0.0:
-        raise CoincidentPoints(f"vertices {i} and {j} at distance {r}")
-
-    # derivative of v with respect to each coordinate touching i or j
-    partials: list[tuple[int, np.ndarray]] = []
-    for vertex, sign in ((i, -1.0), (j, 1.0)):
-        dofs = conf.dof_slice(vertex)
-        if len(dofs) == 1:
-            tangent = conf.curve.deriv(conf.knot_params[vertex - 1])
-            partials.append((dofs[0], sign * tangent))
-        else:
-            for axis, c in enumerate(dofs):
-                e = np.zeros(3)
-                e[axis] = sign
-                partials.append((c, e))
-
-    entries: dict[tuple[int, int], float] = {}
-    denom = FOUR_PI * r**3
-    for a in range(len(partials)):
-        ca, da = partials[a]
-        for b in range(a + 1, len(partials)):
-            cb, db = partials[b]
-            if ca == cb:
-                continue
-            val = float(np.dot(v, np.cross(da, db))) / denom
-            p, q = (ca, cb) if ca < cb else (cb, ca)
-            entries[(p, q)] = entries.get((p, q), 0.0) + (val if ca < cb else -val)
-    return TwoForm.from_upper(conf.dim, entries)
-
-
-def wedge_top(forms: list[TwoForm], d: int) -> float:
-    """Coefficient of dx_1 ^ ... ^ dx_d in the wedge of the given 2-forms.
-
-    Brute-force sum over assignments of coordinate pairs to forms with
-    permutation signs; requires 2*len(forms) == d <= 12.  Test oracle
-    for the assignment list that ``CompiledIntegrand`` compiles.
-    """
-    if 2 * len(forms) != d:
-        raise DimensionMismatch(f"{len(forms)} two-forms cannot fill dimension {d}")
-    if d > MAX_WEDGE_DIM:
-        raise DimensionMismatch(f"dimension {d} exceeds {MAX_WEDGE_DIM}")
-    for f in forms:
-        if f.dim != d:
-            raise DimensionMismatch("all forms must live on the same coordinates")
-    mats = [f.matrix for f in forms]
-    return _wedge_rec(mats, list(range(d)), frozenset(range(len(mats))))
-
-
-def _wedge_rec(mats, coords: list[int], unused: frozenset) -> float:
-    if not coords:
-        return 1.0
-    p = coords[0]
-    rest = coords[1:]
-    total = 0.0
-    for k, q in enumerate(rest):
-        par = -1.0 if k & 1 else 1.0
-        remaining = rest[:k] + rest[k + 1 :]
-        for e in unused:
-            a = mats[e][p, q]
-            if a == 0.0:
-                continue
-            total += par * a * _wedge_rec(mats, remaining, unused - {e})
-    return total
-
-
-# --- compiled integrands for trivalent knot graphs ---
 
 
 class CompiledIntegrand:

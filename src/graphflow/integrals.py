@@ -7,13 +7,14 @@ on the ordered simplex and spatial vertices importance-sampled from
 kernels centered on the sampled knot points.  Each sample's knot
 points are evaluated once, position and tangent together, and shared by
 the sampler and the compiled integrand.  All estimators are
-bit-reproducible for a fixed (inputs, seed) pair.
+bit-reproducible for a fixed (inputs, seed) pair.  The product
+quadrature of chord-only graph integrals that the Monte Carlo is
+checked against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import KnotCurve
-from .errors import CurvesIntersect, UnsupportedGraph
+from .errors import CurvesIntersect, InvalidParams, UnsupportedGraph
 from .forms import FOUR_PI, CompiledIntegrand
 from .graphs import (
     DecoratedGraph,
@@ -132,6 +133,8 @@ def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     successive extrapolations (plus a coarse-grid comparison) feeds the
     error estimate.
     """
+    if grid < 2:  # the error estimate compares against a grid of half the size
+        raise InvalidParams(f"grid must be at least 2, got {grid}")
     curve.validate()
     band0 = 32.0 / grid
     bands = [band0, band0 / 2, band0 / 4]
@@ -156,6 +159,8 @@ def _linking_grid(k1: KnotCurve, k2: KnotCurve, n: int) -> float:
 
 def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     """Gauss linking number of two disjoint curves by torus quadrature."""
+    if grid < 2:
+        raise InvalidParams(f"grid must be at least 2, got {grid}")
     t = np.arange(2048) / 2048
     pa, pb = k1.eval(t), k2.eval(t)
     min_d = math.inf
@@ -238,6 +243,8 @@ def a_gamma_mc(
     errors come from 64 independently seeded batch means; results are
     bit-identical for fixed (graph, curve, n_samples, seed).
     """
+    if n_samples < 1:
+        raise InvalidParams(f"need at least one sample, got {n_samples}")
     if graph.n_ext + graph.n_int > 4:
         raise UnsupportedGraph("graph too large: n_ext + n_int > 4")
     integrand = CompiledIntegrand(graph)
@@ -266,40 +273,6 @@ def a_gamma_mc(
     value = scale * float(batch_means.mean())
     std_error = abs(scale) * float(batch_means.std(ddof=1) / math.sqrt(MC_BATCHES))
     return IntegralEstimate(value, std_error, m * MC_BATCHES, seed, "mc")
-
-
-def a_gamma_quadrature(
-    graph: DecoratedGraph, curve: KnotCurve, grid: int = 64
-) -> IntegralEstimate:
-    """Test oracle for ``a_gamma_mc`` on graphs with no internal vertices.
-
-    Midpoint quadrature over ordered tuples of an equispaced grid, with
-    one Richardson refinement in the grid size.
-    """
-    integrand = CompiledIntegrand(graph)
-    if integrand.t != 0:
-        raise UnsupportedGraph("quadrature oracle only covers chord-only graphs")
-    n = integrand.n
-
-    def level(g: int) -> float:
-        t = (np.arange(g) + 0.5) / g
-        total = 0.0
-        combos = itertools.combinations(range(g), n)
-        chunk_size = 200_000
-        while True:
-            block = list(itertools.islice(combos, chunk_size))
-            if not block:
-                break
-            pos, tan = curve.eval_with_deriv(t[np.array(block)])
-            vals, bad = integrand.evaluate_batch(pos, tan, np.zeros((len(block), 0, 3)), 0.0)
-            total += float(np.where(bad, 0.0, vals).sum())
-        return total / g**n
-
-    scale = COMPONENT_ORIENT * n
-    coarse = scale * level(grid)
-    fine = scale * level(2 * grid)
-    value = 2.0 * fine - coarse
-    return IntegralEstimate(value, abs(value - fine), (2 * grid) ** n, 0, "quadrature")
 
 
 # --- the order-2 invariant ---

@@ -36,29 +36,6 @@ class RationalMatrix:
         r, c = rc
         self.entries[r][c] = Fraction(value)
 
-    def matvec(self, v: list[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        return [sum((row[c] * v[c] for c in range(self.cols)), Fraction(0)) for row in self.entries]
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = RationalMatrix.zeros(self.rows, other.cols)
-        # the coboundary matrices are almost all zeros: visit nonzeros only
-        nonzero = [[(c, b) for c, b in enumerate(row) if b] for row in other.entries]
-        for r in range(self.rows):
-            for k in range(self.cols):
-                a = self.entries[r][k]
-                if not a:
-                    continue
-                for c, b in nonzero[k]:
-                    out.entries[r][c] += a * b
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
-
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 

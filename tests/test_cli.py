@@ -10,6 +10,7 @@ from graphflow.curves import load_curve, round_circle
 from graphflow.diagrams import a2_of_curve
 from graphflow.graphs import knot_order2_cocycle, theta_graph
 from graphflow.integrals import linking_integral, sln_integral, split_cocycle_terms, v2_invariant
+import oracles
 
 
 def run(*args):
@@ -119,6 +120,33 @@ def test_unknown_curve_exit_2(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        ("sln --curve circle --grid 0", 2),
+        ("sln --curve circle --grid 1", 2),
+        ("sln --curve circle --grid 2", 0),
+        ("lk --curve hopf_a --curve2 hopf_b --grid 1", 2),
+        ("lk --curve hopf_a --curve2 hopf_b --grid 2", 0),
+        ("v2 --curve circle --samples nan", 2),
+        ("v2 --curve circle --samples inf", 2),
+        ("v2 --curve circle --samples 0", 2),
+        ("v2 --curve circle --samples 1", 0),
+        ("a2 --curve trefoil --directions -2", 2),
+        ("a2 --curve trefoil --directions 1", 0),
+        ("a2 --curve {dir}", 2),
+        ("a2 --curve {dir}/latin1.json", 2),
+    ],
+)
+def test_param_bounds_exit_code(args, code, tmp_path):
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')  # not UTF-8
+    args = ["knot", *args.format(dir=tmp_path).split(), "--no-cache"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == code
+    if code:
+        assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+
+
 def test_v2_repeat_runs_byte_identical(tmp_path):
     args = [
         "knot",
@@ -220,9 +248,10 @@ def test_cache_entry_for_another_config_is_recomputed(tmp_path):
 
 def _every_error():
     """An instance of each exception class in graphflow.errors, plus the
-    JSON parse error a bad curve file raises."""
+    JSON parse error a bad curve file raises and the oracles' errors,
+    which no row of the table names, for its GraphflowError row."""
     out = [json.JSONDecodeError("bad", "{", 1)]
-    for cls in vars(errors).values():
+    for cls in [*vars(errors).values(), oracles.CoincidentPoints, oracles.DimensionMismatch]:
         if isinstance(cls, type) and issubclass(cls, errors.GraphflowError):
             if cls is errors.CurveValidationError:
                 out.append(cls("embedded", "boom"))

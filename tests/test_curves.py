@@ -6,11 +6,9 @@ import pytest
 from graphflow.curves import (
     KnotCurve,
     bundled_curve,
-    fourier_from_samples,
     load_curve,
     make_torus_knot,
     reparametrized,
-    resample_arclength,
     round_circle,
     scaled,
 )
@@ -85,23 +83,9 @@ def test_validate_rejects_irregular_curve():
     assert err.value.invariant == "regular"
 
 
-def test_resample_circle_four_points():
-    r4 = resample_arclength(round_circle(1.0), 4)
-    sides = np.linalg.norm(np.diff(np.vstack([r4.points, r4.points[:1]]), axis=0), axis=1)
-    assert np.allclose(sides, np.sqrt(2.0), atol=1e-9)
-    assert abs(r4.arclength[-1] - 2 * np.pi) < 1e-6 * 2 * np.pi
-
-
-def test_resample_idempotent():
-    tref = make_torus_knot(2, 3, 2.0, 0.5)
-    r1 = resample_arclength(tref, 500)
-    r2 = resample_arclength(r1, 500)
-    assert np.abs(r1.points - r2.points).max() < 1e-9
-
-
 def test_resampled_trefoil_embedded():
     tref = make_torus_knot(2, 3, 2.0, 0.5)
-    resample_arclength(tref, 2000).validate()
+    KnotCurve(points=tref.eval(np.arange(2000) / 2000)).validate()
 
 
 def test_reparametrized_same_image_different_speed():
@@ -121,14 +105,6 @@ def test_scaled_curve():
     assert np.allclose(big.eval(0.37), 2.0 * tref.eval(0.37))
 
 
-def test_fourier_fit_exact_on_trig_polynomials():
-    tref = make_torus_knot(2, 3, 2.0, 0.5)
-    t = np.arange(64) / 64
-    fit = fourier_from_samples(tref.eval(t))
-    s = np.linspace(0, 1, 200, endpoint=False)
-    assert np.allclose(fit.eval(s), tref.eval(s), atol=1e-12)
-
-
 def test_json_round_trips(tmp_path):
     for name in ("circle", "trefoil", "figure_eight"):
         k = bundled_curve(name)
@@ -136,7 +112,7 @@ def test_json_round_trips(tmp_path):
         k2 = KnotCurve.from_json_obj(obj)
         t = np.linspace(0, 1, 50, endpoint=False)
         assert np.allclose(k.eval(t), k2.eval(t))
-    poly = resample_arclength(bundled_curve("trefoil"), 64)
+    poly = KnotCurve(points=bundled_curve("trefoil").eval(np.arange(64) / 64))
     k3 = KnotCurve.from_json_obj(json.loads(json.dumps(poly.to_json_obj())))
     assert np.allclose(k3.points, poly.points)
 
@@ -201,7 +177,7 @@ def test_eval_with_deriv_reparametrized():
 
 
 def test_eval_with_deriv_polyline():
-    poly = resample_arclength(bundled_curve("trefoil"), 64)
+    poly = KnotCurve(points=bundled_curve("trefoil").eval(np.arange(64) / 64))
     pts, n = poly.points, len(poly.points)
     pos, tan = poly.eval_with_deriv(EVAL_T)
     for row, t in enumerate(np.mod(EVAL_T, 1.0)):
@@ -216,7 +192,7 @@ def test_eval_with_deriv_polyline():
     [
         bundled_curve("trefoil"),
         reparametrized(bundled_curve("trefoil"), 0.3),
-        resample_arclength(bundled_curve("trefoil"), 64),
+        KnotCurve(points=bundled_curve("trefoil").eval(np.arange(64) / 64)),
     ],
     ids=["fourier", "warped", "polyline"],
 )

@@ -5,14 +5,13 @@ from graphflow.curves import KnotCurve, bundled_curve, make_torus_knot, round_ci
 from graphflow.diagrams import (
     Crossing,
     GaussDiagram,
-    a2_from_conway,
     a2_of_curve,
     a2_oracle,
-    conway_polynomial,
     generic_directions,
     project_to_diagram,
 )
 from graphflow.errors import DegenerateProjection, InconsistentDiagram
+from oracles import a2_from_conway, conway_polynomial
 
 DIR = [0.11, 0.07, 0.99]
 

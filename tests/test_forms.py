@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from graphflow.curves import make_torus_knot
-from graphflow.errors import CoincidentPoints, DimensionMismatch, UnsupportedGraph
-from graphflow.forms import (
-    CompiledIntegrand,
+from graphflow.errors import UnsupportedGraph
+from graphflow.forms import CompiledIntegrand, has_internal_loop
+from graphflow.graphs import DecoratedGraph, Flavor, knot_order2_graphs
+from oracles import (
+    CoincidentPoints,
     Configuration,
+    DimensionMismatch,
     TwoForm,
     gauss_two_form,
-    has_internal_loop,
     wedge_top,
 )
-from graphflow.graphs import DecoratedGraph, Flavor, knot_order2_graphs
 
 K = Flavor.KNOT
 

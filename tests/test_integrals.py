@@ -16,12 +16,12 @@ from graphflow.errors import CurvesIntersect, UnsupportedGraph
 from graphflow.graphs import knot_order2_cocycle, knot_order2_graphs
 from graphflow.integrals import (
     a_gamma_mc,
-    a_gamma_quadrature,
     linking_integral,
     sln_integral,
     split_cocycle_terms,
     v2_invariant,
 )
+from oracles import a_gamma_quadrature
 
 G1, G2, G3 = knot_order2_graphs()
 CIRCLE = round_circle(1.0)

@@ -18,6 +18,7 @@ from graphflow.graphs import (
     theta_graph,
 )
 from graphflow.solver import RationalMatrix, delta_matrix, kernel_basis, verify_cocycle
+from oracles import is_zero, matmul, matvec
 
 M, K = Flavor.MANIFOLD, Flavor.KNOT
 
@@ -41,7 +42,7 @@ def test_kernel_vectors_normalized_and_exact():
     for v in basis:
         lead = next(x for x in v if x)
         assert lead == 1
-        assert all(x == 0 for x in m.matvec(v))
+        assert all(x == 0 for x in matvec(m, v))
 
 
 def test_delta_matrix_columns_match_paper():
@@ -87,7 +88,7 @@ def test_kernel_contains_paper_cocycle(flavor):
     cocycle = manifold_order2_cocycle() if flavor is M else knot_order2_cocycle()
     vec = [cocycle.coefficient(g) for g in basis0]
     assert any(vec)
-    assert all(x == 0 for x in m.matvec(vec))
+    assert all(x == 0 for x in matvec(m, vec))
     # the vector lies in the span of the kernel: residual after projecting
     # onto pivot-free coordinates must vanish; verify via rank argument
     basis = kernel_basis(m)
@@ -209,7 +210,7 @@ def test_delta_matrices_compose_to_zero(flavor, order):
     for c, g in enumerate(basis1):
         for term, coeff in delta(g).items():
             m12[idx2[term], c] = coeff
-    assert m12.matmul(m01).is_zero()
+    assert is_zero(matmul(m12, m01))
 
 
 def test_matmul_matches_dense_triple_loop():
@@ -219,7 +220,7 @@ def test_matmul_matches_dense_triple_loop():
         [sum((a[r, k] * b[k, c] for k in range(3)), Fraction(0)) for c in range(2)]
         for r in range(3)
     ]
-    assert a.matmul(b).entries == expect
+    assert matmul(a, b) == expect
 
 
 def test_verify_cocycle():
