@@ -34,6 +34,7 @@ from .errors import (
 from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs, knot_order2_cocycle
 from .integrals import (
     DEFAULT_SEED,
+    X_GRID,
     linking_integral,
     sln_integral,
     split_cocycle_terms,
@@ -280,24 +281,30 @@ def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
 
 @knot.command("v2")
 @click.option("--curve", "curve_path", required=True)
-@click.option("--samples", type=float, default=1e6, show_default=True)
+@click.option(
+    "--samples",
+    type=float,
+    default=1e6,
+    show_default=True,
+    help="Samples per Monte Carlo term, rounded down to a multiple of 64 (at least 64).",
+)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--workers", type=int, default=None)
 @_cache_options
 def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
-    """Order-2 cocycle configuration integral (Monte Carlo)."""
+    """Order-2 cocycle configuration integral (crossed chords by
+    quadrature, tripod by Monte Carlo)."""
     if not math.isfinite(samples):
         _fail(InvalidParams(f"samples must be finite, got {samples}"))
     n_samples = int(samples)
 
     def evaluate(curve):
-        cocycle = knot_order2_cocycle()
-        est = v2_invariant(curve, cocycle, n_samples=n_samples, seed=seed, workers=workers)
-        _, skipped = split_cocycle_terms(cocycle)
+        est = v2_invariant(curve, n_samples=n_samples, seed=seed, workers=workers)
+        _, skipped = split_cocycle_terms(knot_order2_cocycle())
         omitted = GraphSum({g: c for c, g in skipped}).to_json_obj()
         return {**est.to_json_obj(), "op": "v2", "omitted_terms": omitted}
 
-    params = {"samples": n_samples, "seed": seed}
+    params = {"samples": n_samples, "seed": seed, "x_grid": X_GRID}
     _knot_command("knot v2", evaluate, {"curve": curve_path}, cache_dir, no_cache, **params)
 
 

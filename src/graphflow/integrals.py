@@ -1,15 +1,18 @@
 """Configuration-space integrals for knots in flat R^3.
 
-Deterministic product quadrature covers the two-point integrals
-(self-linking and Gauss linking); the higher configuration integrals
-attached to trivalent knot graphs run Monte Carlo with knot parameters
-on the ordered simplex and spatial vertices importance-sampled from
-kernels centered on the sampled knot points.  Each sample's knot
-points are evaluated once, position and tangent together, and shared by
-the sampler and the compiled integrand.  All estimators are
-bit-reproducible for a fixed (inputs, seed) pair.  The product
-quadrature of chord-only graph integrals that the Monte Carlo is
-checked against lives in ``tests/oracles.py``.
+Deterministic quadrature covers the integrals whose graphs have no
+internal vertex: the two-point integrals (self-linking and Gauss
+linking) by product quadrature, and the crossed-chord term of v2 by an
+O(N^2) cumulative-sum form of its four-point midpoint sum.  The
+configuration integrals of trivalent knot graphs with internal vertices
+run Monte Carlo with knot parameters on the ordered simplex and spatial
+vertices importance-sampled from kernels centered on the sampled knot
+points.  Each sample's knot points are evaluated once, position and
+tangent together, and shared by the sampler and the compiled integrand.
+All estimators are bit-reproducible for a fixed (inputs, seed) pair.
+The O(N^4) product quadrature of chord-only graph integrals that both
+the crossed-chord quadrature and the Monte Carlo are checked against
+lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,11 +42,14 @@ from .graphs import (
 #: Orientation of the component of cyclically ordered knot points,
 #: relative to the coordinate order (t_1..t_n, x, y, z, ...).  Like the
 #: overall propagator sign, the paper's orientation conventions are
-#: implicit; this one is calibrated so that the order-2 cocycle integral
-#: reproduces the combinatorial invariant (+1 difference on the trefoil).
+#: implicit.  The crossed-chord quadrature needs no such constant, and
+#: ``test_x_integral_mc_matches_quadrature`` pins this one by requiring
+#: the Monte Carlo crossed-chord integral to match it.
 COMPONENT_ORIENT = -1.0
 
 DEFAULT_SEED = 20259
+#: Finest grid of the crossed-chord quadrature in v2.
+X_GRID = 512
 MC_BATCHES = 64
 NEAR_WEIGHT = 0.25
 
@@ -94,13 +100,14 @@ def hash_graph(graph: DecoratedGraph) -> int:
 # --- two-point quadratures ---
 
 
-def _gauss_blocks(p1, d1, p2, d2):
+def _gauss_blocks(p1, d1, p2, d2, rows=None):
     """Row blocks (i0, i1, f) of the n x n Gauss integrand grid
     f[i, j] = _gauss_coeff(p2[j] - p1[i], -d1[i], d2[j]), for positions
-    and tangents of two curves at the same n parameters.  Coincident
-    points give nan or inf entries."""
+    and tangents of two curves at the same n parameters, ``rows`` rows at
+    a time (by default about 4e6 entries).  Coincident points give nan or
+    inf entries."""
     n = len(p1)
-    chunk = max(1, 4_000_000 // n)
+    chunk = rows or max(1, 4_000_000 // n)
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -173,6 +180,48 @@ def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> Integral
     fine = _linking_grid(k1, k2, grid)
     coarse = _linking_grid(k1, k2, grid // 2)
     return IntegralEstimate(fine, abs(fine - coarse), grid * grid, 0, "quadrature")
+
+
+# --- the crossed-chord integral ---
+
+
+def _crossed_chord_sum(curve: KnotCurve, n: int) -> float:
+    """S = sum over i < j < k < l of W[i, k] * W[j, l] / n^4 on the n-point
+    midpoint grid, W the self-linking integrand.
+
+    S = sum_{j<l} W[j, l] * A[j, l] with A[j, l] = sum_{j<k<l} P[j, k] and
+    P[j, k] = sum_{i<j} W[i, k]: a cumulative sum down the columns (P,
+    carried across row blocks) and one along the rows (A), so O(n^2).
+    """
+    t = (np.arange(n) + 0.5) / n
+    pos, tan = curve.eval_with_deriv(t)
+    cols = np.arange(n)
+    above = np.zeros((1, n))  # column sums of the rows before the block
+    total = 0.0
+    for j0, j1, w in _gauss_blocks(pos, tan, pos, tan, rows=64):
+        np.nan_to_num(w, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+        p = np.cumsum(np.concatenate([above, w]), axis=0)
+        above = p[-1:]
+        p = p[:-1]
+        p[cols[None, :] <= cols[j0:j1, None]] = 0.0  # keep k > j
+        a = np.cumsum(p, axis=1)  # a[j, l] = A[j, l + 1]
+        total += float((w[:, 1:] * a[:, :-1]).sum())
+    return total / n**4
+
+
+def _x_quadrature(curve: KnotCurve, grid: int = X_GRID) -> IntegralEstimate:
+    """Configuration integral of the crossed-chord graph, 4 * S.
+
+    The midpoint sum S has a first-order error in 1/grid, so the value is
+    the Richardson extrapolation 2 S(grid) - S(grid/2), and the error its
+    distance from the same extrapolation one grid coarser.  A product of
+    two Gauss integrands, it needs no orientation constant.
+    """
+    curve.validate()
+    s0, s1, s2 = (_crossed_chord_sum(curve, grid // d) for d in (4, 2, 1))
+    fine = 2.0 * s2 - s1
+    prev = 2.0 * s1 - s0
+    return IntegralEstimate(4.0 * fine, 4.0 * abs(fine - prev), grid * grid, 0, "quadrature")
 
 
 # --- Monte Carlo for trivalent knot graphs ---
@@ -295,27 +344,31 @@ def split_cocycle_terms(
 
 def v2_invariant(
     curve: KnotCurve,
-    cocycle: GraphSum | None = None,
     n_samples: int = 1_000_000,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> IntegralEstimate:
-    """Sum of coefficient-weighted graph integrals of an even cocycle.
+    """The order-2 knot cocycle's configuration integral, 1/4 X - 1/3 Y.
 
-    Defaults to the order-2 knot cocycle.  Terms whose graphs contain an
-    internal loop contribute a knot-independent offset in the flat
-    setting used here and are omitted; differences of this quantity
-    between knots match the order-2 combinatorial invariant.
+    X, the crossed-chord term, comes from the deterministic quadrature
+    ``_x_quadrature`` on an ``X_GRID`` grid; Y, the tripod, from
+    ``a_gamma_mc`` with ``n_samples`` samples.  The two errors add in
+    quadrature, and ``n_samples`` of the result counts the Monte Carlo
+    samples only.  The term whose graph contains an internal loop
+    contributes a knot-independent offset in the flat setting used here
+    and is omitted; differences of this quantity between knots match the
+    order-2 combinatorial invariant.
     """
-    if cocycle is None:
-        cocycle = knot_order2_cocycle()
-    supported, _ = split_cocycle_terms(cocycle)
+    supported, _ = split_cocycle_terms(knot_order2_cocycle())
     value = 0.0
     var = 0.0
     total = 0
     for coeff, g in supported:
-        est = a_gamma_mc(g, curve, n_samples=n_samples, seed=seed, workers=workers)
+        if g.n_int:
+            est = a_gamma_mc(g, curve, n_samples=n_samples, seed=seed, workers=workers)
+            total += est.n_samples
+        else:  # the crossed chords, the cocycle's one chord-only graph
+            est = _x_quadrature(curve)
         value += float(coeff) * est.value
         var += (float(coeff) * est.std_error) ** 2
-        total += est.n_samples
     return IntegralEstimate(value, math.sqrt(var), total, seed, "mc")

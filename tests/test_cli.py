@@ -9,7 +9,13 @@ from graphflow.cli import main
 from graphflow.curves import load_curve, round_circle
 from graphflow.diagrams import a2_of_curve
 from graphflow.graphs import knot_order2_cocycle, theta_graph
-from graphflow.integrals import linking_integral, sln_integral, split_cocycle_terms, v2_invariant
+from graphflow.integrals import (
+    X_GRID,
+    linking_integral,
+    sln_integral,
+    split_cocycle_terms,
+    v2_invariant,
+)
 import oracles
 
 
@@ -147,7 +153,7 @@ def test_param_bounds_exit_code(args, code, tmp_path):
         assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
 
 
-def test_v2_repeat_runs_byte_identical(tmp_path):
+def test_v2_repeat_runs_byte_identical(tmp_path, monkeypatch):
     args = [
         "knot",
         "v2",
@@ -160,14 +166,18 @@ def test_v2_repeat_runs_byte_identical(tmp_path):
         "--cache-dir",
         str(tmp_path),
     ]
-    first = run(*args)
+    first = run(*args)  # miss
     assert first.exit_code == 0
-    second = run(*args)  # cache replay
-    assert second.output == first.output
+    with monkeypatch.context() as m:
+        m.setattr(cli, "v2_invariant", None)  # a hit computes nothing
+        second = run(*args)
+    assert second.stdout_bytes == first.stdout_bytes
     third = run(*args, "--no-cache")  # honest recompute
-    assert third.output == first.output
+    assert third.stdout_bytes == first.stdout_bytes
     doc = json.loads(first.output)
     assert doc["config"]["seed"] == 42
+    # the grid is in the cache key, so no result of another grid is replayed
+    assert doc["config"]["x_grid"] == X_GRID
     assert doc["result"]["omitted_terms"][0]["graph"]["int"] == 2
 
 
@@ -329,7 +339,7 @@ def _v2_doc():
         {"coeff": f"{c.numerator}/{c.denominator}", "graph": g.to_json_obj()} for c, g in skipped
     ]
     result = v2_invariant(curve, n_samples=20000, seed=11).to_json_obj()
-    config = {"curve": "trefoil", "curve_hash": h, "samples": 20000, "seed": 11}
+    config = {"curve": "trefoil", "curve_hash": h, "samples": 20000, "seed": 11, "x_grid": X_GRID}
     return config, {**result, "op": "v2", "curve_hash": h, "omitted_terms": omitted}
 
 
