@@ -36,6 +36,7 @@ from .integrals import (
     DEFAULT_SEED,
     X_GRID,
     linking_integral,
+    resolve_workers,
     sln_integral,
     split_cocycle_terms,
     v2_invariant,
@@ -294,12 +295,17 @@ def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
 def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
     """Order-2 cocycle configuration integral (crossed chords by
     quadrature, tripod by Monte Carlo)."""
-    if not math.isfinite(samples):
-        _fail(InvalidParams(f"samples must be finite, got {samples}"))
+    # checked before the cache lookup, so that a hit cannot hide a bad value
+    try:
+        if not math.isfinite(samples):
+            raise InvalidParams(f"samples must be finite, got {samples}")
+        n_workers = resolve_workers(workers)
+    except InvalidParams as exc:
+        _fail(exc)
     n_samples = int(samples)
 
     def evaluate(curve):
-        est = v2_invariant(curve, n_samples=n_samples, seed=seed, workers=workers)
+        est = v2_invariant(curve, n_samples=n_samples, seed=seed, workers=n_workers)
         _, skipped = split_cocycle_terms(knot_order2_cocycle())
         omitted = GraphSum({g: c for c, g in skipped}).to_json_obj()
         return {**est.to_json_obj(), "op": "v2", "omitted_terms": omitted}

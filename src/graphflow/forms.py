@@ -46,21 +46,20 @@ class CompiledIntegrand:
             raise UnsupportedGraph(f"configuration dimension {self.dim} > {MAX_WEDGE_DIM}")
         self.edges = graph.edges
         self.assignments = self._expand()
-        self._needed = self.edge_entries_needed()
-        # row of each needed entry in evaluate_batch's stacked entry values
-        entries = [(e, p, q) for e in sorted(self._needed) for p, q in sorted(self._needed[e])]
+        # row of each picked entry (e, p, q) in evaluate_batch's stacked
+        # entry values
+        entries = sorted({pick for _, picks in self.assignments for pick in picks})
         self._entries = {key: row for row, key in enumerate(entries)}
         self._signs = np.array([sign for sign, _ in self.assignments])
         self._picks = np.array(
             [[self._entries[pick] for pick in picks] for _, picks in self.assignments]
         )
-        # per edge, each needed entry as (row, partial of the edge vector
+        # per edge, each of its entries as (row, partial of the edge vector
         # along p, along q); see _partial
-        self._partials = [
-            [(self._entries[(e, p, q)], self._partial(i, j, p), self._partial(i, j, q))
-             for p, q in sorted(self._needed[e])]
-            for e, (i, j) in enumerate(self.edges)
-        ]
+        self._partials = [[] for _ in self.edges]
+        for row, (e, p, q) in enumerate(entries):
+            i, j = self.edges[e]
+            self._partials[e].append((row, self._partial(i, j, p), self._partial(i, j, q)))
 
     def _partial(self, i: int, j: int, coord: int) -> tuple[int, float | np.ndarray]:
         """Derivative of x_j - x_i along one coordinate of vertex i or j:
@@ -84,7 +83,7 @@ class CompiledIntegrand:
         supports = []
         for i, j in self.edges:
             dofs = sorted(self._dofs(i) + self._dofs(j))
-            supports.append([(p, q) for ai, p in enumerate(dofs) for q in dofs[ai + 1 :]])
+            supports.append({(p, q) for ai, p in enumerate(dofs) for q in dofs[ai + 1 :]})
         out: list[tuple[float, tuple[tuple[int, int, int], ...]]] = []
 
         def rec(coords: tuple[int, ...], unused: frozenset, sign: float, picked):
@@ -97,19 +96,11 @@ class CompiledIntegrand:
                 par = -1.0 if k & 1 else 1.0
                 remaining = rest[:k] + rest[k + 1 :]
                 for e in unused:
-                    if (p, q) in self._support_set[e]:
+                    if (p, q) in supports[e]:
                         rec(remaining, unused - {e}, sign * par, picked + [(e, p, q)])
 
-        self._support_set = [set(s) for s in supports]
         rec(tuple(range(self.dim)), frozenset(range(len(self.edges))), 1.0, [])
         return out
-
-    def edge_entries_needed(self) -> dict[int, set[tuple[int, int]]]:
-        needed: dict[int, set[tuple[int, int]]] = {e: set() for e in range(len(self.edges))}
-        for _, picks in self.assignments:
-            for e, p, q in picks:
-                needed[e].add((p, q))
-        return needed
 
     def evaluate_batch(
         self, pos: np.ndarray, tan: np.ndarray, xvals: np.ndarray, eps_coll: float

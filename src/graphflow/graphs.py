@@ -9,6 +9,9 @@ identified up to relabeling and edge reversal with the sign
 reversed edges; ``canonicalize`` reduces to a unique representative or
 detects that the class is zero.  ``delta`` is the signed sum of
 single-edge contractions of regular edges and squares to zero.
+``enumerate_graphs`` lists each class once by orderly generation: an
+edge list grows only while it is its orbit's minimum, as every prefix
+of an orbit minimum is.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -26,6 +29,7 @@ import numpy as np
 from .errors import (
     GradeMismatch,
     InvalidGraph,
+    InvalidParams,
     NotContractible,
     NotRegular,
     ResourceLimit,
@@ -229,8 +233,12 @@ def _group(flavor: Flavor, n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarr
 
     Manifold: all permutations of 1..V.  Knot: cyclic rotations of the
     external labels composed with all internal permutations.  Row k maps
-    label v to ``images[k, v]``; column 0 is unused.
+    label v to ``images[k, v]``; column 0 is unused.  ResourceLimit past
+    the MAX_VERTICES! relabelings that ``enumerate_graphs`` can need.
     """
+    size = factorial(n_int) * (n_ext if flavor is Flavor.KNOT else 1)
+    if size > factorial(MAX_VERTICES):
+        raise ResourceLimit(f"{size} relabelings exceed the bound {MAX_VERTICES}!")
     if flavor is Flavor.MANIFOLD:
         rotations = [((), 0)]
     else:
@@ -249,29 +257,23 @@ def _group(flavor: Flavor, n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarr
     return images_arr, parity_arr
 
 
-def _orbit(
-    flavor: Flavor, n_ext: int, n_int: int, enc: Iterable[Edge]
-) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Every admissible relabeling of the oriented edges ``enc`` at once.
+def _relabel(
+    flavor: Flavor, n_ext: int, n_int: int, enc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every admissible relabeling of the oriented edge lists ``enc``,
+    shape (..., E, 2), at once.
 
-    Row k of ``codes`` is the k-th relabeling with each edge oriented
-    ascending, encoded as lo*(V+1)+hi, and sorted; ``signs[k]`` is
-    (-1)^(parity + reversed edges).  ``best`` indexes the lexicographically
-    minimal row, or is None when the class is zero: equal rows carry
-    opposite signs, so the graph equals its own negative.
+    ``codes[k]`` is ``enc`` under the k-th relabeling with each edge
+    oriented ascending, encoded as lo*(V+1)+hi, and sorted along the
+    last axis; ``signs[k]`` is (-1)^(parity + reversed edges).  Row 0 is
+    the identity.
     """
     images, parity = _group(flavor, n_ext, n_int)
-    e = np.asarray(enc, dtype=np.intp).reshape(-1, 2)
-    a, b = images[:, e[:, 0]], images[:, e[:, 1]]
-    flips = np.count_nonzero(a > b, axis=1)
-    codes = np.sort(np.minimum(a, b) * (n_ext + n_int + 1) + np.maximum(a, b), axis=1)
-    signs = 1 - 2 * ((parity + flips) & 1)
-    # without edges every row is empty, and the sign alone decides
-    best = int(np.lexsort(codes.T[::-1])[0]) if len(e) else 0
-    ties = signs[(codes == codes[best]).all(axis=1)]
-    if (ties != signs[best]).any():
-        return codes, signs, None
-    return codes, signs, best
+    a, b = images[:, enc[..., 0]], images[:, enc[..., 1]]
+    flips = np.count_nonzero(a > b, axis=-1)
+    codes = np.sort(np.minimum(a, b) * (n_ext + n_int + 1) + np.maximum(a, b), axis=-1)
+    signs = 1 - 2 * ((parity.reshape((-1,) + (1,) * (flips.ndim - 1)) + flips) & 1)
+    return codes, signs
 
 
 def canonicalize(g: DecoratedGraph) -> CanonicalResult:
@@ -280,8 +282,12 @@ def canonicalize(g: DecoratedGraph) -> CanonicalResult:
     Returns Zero when some admissible symmetry fixes the underlying
     encoding with sign -1, i.e. the graph equals its own negative.
     """
-    codes, signs, best = _orbit(g.flavor, g.n_ext, g.n_int, g.edges)
-    if best is None:
+    enc = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    codes, signs = _relabel(g.flavor, g.n_ext, g.n_int, enc)
+    # without edges every row is empty, and the sign alone decides
+    best = int(np.lexsort(codes.T[::-1])[0]) if g.edges else 0
+    ties = signs[(codes == codes[best]).all(axis=1)]
+    if (ties != signs[best]).any():
         return CanonicalResult.zero()
     nv1 = g.n_vertices + 1
     edges = tuple(divmod(c, nv1) for c in codes[best].tolist())
@@ -518,9 +524,20 @@ def enumerate_graphs(
 ) -> list[DecoratedGraph]:
     """All canonical nonzero decorated graphs of the given grade.
 
-    Deterministically ordered by encoding.  Raises ResourceLimit when
-    the grade needs more than MAX_VERTICES vertices or MAX_EDGES edges.
+    Orderly generation (Read 1978; McKay 1998): edges are appended in
+    lex order while the sorted code row is the minimum of its orbit.  A
+    prefix P of an orbit minimum S is one too: under any relabeling the
+    |P| smallest codes of S are entrywise at most the sorted codes of P.
+    So each minimum is reached once, with no record of covered labelings.
+    Zero and connectivity are tested on full edge lists only, since a
+    prefix that fails them can grow into a graph that passes.
+
+    Deterministically ordered by encoding.  Raises InvalidParams for
+    ``order < 1`` and ResourceLimit when the grade needs more than
+    MAX_VERTICES vertices or MAX_EDGES edges.
     """
+    if order < 1:
+        raise InvalidParams(f"order must be at least 1, got {order}")
     return list(_enumerate_cached(flavor, order, degree, connected))
 
 
@@ -536,97 +553,70 @@ def _enumerate_cached(
                 f"grade (ord={order}, deg={degree}) needs V={nv}, E={n_edges} "
                 f"(bounds {MAX_VERTICES}, {MAX_EDGES})"
             )
-        if n_edges == 0:
-            # no edges: only valid if a single vertex class makes sense; skip
-            continue
         result.extend(_enumerate_combo(flavor, n_ext, n_int, n_edges, connected))
     result.sort(key=_sort_key)
     return tuple(result)
 
 
-#: Candidate edge multisets generated and filtered per numpy chunk.
-_CHUNK = 1 << 15
-
-
-@lru_cache(maxsize=None)
-def _lex_rank_table(n_pairs: int, n_edges: int) -> np.ndarray:
-    """Cumulative counts for the lex rank of non-decreasing rows.
-
-    ``table[k, v]`` sums, over values w < v, the number of non-decreasing
-    tails of length n_edges-1-k with entries >= w.  The rows that share a
-    row's first k entries and are smaller at column k number
-    table[k, row[k]] - table[k, row[k-1]], with row[-1] = 0; the lex rank
-    is the sum of these over k.  Ranks stay below C(n_pairs+n_edges-1,
-    n_edges), which is under 2**63 within MAX_VERTICES and MAX_EDGES.
-    """
-    table = np.zeros((n_edges, n_pairs + 1), dtype=np.int64)
-    for k in range(n_edges):
-        tail = n_edges - 1 - k
-        counts = [comb(n_pairs - u + tail - 1, tail) for u in range(n_pairs)]
-        table[k, 1:] = np.cumsum(counts)
-    table.flags.writeable = False
-    return table
+#: Entries of the (|G|, candidates, edges) code array in one batch of
+#: extensions, the ~4e6 of ``integrals._gauss_blocks``.
+_BATCH = 4_000_000
 
 
 def _enumerate_combo(
     flavor: Flavor, n_ext: int, n_int: int, n_edges: int, connected: bool
 ) -> list[DecoratedGraph]:
-    """Orbit minima among the edge multisets, walked in lex order.
+    """Orbit minima among the edge multisets, by orderly generation.
 
-    Candidates come from ``combinations_with_replacement`` in chunks, so
-    row i of the walk has lex rank i.  A row not covered by an earlier
-    orbit is its orbit's minimum; its orbit is computed once and every
-    member's rank is marked covered.
+    Depth first, an edge list is extended by each edge not below its last
+    one, in batches, and an extension is kept when its identity row is
+    minimal.  With ``connected`` it is dropped once some vertex can get
+    no edge: a vertex below its last edge's lower endpoint has none yet,
+    or the edges left cannot touch every untouched vertex.
     """
     nv = n_ext + n_int
-    pairs = [(i, j) for i in range(1, nv) for j in range(i + 1, nv + 1)]
-    # the rank table indexed by edge code lo*(V+1)+hi; code 0 reads as 0
-    pair_of_code = np.zeros((nv + 1) ** 2, dtype=np.intp)
-    for k, (i, j) in enumerate(pairs):
-        pair_of_code[i * (nv + 1) + j] = k
-    rank_of = _lex_rank_table(len(pairs), n_edges)[:, pair_of_code]
-    column = np.arange(n_edges)
-    touches = np.array([(1 << i) | (1 << j) for i, j in pairs])
-    every_vertex = (1 << (nv + 1)) - 2
-
-    candidates = itertools.combinations_with_replacement(range(len(pairs)), n_edges)
+    pairs = np.array([(i, j) for i in range(1, nv) for j in range(i + 1, nv + 1)], dtype=np.intp)
+    group_size = len(_group(flavor, n_ext, n_int)[0])
     found: list[DecoratedGraph] = []
-    ahead = np.empty(0, dtype=np.int64)  # covered ranks past the current chunk
-    start = 0
-    while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(candidates, _CHUNK))
-        rows = np.fromiter(chunk, dtype=np.intp).reshape(-1, n_edges)
-        if not len(rows):
-            break
-        end = start + len(rows)
-        todo = np.ones(len(rows), dtype=bool)
+
+    def extend(prefix: np.ndarray, first: int):
+        k = len(prefix) + 1
+        cand = np.arange(first, len(pairs))
         if connected:
-            todo &= np.bitwise_or.reduce(touches[rows], axis=1) == every_vertex
-        here = ahead < end
-        todo[ahead[here] - start] = False
-        later = [ahead[~here]]
-        for r in np.flatnonzero(todo).tolist():
-            if not todo[r]:
+            free = np.ones(nv + 1, dtype=bool)
+            free[0] = False
+            free[prefix] = False
+            lo, hi = pairs[cand].T
+            left = free.sum() - free[lo] - free[hi]
+            cand = cand[(np.cumsum(free)[lo - 1] == 0) & (left <= 2 * (n_edges - k))]
+        step = max(1, _BATCH // (group_size * k))
+        for s in range(0, len(cand), step):
+            batch = cand[s : s + step]
+            enc = np.concatenate(
+                (np.broadcast_to(prefix, (len(batch), k - 1, 2)), pairs[batch, None]), axis=1
+            )
+            codes, signs = _relabel(flavor, n_ext, n_int, enc)
+            diff = codes - codes[0]
+            # each row's first nonzero difference from the identity row
+            lead = np.take_along_axis(diff, (diff != 0).argmax(axis=-1)[..., None], -1)[..., 0]
+            minimal = ~(lead < 0).any(axis=0)
+            if k < n_edges:
+                for r in np.flatnonzero(minimal).tolist():
+                    extend(enc[r], int(batch[r]))
                 continue
-            combo = tuple(pairs[k] for k in rows[r].tolist())
-            codes, _, best = _orbit(flavor, n_ext, n_int, combo)
-            prev = np.concatenate((np.zeros((len(codes), 1), np.intp), codes[:, :-1]), axis=1)
-            ranks = np.unique((rank_of[column, codes] - rank_of[column, prev]).sum(axis=1))
-            inside = ranks < end
-            todo[ranks[inside] - start] = False
-            later.append(ranks[~inside])
-            if best is None:
-                continue
-            if connected:
+            # a row equal to the identity with sign -1 makes the class zero
+            zero = ((lead == 0) & (signs < 0)).any(axis=0)
+            for r in np.flatnonzero(minimal & ~zero).tolist():
+                edges = tuple(map(tuple, enc[r].tolist()))
                 # connectivity is orbit-invariant: checked once per orbit
-                if flavor is Flavor.MANIFOLD:
-                    if not _is_connected(nv, combo):
-                        continue
-                elif not _knot_connected(n_ext, n_int, combo):
+                if connected and not (
+                    _is_connected(nv, edges) if flavor is Flavor.MANIFOLD
+                    else _knot_connected(n_ext, n_int, edges)
+                ):
                     continue
-            found.append(DecoratedGraph(flavor, n_ext, n_int, combo))
-        ahead = np.concatenate(later)
-        start = end
+                found.append(DecoratedGraph(flavor, n_ext, n_int, edges))
+
+    extend(np.empty((0, 2), dtype=np.intp), 0)
     return found
 
 

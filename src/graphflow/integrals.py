@@ -78,10 +78,18 @@ class IntegralEstimate:
         }
 
 
-def _workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get("GRAPHFLOW_WORKERS", "1")))
+def resolve_workers(workers: int | None) -> int:
+    """``workers``, else $GRAPHFLOW_WORKERS, else 1; InvalidParams unless
+    the count is a positive integer."""
+    if workers is None:
+        env = os.environ.get("GRAPHFLOW_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise InvalidParams(f"GRAPHFLOW_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise InvalidParams(f"workers must be at least 1, got {workers}")
+    return workers
 
 
 def _gauss_coeff(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -310,7 +318,7 @@ def a_gamma_mc(
         rng = np.random.default_rng([seed, tag, b])
         return _mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll)
 
-    nworkers = _workers(workers)
+    nworkers = resolve_workers(workers)
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             batch_means = np.array(list(pool.map(run, range(MC_BATCHES))))

@@ -64,6 +64,51 @@ def test_resource_limit_exit_3():
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "cocycles --flavor manifold --order -2",
+        "enumerate --flavor knot --order 0 --degree -3 --disconnected",
+    ],
+)
+def test_order_below_one_exit_2(args):
+    result = CliRunner().invoke(main, ["graphs", *args.split()])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+
+
+def test_delta_beyond_largest_group_exit_3(tmp_path):
+    # contracting an edge of a 13-cycle leaves 12 vertices, whose 12!
+    # relabelings exceed the 10! of the largest enumerated grade
+    path = tmp_path / "cycle13.txt"
+    edges = "".join(f"edge {i} {i % 13 + 1}\n" for i in range(1, 14))
+    path.write_text("flavor manifold\nint 13\n" + edges)
+    result = CliRunner().invoke(main, ["graphs", "delta", "--input", str(path)])
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
+
+
+def _v2_after_a_cached_run(tmp_path, *extra, env=None):
+    """A v2 run whose result is already cached, with ``extra`` options."""
+    args = ["knot", "v2", "--curve", "circle", "--samples", "64", "--cache-dir", str(tmp_path)]
+    assert run(*args).exit_code == 0
+    return CliRunner().invoke(main, [*args, *extra], env=env)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_v2_worker_count_below_one_exit_2(workers, tmp_path):
+    result = _v2_after_a_cached_run(tmp_path, "--workers", workers)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+
+
+def test_v2_non_integer_worker_env_exit_2(tmp_path):
+    result = _v2_after_a_cached_run(tmp_path, env={"GRAPHFLOW_WORKERS": "abc"})
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+
+
 def test_cocycles_contains_paper_direction():
     res = run("graphs", "cocycles", "--flavor", "manifold", "--order", "2")
     doc = json.loads(res.output)

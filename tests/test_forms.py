@@ -174,7 +174,7 @@ def _evaluate_batch_rebuilt_per_edge(ci, pos, tan, xvals, eps_coll):
         for vv in (i, j):
             for c in ci._dofs(vv):
                 dof_owner[c] = vv
-        for p, q in ci._needed[e]:
+        for p, q in [(p, q) for k, p, q in ci._entries if k == e]:
             dp = partial(dof_owner[p], p) * (1.0 if dof_owner[p] == j else -1.0)
             dq = partial(dof_owner[q], q) * (1.0 if dof_owner[q] == j else -1.0)
             entry_vals[ci._entries[(e, p, q)]] = np.einsum("bi,bi->b", v, np.cross(dp, dq)) / denom

@@ -1,10 +1,18 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphflow.errors import InvalidGraph, NotContractible, NotRegular, ResourceLimit
+from graphflow.errors import (
+    InvalidGraph,
+    InvalidParams,
+    NotContractible,
+    NotRegular,
+    ResourceLimit,
+)
 from graphflow import graphs as graphs_module
 from graphflow.graphs import (
     CanonicalResult,
@@ -561,10 +569,39 @@ def test_enumerate_matches_brute_force(flavor, order, degree, connected):
     )
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 100])
-def test_enumeration_walk_crosses_chunks(chunk, monkeypatch):
-    """Orbits found in one chunk cover rows of later chunks."""
-    monkeypatch.setattr(graphs_module, "_CHUNK", chunk)
+#: sha256 of the JSON list of ``enumerate_graphs`` at order 3, keyed by
+#: (flavor, degree, connected): the graphs, their encodings and order.
+ENUMERATE_ORDER3_SHA256 = {
+    (M, 0, True): "997cc305adde7536c97706734afa174e24702d20a7a495c97a1f4da3771eda4a",
+    (M, 0, False): "ad9899072bfdd21c1db168a96e73ac24c21675501e646122e45497d7804bb1d6",
+    (M, 1, True): "68e1e131e940ec2539ae9b11ad8083c0b957150bba7b248ecc92f87dd61040f5",
+    (M, 1, False): "7af1464399e2252ab5e9b91ed4fe7d730fa597dffbde4be4b8b19474ff393379",
+    (K, 0, True): "526e45f9db54f221827e3906abf727f049db5e9d4080afc16bd7e8766204ec8d",
+    (K, 0, False): "07273f072967534e4ceecce1668e3a06a573b13157e4673242a4d4ad1f3d2e94",
+    (K, 1, True): "a1406561abb9f1bf4ff9ffc5c0c850daf8fc5aa17ea836fa34083d7d4ba82d95",
+    (K, 1, False): "a2c0172209de7866d76d2ada24b9c359822375f3ef1631d39179a73f420bd4df",
+}
+
+
+@pytest.mark.parametrize("flavor, degree, connected", list(ENUMERATE_ORDER3_SHA256))
+def test_enumerate_order3_pinned(flavor, degree, connected):
+    graphs = enumerate_graphs(flavor, 3, degree, connected=connected)
+    text = json.dumps([g.to_json_obj() for g in graphs], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == ENUMERATE_ORDER3_SHA256[(flavor, degree, connected)]
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_enumerate_rejects_order_below_one(order):
+    with pytest.raises(InvalidParams):
+        enumerate_graphs(K, order, 0)
+
+
+@pytest.mark.parametrize("batch", [1, 10, 100])
+def test_orderly_generation_in_small_batches(batch, monkeypatch):
+    """A cap of one code entry leaves one extension per batch; 10 and
+    100 leave a few, so the extensions of one edge list span batches."""
+    monkeypatch.setattr(graphs_module, "_BATCH", batch)
     for flavor, order, degree in [(M, 2, 0), (M, 2, -1), (K, 2, 0), (K, 2, -1)]:
         for connected in (True, False):
             found = []
