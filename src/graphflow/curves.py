@@ -23,6 +23,12 @@ EPS_REG = 1e-6
 EPS_EMB = 1e-3
 #: Uniform points whose pairwise distances give ``diameter``.
 DIAMETER_SAMPLES = 512
+#: Uniform points per curve whose cross distances ``linking_integral``
+#: checks for an intersection.
+SEPARATION_SAMPLES = 2048
+#: Rows per block of ``sq_distance_blocks``; at 2048 columns a block is
+#: 1 MB, small beside a command's peak memory.
+DISTANCE_ROWS = 64
 
 _TWO_PI = 2.0 * np.pi
 
@@ -121,8 +127,7 @@ class KnotCurve:
 
     def diameter(self) -> float:
         p = self.eval(np.arange(DIAMETER_SAMPLES) / DIAMETER_SAMPLES)
-        d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(d2.max()))
+        return math.sqrt(max(float(d2.max()) for _, _, d2 in sq_distance_blocks(p, p)))
 
     def validate(self, samples: int = 2048):
         """Raise CurveValidationError unless regular and embedded.
@@ -132,7 +137,9 @@ class KnotCurve:
         not depend on the curve's size: the speed |gamma'| must exceed
         EPS_REG times the extent, and every pair of points at cyclic
         separation 3 or more must be farther apart than EPS_EMB times the
-        extent.  A passing result is remembered per ``samples``, since
+        extent.  That distance is the minimum over the blocks of
+        ``sq_distance_blocks`` with the cyclic band of separation <= 2 set
+        to inf.  A passing result is remembered per ``samples``, since
         curves are not mutated.
         """
         if samples in self._validated:
@@ -147,11 +154,7 @@ class KnotCurve:
                 f"min |gamma'| = {speed.min():.3g} "
                 f"<= eps_reg = {EPS_REG:.3g} times the extent {extent:.3g}",
             )
-        window = 2
-        min_d = math.inf
-        for k in range(window + 1, samples // 2 + 1):
-            d = np.linalg.norm(p - np.roll(p, -k, axis=0), axis=1).min()
-            min_d = min(min_d, float(d))
+        min_d = min_distance(p, p, window=2)
         if min_d <= EPS_EMB * extent:
             raise CurveValidationError(
                 "embedded",
@@ -210,6 +213,44 @@ class KnotCurve:
     def content_hash(self) -> str:
         payload = json.dumps(self.to_json_obj(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+def sq_distance_blocks(p: np.ndarray, q: np.ndarray):
+    """Row blocks (i0, i1, d2) of the squared distances
+    d2[i - i0, j] = |p[i] - q[j]|^2, DISTANCE_ROWS rows at a time.
+
+    The coordinates are summed left to right, as ``np.linalg.norm`` sums
+    them, so the square root of an entry equals that norm bit for bit.
+    Every block is written into the same buffer, so a block is only
+    valid until the next one is drawn; callers may overwrite it.
+    """
+    pc, qc = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
+    d2_buf = np.empty((DISTANCE_ROWS, len(q)))
+    sq_buf = np.empty_like(d2_buf)
+    for i0 in range(0, len(p), DISTANCE_ROWS):
+        i1 = min(i0 + DISTANCE_ROWS, len(p))
+        d2, sq = d2_buf[: i1 - i0], sq_buf[: i1 - i0]
+        np.subtract(pc[0, i0:i1, None], qc[0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for c in (1, 2):
+            np.subtract(pc[c, i0:i1, None], qc[c], out=sq)
+            np.multiply(sq, sq, out=sq)
+            d2 += sq
+        yield i0, i1, d2
+
+
+def min_distance(p: np.ndarray, q: np.ndarray, window: int = -1) -> float:
+    """Least |p[i] - q[j]| over pairs at cyclic separation
+    min(|i - j|, n - |i - j|) above ``window`` (n = len(q)), inf when
+    there is none; the default takes every pair."""
+    n = len(q)
+    least = math.inf
+    for i0, i1, d2 in sq_distance_blocks(p, q):
+        rows = np.arange(i1 - i0)
+        for k in range(-window, window + 1):
+            d2[rows, (rows + i0 + k) % n] = np.inf
+        least = min(least, float(d2.min()))
+    return math.sqrt(least)
 
 
 def _harmonics(t: np.ndarray, hmax: int) -> np.ndarray:

@@ -96,27 +96,39 @@ def _plane_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _candidate_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Non-adjacent segment pairs whose projections can intersect,
-    found by hashing segment midpoints into a uniform grid."""
+    """Non-adjacent segment pairs (i, j), i < j, whose projections can
+    intersect: those whose midpoints fall in the same or neighbouring
+    cells of a uniform grid with the longest segment as cell size.
+
+    Each cell is one integer key; the keys are sorted once, and each
+    segment's nine neighbour cells are index ranges of the sorted keys
+    (``searchsorted``), expanded in one ``repeat``.  Pairs come by i
+    ascending, then by neighbour offset (da, db) in lex order over
+    {-1, 0, 1}^2, then by j ascending; the shape is (k, 2), also for k = 0.
+    """
     nxt = np.concatenate([np.arange(1, n), [0]])
     mu, mv = (u + u[nxt]) / 2, (v + v[nxt]) / 2
     seg_len = np.hypot(u[nxt] - u, v[nxt] - v)
     cell = max(float(seg_len.max()), 1e-12)
     cu = np.floor(mu / cell).astype(np.int64)
     cv = np.floor(mv / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        buckets.setdefault((cu[i], cv[i]), []).append(i)
-    pairs = []
-    for i in range(n):
-        ci, cj = cu[i], cv[i]
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                for j in buckets.get((ci + da, cj + db), ()):
-                    if j <= i + 1 or (i == 0 and j == n - 1):
-                        continue
-                    pairs.append((i, j))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    # a one-cell margin on each side keeps neighbour keys distinct
+    cu -= cu.min() - 1
+    cv -= cv.min() - 1
+    width = int(cv.max()) + 2
+    key = cu * width + cv
+    order = np.argsort(key, kind="stable")  # j ascending within a cell
+    sorted_key = key[order]
+    offsets = np.array([da * width + db for da in (-1, 0, 1) for db in (-1, 0, 1)])
+    target = key[:, None] + offsets[None, :]
+    lo = np.searchsorted(sorted_key, target, side="left").ravel()
+    count = np.searchsorted(sorted_key, target, side="right").ravel() - lo
+    ends = np.cumsum(count)
+    pos = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
+    i = np.repeat(np.arange(n, dtype=np.int64), count.reshape(n, 9).sum(axis=1))
+    j = order[pos]
+    keep = (j > i + 1) & ~((i == 0) & (j == n - 1))
+    return np.stack([i[keep], j[keep]], axis=1)
 
 
 def _segment_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:

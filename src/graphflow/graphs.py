@@ -480,10 +480,10 @@ def _grading_combos(flavor: Flavor, order: int, degree: int) -> list[tuple[int, 
     return combos
 
 
-def _merges(n_vertices: int, undirected: Iterable[Edge]) -> Iterator[bool]:
-    """Union-find over vertices 1..n_vertices: for each edge in turn,
-    whether it joined two components (False means it closed a cycle)."""
-    parent = list(range(n_vertices + 1))
+def _merges(parent: list[int], undirected: Iterable[Edge]) -> Iterator[bool]:
+    """Union-find over the forest ``parent`` (updated in place): for
+    each edge in turn, whether it joined two components (False means it
+    closed a cycle)."""
 
     def find(x):
         while parent[x] != x:
@@ -499,22 +499,27 @@ def _merges(n_vertices: int, undirected: Iterable[Edge]) -> Iterator[bool]:
 
 
 def _is_connected(n_vertices: int, undirected: Iterable[Edge]) -> bool:
-    return n_vertices - sum(_merges(n_vertices, undirected)) == 1
+    return n_vertices - sum(_merges(list(range(n_vertices + 1)), undirected)) == 1
 
 
 def has_internal_loop(g: DecoratedGraph) -> bool:
     """Cycle made entirely of edges between internal vertices."""
     internal = [(i, j) for i, j in g.edges if not (g.is_external(i) or g.is_external(j))]
-    return not all(_merges(g.n_vertices, internal))
+    return not all(_merges(list(range(g.n_vertices + 1)), internal))
 
 
 def _knot_connected(n_ext: int, n_int: int, edges: tuple[Edge, ...]) -> bool:
-    """Connected after removing any pair of knot arcs."""
+    """Connected after removing any pair of knot arcs.
+
+    The edges are merged once; each pair of dropped arcs starts from a
+    copy of that forest and merges the arcs kept."""
     n = n_ext + n_int
+    base = list(range(n + 1))
+    components = n - sum(_merges(base, edges))
     arcs = [(i, i % n_ext + 1) for i in range(1, n_ext + 1)]
     for drop in itertools.combinations(range(len(arcs)), 2):
         kept = [a for k, a in enumerate(arcs) if k not in drop]
-        if not _is_connected(n, list(edges) + kept):
+        if components - sum(_merges(base.copy(), kept)) != 1:
             return False
     return True
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import KnotCurve
+from .curves import SEPARATION_SAMPLES, KnotCurve, min_distance
 from .errors import CurvesIntersect, InvalidParams, UnsupportedGraph
 from .forms import FOUR_PI, CompiledIntegrand
 from .graphs import (
@@ -176,12 +176,8 @@ def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> Integral
     """Gauss linking number of two disjoint curves by torus quadrature."""
     if grid < 2:
         raise InvalidParams(f"grid must be at least 2, got {grid}")
-    t = np.arange(2048) / 2048
-    pa, pb = k1.eval(t), k2.eval(t)
-    min_d = math.inf
-    for i0 in range(0, 2048, 256):
-        d = np.linalg.norm(pa[i0 : i0 + 256, None, :] - pb[None, :, :], axis=-1)
-        min_d = min(min_d, float(d.min()))
+    t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
+    min_d = min_distance(k1.eval(t), k2.eval(t))
     scale = max(k1.diameter(), k2.diameter())
     if min_d <= 1e-3 * scale:
         raise CurvesIntersect(f"curves approach within {min_d:.3g}")

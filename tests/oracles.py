@@ -381,3 +381,55 @@ def matmul(a, b) -> list[list[Fraction]]:
 
 def is_zero(entries: list[list[Fraction]]) -> bool:
     return all(not x for row in entries for x in row)
+
+
+# --- point-set geometry of the knot path ---
+
+
+def candidate_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Non-adjacent segment pairs of the projected closed polyline whose
+    midpoints share or neighbour a grid cell, by a dict of cell buckets:
+    i ascending, then the offsets (da, db) in lex order, then j ascending."""
+    nxt = np.concatenate([np.arange(1, n), [0]])
+    mu, mv = (u + u[nxt]) / 2, (v + v[nxt]) / 2
+    seg_len = np.hypot(u[nxt] - u, v[nxt] - v)
+    cell = max(float(seg_len.max()), 1e-12)
+    cu = np.floor(mu / cell).astype(np.int64)
+    cv = np.floor(mv / cell).astype(np.int64)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        buckets.setdefault((cu[i], cv[i]), []).append(i)
+    pairs = []
+    for i in range(n):
+        ci, cj = cu[i], cv[i]
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                for j in buckets.get((ci + da, cj + db), ()):
+                    if j <= i + 1 or (i == 0 and j == n - 1):
+                        continue
+                    pairs.append((i, j))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def nonadjacent_min_distance(p: np.ndarray) -> float:
+    """Least distance between points of the closed sequence p at cyclic
+    separation 3 or more, one shift at a time."""
+    least = np.inf
+    for k in range(3, len(p) // 2 + 1):
+        least = min(least, float(np.linalg.norm(p - np.roll(p, -k, axis=0), axis=1).min()))
+    return least
+
+
+def cross_min_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Least |p[i] - q[j]|, from norms of 256-row blocks."""
+    least = np.inf
+    for i0 in range(0, len(p), 256):
+        d = np.linalg.norm(p[i0 : i0 + 256, None, :] - q[None, :, :], axis=-1)
+        least = min(least, float(d.min()))
+    return least
+
+
+def point_set_diameter(p: np.ndarray) -> float:
+    """Largest |p[i] - p[j]|, from the full matrix of squared distances."""
+    d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+    return float(np.sqrt(d2.max()))

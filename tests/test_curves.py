@@ -1,18 +1,24 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphflow.curves import (
+    BUNDLED,
+    DIAMETER_SAMPLES,
+    SEPARATION_SAMPLES,
     KnotCurve,
     bundled_curve,
     load_curve,
     make_torus_knot,
+    min_distance,
     reparametrized,
     round_circle,
     scaled,
 )
 from graphflow.errors import CurveValidationError, InvalidParams
+from oracles import cross_min_distance, nonadjacent_min_distance, point_set_diameter
 
 
 def test_torus_knot_param_validation():
@@ -244,3 +250,52 @@ def test_scaled_warped_curve():
     big = scaled(rep, 2.0)
     assert big.warp_amplitude == rep.warp_amplitude
     assert np.array_equal(big.eval(EVAL_T), 2.0 * rep.eval(EVAL_T))
+
+
+@pytest.mark.parametrize("index", range(len(BUNDLED)))
+def test_distance_blocks_match_norm_forms_bit_for_bit(index):
+    """validate's and the linking check's minima and ``diameter`` equal
+    the per-shift, 256-row and full-matrix forms they replace with ==."""
+    curve = bundled_curve(BUNDLED[index])
+    p = curve.eval(np.arange(2048) / 2048)  # validate's default points
+    assert min_distance(p, p, window=2) == nonadjacent_min_distance(p)
+    t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
+    pa, pb = curve.eval(t), bundled_curve(BUNDLED[(index + 1) % len(BUNDLED)]).eval(t)
+    assert min_distance(pa, pb) == cross_min_distance(pa, pb)
+    pd = curve.eval(np.arange(DIAMETER_SAMPLES) / DIAMETER_SAMPLES)
+    assert curve.diameter() == point_set_diameter(pd)
+
+
+@pytest.mark.parametrize("anchor", [62, 255])
+@pytest.mark.parametrize("separation, embedded", [(2, True), (3, False)])
+def test_validate_band_boundary(anchor, separation, embedded):
+    """One close approach at cyclic separation 3 is rejected, at 2 it is
+    inside the masked band; anchor 62 puts the pair across a row block
+    and 255 wraps it past the last point."""
+    n = 256
+    t = np.arange(n) / n
+    pts = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t), np.zeros(n)], axis=1)
+    pts[(anchor + separation) % n] = pts[anchor] + [0.0, 0.0, 1e-4]
+    curve = KnotCurve(points=pts)
+    if embedded:
+        curve.validate(samples=n)
+    else:
+        with pytest.raises(CurveValidationError) as err:
+            curve.validate(samples=n)
+        assert err.value.invariant == "embedded"
+
+
+def test_geometry_checks_stay_small_in_memory():
+    """Peak traced memory of validate and diameter on a fresh trefoil
+    stays below 8 MB, so a larger distance block shows here before it
+    shows in a command's peak RSS; the 512 x 512 x 3 difference array of
+    a one-block ``diameter`` alone is 6.3 MB."""
+    for check in (KnotCurve.validate, KnotCurve.diameter):
+        curve = bundled_curve("trefoil")
+        tracemalloc.start()
+        try:
+            check(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (check.__name__, peak)

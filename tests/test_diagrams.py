@@ -5,13 +5,15 @@ from graphflow.curves import KnotCurve, bundled_curve, make_torus_knot, round_ci
 from graphflow.diagrams import (
     Crossing,
     GaussDiagram,
+    _candidate_pairs,
+    _plane_basis,
     a2_of_curve,
     a2_oracle,
     generic_directions,
     project_to_diagram,
 )
 from graphflow.errors import DegenerateProjection, InconsistentDiagram
-from oracles import a2_from_conway, conway_polynomial
+from oracles import a2_from_conway, candidate_pairs, conway_polynomial
 
 DIR = [0.11, 0.07, 0.99]
 
@@ -132,3 +134,21 @@ def test_projection_direction_independence():
         values.append(a2_oracle(d))
     assert len(values) >= 3
     assert set(values) == {1}
+
+
+@pytest.mark.parametrize("name", ["circle", "trefoil", "figure_eight", "torus_2_5"])
+def test_candidate_pairs_match_bucket_walk(name):
+    """The sorted-key search returns the dict-bucket walk's pairs in its
+    order, which fixes the order of the crossing checks."""
+    curve = bundled_curve(name)
+    for direction in generic_directions(count=3):
+        e1, e2, _ = _plane_basis(direction)
+        for n in (2048, 4096, 8192):
+            pts = curve.eval(np.arange(n) / n)
+            u, v = pts @ e1, pts @ e2
+            assert np.array_equal(_candidate_pairs(u, v, n), candidate_pairs(u, v, n))
+
+
+def test_candidate_pairs_of_triangle_empty():
+    pairs = _candidate_pairs(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), 3)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.int64

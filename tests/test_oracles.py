@@ -10,6 +10,7 @@ ALLOWED = {"DecoratedGraph", "GaussDiagram", "IntegralEstimate", "KnotCurve"}
 ALLOWED |= {"GraphflowError", "UnsupportedGraph", "COMPONENT_ORIENT", "FOUR_PI", "MAX_WEDGE_DIM"}
 #: Production code that the oracles are compared against.
 CHECKED = {"CompiledIntegrand", "a2_oracle", "a_gamma_mc", "kernel_basis", "delta"}
+CHECKED |= {"_candidate_pairs", "sq_distance_blocks", "min_distance", "diameter"}
 
 
 def test_oracles_import_only_data_types_errors_and_constants():
