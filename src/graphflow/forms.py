@@ -54,12 +54,22 @@ class CompiledIntegrand:
         self._picks = np.array(
             [[self._entries[pick] for pick in picks] for _, picks in self.assignments]
         )
-        # per edge, each of its entries as (row, partial of the edge vector
-        # along p, along q); see _partial
+        # per edge, its entries with a tangent partial sp T_k along p and a
+        # unit-vector partial sq e_c along q (knot coordinates come first,
+        # so never the other way round) as (row, k, c, sign), because
+        # det(v, sp T_k, sq e_c) = sign (v x T_k)_c; and each other entry
+        # (two tangents or two unit vectors) as (row, partial along p,
+        # along q), see _partial
+        self._mixed = [[] for _ in self.edges]
         self._partials = [[] for _ in self.edges]
         for row, (e, p, q) in enumerate(entries):
             i, j = self.edges[e]
-            self._partials[e].append((row, self._partial(i, j, p), self._partial(i, j, q)))
+            (kp, fp), (kq, fq) = self._partial(i, j, p), self._partial(i, j, q)
+            if kp >= 0 > kq:
+                c = int(np.flatnonzero(fq)[0])
+                self._mixed[e].append((row, kp, c, float(fp * fq[c])))
+            else:
+                self._partials[e].append((row, (kp, fp), (kq, fq)))
 
     def _partial(self, i: int, j: int, coord: int) -> tuple[int, float | np.ndarray]:
         """Derivative of x_j - x_i along one coordinate of vertex i or j:
@@ -125,6 +135,11 @@ class CompiledIntegrand:
             bad |= r2 <= eps_coll**2
             denom = FOUR_PI * np.maximum(r2, 1e-300) ** 1.5
 
+            vxt = {}
+            for row, k, c, sign in self._mixed[e]:
+                if k not in vxt:
+                    vxt[k] = _cross(v, tan[:, k])
+                entry_vals[row] = sign * vxt[k][c] / denom
             for row, (kp, fp), (kq, fq) in self._partials[e]:
                 dp = tan[:, kp] * fp if kp >= 0 else np.broadcast_to(fp, (b, 3))
                 dq = tan[:, kq] * fq if kq >= 0 else np.broadcast_to(fq, (b, 3))
@@ -133,3 +148,12 @@ class CompiledIntegrand:
         terms = np.prod(entry_vals[self._picks], axis=1)
         values = (self._signs[:, None] * terms).sum(axis=0)
         return values, bad
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The components of a x b for (B, 3) arrays, each formed as
+    ``np.cross`` forms it (one product minus another), so bit for bit
+    equal to its columns."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0

@@ -7,8 +7,11 @@ O(N^2) cumulative-sum form of its four-point midpoint sum.  The
 configuration integrals of trivalent knot graphs with internal vertices
 run Monte Carlo with knot parameters on the ordered simplex and spatial
 vertices importance-sampled from kernels centered on the sampled knot
-points.  Each sample's knot points are evaluated once, position and
-tangent together, and shared by the sampler and the compiled integrand.
+points.  Each of the 64 batches draws from its own random stream, and
+consecutive batches of m samples are sampled and evaluated together, in
+groups of at most max(m, MC_ROWS) rows.  Each sample's knot points are
+evaluated once, position and tangent together, and shared by the
+sampler and the compiled integrand.
 All estimators are bit-reproducible for a fixed (inputs, seed) pair.
 The O(N^4) product quadrature of chord-only graph integrals that both
 the crossed-chord quadrature and the Monte Carlo are checked against
@@ -51,6 +54,9 @@ DEFAULT_SEED = 20259
 #: Finest grid of the crossed-chord quadrature in v2.
 X_GRID = 512
 MC_BATCHES = 64
+#: Most rows of one sampling pass: consecutive batches of m samples are
+#: drawn and evaluated together, max(1, MC_ROWS // m) at a time.
+MC_ROWS = 4096
 NEAR_WEIGHT = 0.25
 
 
@@ -231,48 +237,73 @@ def _x_quadrature(curve: KnotCurve, grid: int = X_GRID) -> IntegralEstimate:
 # --- Monte Carlo for trivalent knot graphs ---
 
 
-def _mc_batch(
+def _draw(rng: np.random.Generator, mm: int, n: int, t: int) -> tuple[np.ndarray, ...]:
+    """One batch's draws for mm samples, in stream order: the sorted knot
+    parameters, then per spatial vertex its center, its kernel choice,
+    its radius variate and its direction."""
+    tv = np.sort(rng.random((mm, n)), axis=1)
+    if not t:
+        return (tv,)
+    centers = rng.integers(0, n, size=(mm, t))
+    use_near = rng.random((mm, t)) < NEAR_WEIGHT
+    u = rng.random((mm, t))
+    direction = rng.normal(size=(mm, t, 3))
+    return tv, centers, use_near, u, direction
+
+
+def _sample(
+    curve: KnotCurve, draws: list[tuple[np.ndarray, ...]], n_fact: int, r0: float, r_near: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Knot positions and tangents, spatial points and importance weights
+    of the samples that ``_draw`` drew for each batch, concatenated.  The
+    sampler's temporaries are freed on return, before the integrand runs."""
+    tv, *spatial = (np.concatenate(parts) for parts in zip(*draws))
+    del draws  # the caller keeps no reference: the per-batch copies go here
+    # knot points are evaluated once; the sampler and integrand share them
+    knot_pts, knot_tan = curve.eval_with_deriv(tv)
+    if not spatial:
+        return knot_pts, knot_tan, np.zeros((len(tv), 0, 3)), np.full(len(tv), 1.0 / n_fact)
+    centers, use_near, u, direction = spatial
+    c = np.cbrt(u)
+    radius = np.where(use_near, r_near * u, r0 * c / np.maximum(1.0 - c, 1e-15))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    anchor = np.take_along_axis(knot_pts, centers[..., None], axis=1)
+    xv = anchor + radius[..., None] * direction
+    # mixture density over the sampled knot points
+    diff = xv[:, :, None, :] - knot_pts[:, None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    tail = 3.0 * r0 / (FOUR_PI * (r0 + dist) ** 4)
+    with np.errstate(divide="ignore"):
+        near = np.where(
+            dist < r_near, 1.0 / (FOUR_PI * np.maximum(dist, 1e-300) ** 2 * r_near), 0.0
+        )
+    q = ((1.0 - NEAR_WEIGHT) * tail + NEAR_WEIGHT * near).mean(axis=2)
+    return knot_pts, knot_tan, xv, 1.0 / (n_fact * np.prod(q, axis=1))
+
+
+def _mc_group(
     integrand: CompiledIntegrand,
     curve: KnotCurve,
     m: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     r0: float,
     r_near: float,
     eps_coll: float,
-) -> float:
+) -> list[float]:
+    """Means of the batches of m samples that draw from ``rngs``, one
+    stream each.  Their draws are concatenated, then weighed and
+    evaluated in one pass; a sample inside the collision guard is drawn
+    again from its own batch's stream, at most 64 times."""
     n, t = integrand.n, integrand.t
     n_fact = math.factorial(n)
-    todo = np.arange(m)
-    weights = np.empty(m)
-    values = np.empty(m)
+    todo = np.arange(len(rngs) * m)  # rows b * m + i, ascending, so grouped by batch
+    weights = np.empty(todo.size)
+    values = np.empty(todo.size)
     for _ in range(64):
-        mm = todo.size
-        tv = np.sort(rng.random((mm, n)), axis=1)
-        # knot points are evaluated once; the sampler and integrand share them
-        knot_pts, knot_tan = curve.eval_with_deriv(tv)
-        if t:
-            centers = rng.integers(0, n, size=(mm, t))
-            use_near = rng.random((mm, t)) < NEAR_WEIGHT
-            u = rng.random((mm, t))
-            c = np.cbrt(u)
-            radius = np.where(use_near, r_near * u, r0 * c / np.maximum(1.0 - c, 1e-15))
-            direction = rng.normal(size=(mm, t, 3))
-            direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-            anchor = np.take_along_axis(knot_pts, centers[..., None], axis=1)
-            xv = anchor + radius[..., None] * direction
-            # mixture density over the sampled knot points
-            diff = xv[:, :, None, :] - knot_pts[:, None, :, :]
-            dist = np.linalg.norm(diff, axis=-1)
-            tail = 3.0 * r0 / (FOUR_PI * (r0 + dist) ** 4)
-            with np.errstate(divide="ignore"):
-                near = np.where(
-                    dist < r_near, 1.0 / (FOUR_PI * np.maximum(dist, 1e-300) ** 2 * r_near), 0.0
-                )
-            q = ((1.0 - NEAR_WEIGHT) * tail + NEAR_WEIGHT * near).mean(axis=2)
-            w = 1.0 / (n_fact * np.prod(q, axis=1))
-        else:
-            xv = np.zeros((mm, 0, 3))
-            w = np.full(mm, 1.0 / n_fact)
+        counts = np.bincount(todo // m, minlength=len(rngs))
+        knot_pts, knot_tan, xv, w = _sample(
+            curve, [_draw(rng, k, n, t) for rng, k in zip(rngs, counts) if k], n_fact, r0, r_near
+        )
         vals, bad = integrand.evaluate_batch(knot_pts, knot_tan, xv, eps_coll)
         weights[todo], values[todo] = w, vals
         todo = todo[bad]
@@ -280,7 +311,8 @@ def _mc_batch(
             break
     else:
         raise UnsupportedGraph("collision guard kept rejecting samples")
-    return float(np.mean(values * weights))
+    terms = values * weights
+    return [float(np.mean(terms[b * m : (b + 1) * m])) for b in range(len(rngs))]
 
 
 def a_gamma_mc(
@@ -293,8 +325,12 @@ def a_gamma_mc(
     """Monte Carlo configuration integral of a trivalent knot graph.
 
     The graph must be loop-free with n_ext + n_int <= 4.  Estimates and
-    errors come from 64 independently seeded batch means; results are
-    bit-identical for fixed (graph, curve, n_samples, seed).
+    errors come from 64 batch means of m = n_samples // 64 samples (at
+    least 1), each batch drawing from its own stream seeded by (seed,
+    graph tag, batch).  Batches are evaluated in groups of at most
+    max(m, MC_ROWS) rows, one group per worker task, so results are
+    bit-identical for fixed (graph, curve, n_samples, seed) whatever the
+    worker count.
     """
     if n_samples < 1:
         raise InvalidParams(f"need at least one sample, got {n_samples}")
@@ -310,16 +346,20 @@ def a_gamma_mc(
     # stable per-graph tag so different graphs draw independent streams
     tag = hash_graph(graph)
 
-    def run(b: int) -> float:
-        rng = np.random.default_rng([seed, tag, b])
-        return _mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll)
+    size = max(1, MC_ROWS // m)
+    groups = [range(g, min(g + size, MC_BATCHES)) for g in range(0, MC_BATCHES, size)]
+
+    def run(group: range) -> list[float]:
+        rngs = [np.random.default_rng([seed, tag, b]) for b in group]
+        return _mc_group(integrand, curve, m, rngs, r0, r_near, eps_coll)
 
     nworkers = resolve_workers(workers)
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            batch_means = np.array(list(pool.map(run, range(MC_BATCHES))))
+            means = list(pool.map(run, groups))
     else:
-        batch_means = np.array([run(b) for b in range(MC_BATCHES)])
+        means = [run(group) for group in groups]
+    batch_means = np.array([mean for group_means in means for mean in group_means])
     # the component of cyclically ordered points is n_ext rotated copies
     # of the simplex sampled above, and the integrand is rotation-invariant
     scale = COMPONENT_ORIENT * integrand.n

@@ -13,6 +13,7 @@ from graphflow.curves import (
 )
 from graphflow import integrals
 from graphflow.errors import CurvesIntersect, UnsupportedGraph
+from graphflow.forms import CompiledIntegrand
 from graphflow.graphs import knot_order2_cocycle, knot_order2_graphs
 from graphflow.integrals import (
     a_gamma_mc,
@@ -284,3 +285,127 @@ def test_gauss_blocks_cross_chunks():
     # n = 2048 gives row chunks of 1953 and 95
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
     assert integrals._linking_grid(a, b, 2048) == _oracle_linking_grid(a, b, 2048)
+
+
+def _oracle_mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll):
+    """One batch mean, sampled and evaluated batch by batch with its own
+    64-pass collision loop: the loop that the group pass replaced."""
+    n, t = integrand.n, integrand.t
+    n_fact = math.factorial(n)
+    todo = np.arange(m)
+    weights = np.empty(m)
+    values = np.empty(m)
+    for _ in range(64):
+        mm = todo.size
+        tv = np.sort(rng.random((mm, n)), axis=1)
+        knot_pts, knot_tan = curve.eval_with_deriv(tv)
+        if t:
+            centers = rng.integers(0, n, size=(mm, t))
+            use_near = rng.random((mm, t)) < integrals.NEAR_WEIGHT
+            u = rng.random((mm, t))
+            c = np.cbrt(u)
+            radius = np.where(use_near, r_near * u, r0 * c / np.maximum(1.0 - c, 1e-15))
+            direction = rng.normal(size=(mm, t, 3))
+            direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+            anchor = np.take_along_axis(knot_pts, centers[..., None], axis=1)
+            xv = anchor + radius[..., None] * direction
+            diff = xv[:, :, None, :] - knot_pts[:, None, :, :]
+            dist = np.linalg.norm(diff, axis=-1)
+            tail = 3.0 * r0 / (integrals.FOUR_PI * (r0 + dist) ** 4)
+            with np.errstate(divide="ignore"):
+                near = np.where(
+                    dist < r_near,
+                    1.0 / (integrals.FOUR_PI * np.maximum(dist, 1e-300) ** 2 * r_near),
+                    0.0,
+                )
+            nw = integrals.NEAR_WEIGHT
+            q = ((1.0 - nw) * tail + nw * near).mean(axis=2)
+            w = 1.0 / (n_fact * np.prod(q, axis=1))
+        else:
+            xv = np.zeros((mm, 0, 3))
+            w = np.full(mm, 1.0 / n_fact)
+        vals, bad = integrand.evaluate_batch(knot_pts, knot_tan, xv, eps_coll)
+        weights[todo], values[todo] = w, vals
+        todo = todo[bad]
+        if todo.size == 0:
+            break
+    else:
+        raise UnsupportedGraph("collision guard kept rejecting samples")
+    return float(np.mean(values * weights))
+
+
+def _oracle_a_gamma_mc(graph, curve, n_samples, seed):
+    """``a_gamma_mc`` with every batch run alone by ``_oracle_mc_batch``."""
+    integrand = CompiledIntegrand(graph)
+    diam = curve.diameter()
+    m = max(1, n_samples // integrals.MC_BATCHES)
+    tag = integrals.hash_graph(graph)
+    means = np.array(
+        [
+            _oracle_mc_batch(
+                integrand,
+                curve,
+                m,
+                np.random.default_rng([seed, tag, b]),
+                0.1 * diam,
+                0.2 * diam,
+                1e-9 * diam,
+            )
+            for b in range(integrals.MC_BATCHES)
+        ]
+    )
+    scale = integrals.COMPONENT_ORIENT * integrand.n
+    value = scale * float(means.mean())
+    std_error = abs(scale) * float(means.std(ddof=1) / math.sqrt(integrals.MC_BATCHES))
+    return integrals.IntegralEstimate(value, std_error, m * integrals.MC_BATCHES, seed, "mc")
+
+
+def _rows_with_eps_coll(monkeypatch, eps_coll):
+    """Make ``evaluate_batch`` use the collision radius ``eps_coll`` and
+    return the list of row counts it is called with."""
+    rows = []
+    evaluate = CompiledIntegrand.evaluate_batch
+
+    def patched(self, pos, tan, xvals, _eps_coll):
+        rows.append(pos.shape[0])
+        return evaluate(self, pos, tan, xvals, eps_coll)
+
+    monkeypatch.setattr(CompiledIntegrand, "evaluate_batch", patched)
+    return rows
+
+
+# 100 samples: one group of all 64 batches; 25,000: groups of 10, the last
+# of 4; 200,000: one batch per group
+@pytest.mark.parametrize("n_samples", [100, 25_000, 200_000])
+@pytest.mark.parametrize("graph", [G1, G2], ids=["crossed", "tripod"])
+@pytest.mark.parametrize("name", ["trefoil", "torus_2_5"])
+def test_group_pass_matches_batch_by_batch_oracle(name, graph, n_samples):
+    curve = bundled_curve(name)
+    est = a_gamma_mc(graph, curve, n_samples=n_samples, seed=31)
+    assert est == _oracle_a_gamma_mc(graph, curve, n_samples, seed=31)
+
+
+def test_group_pass_redraws_collisions_like_the_oracle(monkeypatch):
+    curve = bundled_curve("trefoil")
+    rows = _rows_with_eps_coll(monkeypatch, 0.01 * curve.diameter())
+    est = a_gamma_mc(G2, curve, n_samples=25_000, seed=31)
+    assert len(rows) > 7 and sum(rows) > est.n_samples  # redraws happened
+    assert est == _oracle_a_gamma_mc(G2, curve, 25_000, seed=31)
+
+
+def test_group_pass_gives_up_after_64_draws_per_sample(monkeypatch):
+    rows = _rows_with_eps_coll(monkeypatch, math.inf)
+    with pytest.raises(UnsupportedGraph, match="^collision guard kept rejecting samples$"):
+        a_gamma_mc(G2, TREFOIL, n_samples=100, seed=31)
+    assert rows == [64] * 64  # one group of 64 one-sample batches, each drawn 64 times
+    del rows[:]
+    with pytest.raises(UnsupportedGraph, match="^collision guard kept rejecting samples$"):
+        _oracle_a_gamma_mc(G2, TREFOIL, 100, seed=31)
+    assert rows == [1] * 64
+
+
+@pytest.mark.parametrize("n_samples", [100, 25_000])
+def test_worker_count_does_not_change_grouped_result(n_samples):
+    a = a_gamma_mc(G2, TREFOIL, n_samples=n_samples, seed=9, workers=1)
+    b = a_gamma_mc(G2, TREFOIL, n_samples=n_samples, seed=9, workers=3)
+    assert a == b
