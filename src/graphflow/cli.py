@@ -176,8 +176,11 @@ def graphs_delta(path):
     config = {"input": str(path)}
 
     def compute():
-        g = DecoratedGraph.from_text(Path(path).read_text())
-        return delta(g).to_json_obj()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidGraph(f"cannot read graph file: {exc}") from exc
+        return delta(DecoratedGraph.from_text(text)).to_json_obj()
 
     _run("graphs delta", config, compute)
 

@@ -284,6 +284,8 @@ def a2_of_curve(curve: KnotCurve, directions: int = 3, seed: int = 7) -> int:
     """a2 from several generic projections; the values must agree."""
     if directions < 1:
         raise InvalidParams(f"need at least one direction, got {directions}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
     values = []
     for direction in generic_directions(seed=seed, count=directions + 13):
         try:

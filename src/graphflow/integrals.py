@@ -3,19 +3,18 @@
 Deterministic quadrature covers the integrals whose graphs have no
 internal vertex: the two-point integrals (self-linking and Gauss
 linking) by product quadrature, and the crossed-chord term of v2 by an
-O(N^2) cumulative-sum form of its four-point midpoint sum.  The
-configuration integrals of trivalent knot graphs with internal vertices
-run Monte Carlo with knot parameters on the ordered simplex and spatial
-vertices importance-sampled from kernels centered on the sampled knot
-points.  Each of the 64 batches draws from its own random stream, and
+O(N^2) cumulative-sum form of its four-point midpoint sum.  The tripod,
+v2's one term with an internal vertex, runs Monte Carlo with its knot
+parameters on the ordered simplex and its spatial vertex
+importance-sampled from kernels centered on the sampled knot points.
+Each of the 64 batches draws from its own random stream, and
 consecutive batches of m samples are sampled and evaluated together, in
 groups of at most max(m, MC_ROWS) rows.  Each sample's knot points are
 evaluated once, position and tangent together, and shared by the
 sampler and the compiled integrand.
 All estimators are bit-reproducible for a fixed (inputs, seed) pair.
-The O(N^4) product quadrature of chord-only graph integrals that both
-the crossed-chord quadrature and the Monte Carlo are checked against
-lives in ``tests/oracles.py``.
+The O(N^4) product quadrature of chord-only graph integrals that the
+crossed-chord quadrature is checked against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,9 +44,12 @@ from .graphs import (
 #: Orientation of the component of cyclically ordered knot points,
 #: relative to the coordinate order (t_1..t_n, x, y, z, ...).  Like the
 #: overall propagator sign, the paper's orientation conventions are
-#: implicit.  The crossed-chord quadrature needs no such constant, and
-#: ``test_x_integral_mc_matches_quadrature`` pins this one by requiring
-#: the Monte Carlo crossed-chord integral to match it.
+#: implicit.  The crossed-chord quadrature needs no such constant.  The
+#: tripod's sign is pinned by the -1/24 of v2 on the round circle
+#: (``test_v2_unknot_value``) and by v2(K) - v2(unknot) = a2(K)
+#: (``test_v2_difference_matches_a2``).  The chord oracle in
+#: ``tests/oracles.py`` reads it too, and its sign there is pinned by
+#: ``test_x_quadrature_matches_brute_force_oracle``.
 COMPONENT_ORIENT = -1.0
 
 DEFAULT_SEED = 20259
@@ -234,7 +236,7 @@ def _x_quadrature(curve: KnotCurve, grid: int = X_GRID) -> IntegralEstimate:
     return IntegralEstimate(4.0 * fine, 4.0 * abs(fine - prev), grid * grid, 0, "quadrature")
 
 
-# --- Monte Carlo for trivalent knot graphs ---
+# --- Monte Carlo for the tripod ---
 
 
 def _draw(rng: np.random.Generator, mm: int, n: int, t: int) -> tuple[np.ndarray, ...]:
@@ -242,8 +244,6 @@ def _draw(rng: np.random.Generator, mm: int, n: int, t: int) -> tuple[np.ndarray
     parameters, then per spatial vertex its center, its kernel choice,
     its radius variate and its direction."""
     tv = np.sort(rng.random((mm, n)), axis=1)
-    if not t:
-        return (tv,)
     centers = rng.integers(0, n, size=(mm, t))
     use_near = rng.random((mm, t)) < NEAR_WEIGHT
     u = rng.random((mm, t))
@@ -257,13 +257,10 @@ def _sample(
     """Knot positions and tangents, spatial points and importance weights
     of the samples that ``_draw`` drew for each batch, concatenated.  The
     sampler's temporaries are freed on return, before the integrand runs."""
-    tv, *spatial = (np.concatenate(parts) for parts in zip(*draws))
+    tv, centers, use_near, u, direction = (np.concatenate(parts) for parts in zip(*draws))
     del draws  # the caller keeps no reference: the per-batch copies go here
     # knot points are evaluated once; the sampler and integrand share them
     knot_pts, knot_tan = curve.eval_with_deriv(tv)
-    if not spatial:
-        return knot_pts, knot_tan, np.zeros((len(tv), 0, 3)), np.full(len(tv), 1.0 / n_fact)
-    centers, use_near, u, direction = spatial
     c = np.cbrt(u)
     radius = np.where(use_near, r_near * u, r0 * c / np.maximum(1.0 - c, 1e-15))
     direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
@@ -322,20 +319,20 @@ def a_gamma_mc(
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> IntegralEstimate:
-    """Monte Carlo configuration integral of a trivalent knot graph.
+    """Monte Carlo configuration integral of the tripod, the graph
+    ``knot_order2_graphs()[1]``; any other graph raises UnsupportedGraph.
 
-    The graph must be loop-free with n_ext + n_int <= 4.  Estimates and
-    errors come from 64 batch means of m = n_samples // 64 samples (at
-    least 1), each batch drawing from its own stream seeded by (seed,
-    graph tag, batch).  Batches are evaluated in groups of at most
-    max(m, MC_ROWS) rows, one group per worker task, so results are
+    Estimates and errors come from 64 batch means of m = n_samples // 64
+    samples (at least 1), each batch drawing from its own stream seeded
+    by (seed, graph tag, batch).  Batches are evaluated in groups of at
+    most max(m, MC_ROWS) rows, one group per worker task, so results are
     bit-identical for fixed (graph, curve, n_samples, seed) whatever the
     worker count.
     """
     if n_samples < 1:
         raise InvalidParams(f"need at least one sample, got {n_samples}")
-    if graph.n_ext + graph.n_int > 4:
-        raise UnsupportedGraph("graph too large: n_ext + n_int > 4")
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
     integrand = CompiledIntegrand(graph)
     curve.validate()
     diam = curve.diameter()

@@ -13,9 +13,13 @@ import numpy as np
 from graphflow.curves import KnotCurve
 from graphflow.diagrams import GaussDiagram
 from graphflow.errors import GraphflowError, UnsupportedGraph
-from graphflow.forms import FOUR_PI, MAX_WEDGE_DIM
+from graphflow.forms import FOUR_PI
 from graphflow.graphs import DecoratedGraph
 from graphflow.integrals import COMPONENT_ORIENT, IntegralEstimate
+
+
+#: Largest configuration dimension that ``wedge_top`` expands by brute force.
+MAX_WEDGE_DIM = 12
 
 
 class CoincidentPoints(GraphflowError):

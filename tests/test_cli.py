@@ -56,6 +56,15 @@ def test_delta_parse_error_exit_2(tmp_path):
     assert err["error"]["type"] == "InvalidGraph"
 
 
+def test_delta_non_utf8_file_exit_2(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\nflavor knot\next 2\nint 0\nedge 1 2\n")  # not UTF-8
+    result = CliRunner().invoke(main, ["graphs", "delta", "--input", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "InvalidGraph"
+
+
 def test_resource_limit_exit_3():
     result = CliRunner().invoke(
         main, ["graphs", "enumerate", "--flavor", "manifold", "--order", "6"]
@@ -183,8 +192,10 @@ def test_unknown_curve_exit_2(tmp_path):
         ("v2 --curve circle --samples inf", 2),
         ("v2 --curve circle --samples 0", 2),
         ("v2 --curve circle --samples 1", 0),
+        ("v2 --curve circle --samples 64 --seed -1", 2),
         ("a2 --curve trefoil --directions -2", 2),
         ("a2 --curve trefoil --directions 1", 0),
+        ("a2 --curve trefoil --seed -1", 2),
         ("a2 --curve {dir}", 2),
         ("a2 --curve {dir}/latin1.json", 2),
     ],
@@ -269,6 +280,24 @@ def test_cocycles_stdout_pinned(flavor, order):
     res = run("graphs", "cocycles", "--flavor", flavor, "--order", str(order))
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == COCYCLES_SHA256[(flavor, order)]
+
+
+#: sha256 of the stdout of ``knot v2 --curve K --samples 2e4 --seed 11
+#: --no-cache``: the crossed-chord quadrature, the tripod's Monte Carlo
+#: draws, integrand and reduction, byte for byte.
+V2_SHA256 = {
+    "circle": "748c5d3fdea5fe1bfe10a814d397bd7fe313cf4a7e85f31242e5386613e365d8",
+    "trefoil": "02aef60fe199d25b7206b821d7c17691e7aa4a0ab241445a3af3e9f71a9a387d",
+    "figure_eight": "05ddb5d3d188b4656edabfa1ed483e11c1990548dbfe551857807f97120d0b27",
+    "torus_2_5": "efe6f11d3c09c2d4578f2cf0f4e545368d4c3bc8777938a7be4397f10fcb0ffd",
+}
+
+
+@pytest.mark.parametrize("curve", list(V2_SHA256))
+def test_v2_stdout_pinned(curve):
+    res = run("knot", "v2", "--curve", curve, "--samples", "2e4", "--seed", "11", "--no-cache")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == V2_SHA256[curve]
 
 
 def _sln_circle(cache_dir):

@@ -83,8 +83,6 @@ def test_linking_rejects_intersecting():
 
 
 def test_x_integral_vanishes_on_round_circle():
-    est = a_gamma_mc(G1, CIRCLE, n_samples=64_000, seed=4)
-    assert est.value == 0.0
     quad = a_gamma_quadrature(G1, CIRCLE, grid=24)
     assert quad.value == 0.0
     assert integrals._x_quadrature(CIRCLE).value == 0.0
@@ -108,13 +106,6 @@ def test_x_sum_independent_of_row_blocks(monkeypatch):
     blocks = integrals._gauss_blocks
     monkeypatch.setattr(integrals, "_gauss_blocks", lambda *args, rows: blocks(*args, rows=200))
     assert streamed == pytest.approx(integrals._crossed_chord_sum(TREFOIL, 200), rel=1e-12)
-
-
-def test_x_integral_mc_matches_quadrature():
-    """Pins COMPONENT_ORIENT: the quadrature has no orientation constant."""
-    mc = a_gamma_mc(G1, TREFOIL, n_samples=2_000_000, seed=4)
-    quad = integrals._x_quadrature(TREFOIL)
-    assert abs(mc.value - quad.value) <= 3 * math.hypot(mc.std_error, quad.std_error)
 
 
 def test_tripod_sigma_covers_seed_spread():
@@ -147,8 +138,8 @@ def test_y_integral_seed_consistency():
 
 
 def test_trefoil_two_seeds_agree():
-    a = a_gamma_mc(G1, TREFOIL, n_samples=1_000_000, seed=11)
-    b = a_gamma_mc(G1, TREFOIL, n_samples=1_000_000, seed=22)
+    a = a_gamma_mc(G2, TREFOIL, n_samples=1_000_000, seed=11)
+    b = a_gamma_mc(G2, TREFOIL, n_samples=1_000_000, seed=22)
     assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
 
 
@@ -171,19 +162,20 @@ def test_scaling_invariance():
 
 
 def test_reparametrization_invariance_mc():
-    a = a_gamma_mc(G1, TREFOIL, n_samples=1_000_000, seed=6)
-    b = a_gamma_mc(G1, reparametrized(TREFOIL, 0.3), n_samples=1_000_000, seed=60)
+    a = a_gamma_mc(G2, TREFOIL, n_samples=1_000_000, seed=6)
+    b = a_gamma_mc(G2, reparametrized(TREFOIL, 0.3), n_samples=1_000_000, seed=60)
     assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
 
 
 def test_a_gamma_rejects_loops_and_large_graphs():
-    with pytest.raises(UnsupportedGraph):
-        a_gamma_mc(G3, CIRCLE, n_samples=1000, seed=1)
+    """Only the tripod runs Monte Carlo: the crossed chords G1 too are
+    rejected."""
     from graphflow.graphs import DecoratedGraph, Flavor
 
     big = DecoratedGraph(Flavor.KNOT, 6, 0, ((1, 4), (2, 5), (3, 6)))
-    with pytest.raises(UnsupportedGraph):
-        a_gamma_mc(big, CIRCLE, n_samples=1000, seed=1)
+    for graph in (G1, G3, big):
+        with pytest.raises(UnsupportedGraph):
+            a_gamma_mc(graph, CIRCLE, n_samples=1000, seed=1)
 
 
 def test_quadrature_oracle_rejects_internal_vertices():
@@ -299,31 +291,27 @@ def _oracle_mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll):
         mm = todo.size
         tv = np.sort(rng.random((mm, n)), axis=1)
         knot_pts, knot_tan = curve.eval_with_deriv(tv)
-        if t:
-            centers = rng.integers(0, n, size=(mm, t))
-            use_near = rng.random((mm, t)) < integrals.NEAR_WEIGHT
-            u = rng.random((mm, t))
-            c = np.cbrt(u)
-            radius = np.where(use_near, r_near * u, r0 * c / np.maximum(1.0 - c, 1e-15))
-            direction = rng.normal(size=(mm, t, 3))
-            direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-            anchor = np.take_along_axis(knot_pts, centers[..., None], axis=1)
-            xv = anchor + radius[..., None] * direction
-            diff = xv[:, :, None, :] - knot_pts[:, None, :, :]
-            dist = np.linalg.norm(diff, axis=-1)
-            tail = 3.0 * r0 / (integrals.FOUR_PI * (r0 + dist) ** 4)
-            with np.errstate(divide="ignore"):
-                near = np.where(
-                    dist < r_near,
-                    1.0 / (integrals.FOUR_PI * np.maximum(dist, 1e-300) ** 2 * r_near),
-                    0.0,
-                )
-            nw = integrals.NEAR_WEIGHT
-            q = ((1.0 - nw) * tail + nw * near).mean(axis=2)
-            w = 1.0 / (n_fact * np.prod(q, axis=1))
-        else:
-            xv = np.zeros((mm, 0, 3))
-            w = np.full(mm, 1.0 / n_fact)
+        centers = rng.integers(0, n, size=(mm, t))
+        use_near = rng.random((mm, t)) < integrals.NEAR_WEIGHT
+        u = rng.random((mm, t))
+        c = np.cbrt(u)
+        radius = np.where(use_near, r_near * u, r0 * c / np.maximum(1.0 - c, 1e-15))
+        direction = rng.normal(size=(mm, t, 3))
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        anchor = np.take_along_axis(knot_pts, centers[..., None], axis=1)
+        xv = anchor + radius[..., None] * direction
+        diff = xv[:, :, None, :] - knot_pts[:, None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        tail = 3.0 * r0 / (integrals.FOUR_PI * (r0 + dist) ** 4)
+        with np.errstate(divide="ignore"):
+            near = np.where(
+                dist < r_near,
+                1.0 / (integrals.FOUR_PI * np.maximum(dist, 1e-300) ** 2 * r_near),
+                0.0,
+            )
+        nw = integrals.NEAR_WEIGHT
+        q = ((1.0 - nw) * tail + nw * near).mean(axis=2)
+        w = 1.0 / (n_fact * np.prod(q, axis=1))
         vals, bad = integrand.evaluate_batch(knot_pts, knot_tan, xv, eps_coll)
         weights[todo], values[todo] = w, vals
         todo = todo[bad]
@@ -377,7 +365,7 @@ def _rows_with_eps_coll(monkeypatch, eps_coll):
 # 100 samples: one group of all 64 batches; 25,000: groups of 10, the last
 # of 4; 200,000: one batch per group
 @pytest.mark.parametrize("n_samples", [100, 25_000, 200_000])
-@pytest.mark.parametrize("graph", [G1, G2], ids=["crossed", "tripod"])
+@pytest.mark.parametrize("graph", [G2], ids=["tripod"])
 @pytest.mark.parametrize("name", ["trefoil", "torus_2_5"])
 def test_group_pass_matches_batch_by_batch_oracle(name, graph, n_samples):
     curve = bundled_curve(name)

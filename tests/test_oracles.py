@@ -7,7 +7,7 @@ ORACLES = Path(__file__).with_name("oracles.py")
 
 #: What ``oracles.py`` may take from graphflow: data types, errors and constants.
 ALLOWED = {"DecoratedGraph", "GaussDiagram", "IntegralEstimate", "KnotCurve"}
-ALLOWED |= {"GraphflowError", "UnsupportedGraph", "COMPONENT_ORIENT", "FOUR_PI", "MAX_WEDGE_DIM"}
+ALLOWED |= {"GraphflowError", "UnsupportedGraph", "COMPONENT_ORIENT", "FOUR_PI"}
 #: Production code that the oracles are compared against.
 CHECKED = {"CompiledIntegrand", "a2_oracle", "a_gamma_mc", "kernel_basis", "delta"}
 CHECKED |= {"_candidate_pairs", "sq_distance_blocks", "min_distance", "diameter"}
