@@ -34,6 +34,7 @@ from .errors import (
 from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs, knot_order2_cocycle
 from .integrals import (
     DEFAULT_SEED,
+    MC_MAX_SAMPLES,
     X_GRID,
     linking_integral,
     resolve_workers,
@@ -290,7 +291,8 @@ def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
     type=float,
     default=1e6,
     show_default=True,
-    help="Samples per Monte Carlo term, rounded down to a multiple of 64 (at least 64).",
+    help="Samples per Monte Carlo term, rounded down to a multiple of 64 "
+    f"(at least 64, at most {MC_MAX_SAMPLES}).",
 )
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--workers", type=int, default=None)

@@ -65,6 +65,8 @@ class KnotCurve:
             pts = np.asarray(points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
                 raise InvalidParams("polyline needs at least 3 points of dimension 3")
+            if not np.isfinite(pts).all():
+                raise InvalidParams("polyline points must be finite")
             scale = np.max(np.abs(pts)) or 1.0
             if np.linalg.norm(pts[0] - pts[-1]) < 1e-12 * scale:
                 pts = pts[:-1]
@@ -78,6 +80,8 @@ class KnotCurve:
                 raise InvalidParams("need cosine coefficients for 3 coordinates")
             if sin_coeffs.shape != (3, self.cos_coeffs.shape[1] - 1):
                 raise InvalidParams("sine coefficients must cover harmonics 1..H")
+            if not (np.isfinite(self.cos_coeffs).all() and np.isfinite(sin_coeffs).all()):
+                raise InvalidParams("Fourier coefficients must be finite")
             self.sin_coeffs = sin_coeffs
             # rows match the basis of _harmonics: 1, cos 2pi t, sin 2pi t, cos 4pi t, ...
             # built here rather than lazily because threads share the curve

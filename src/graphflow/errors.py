@@ -18,7 +18,7 @@ class NotContractible(GraphflowError):
 
 
 class ResourceLimit(GraphflowError):
-    """Enumeration would exceed the configured vertex/edge bounds."""
+    """A request exceeds a bound: enumeration's vertex/edge bounds or the sample count."""
 
 
 class GradeMismatch(GraphflowError):

@@ -59,8 +59,8 @@ class CompiledIntegrand:
         for k in range(self.n):
             v = xvals[:, 0] - pos[:, k]
             r2 = np.einsum("bi,bi->b", v, v)
-            bad |= r2 <= eps_coll**2
-            denom = FOUR_PI * np.maximum(r2, 1e-300) ** 1.5
+            bad |= (near := r2 <= eps_coll**2)
+            denom = FOUR_PI * np.where(near, 1.0, r2) ** 1.5  # flagged rows: no 0/0
             fields.append([c / denom for c in _cross(v, tan[:, k])])
         b1, b2, b3 = fields
         # products left to right, summed from the first term: V2_SHA256 pins it

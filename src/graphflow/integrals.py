@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import SEPARATION_SAMPLES, KnotCurve, min_distance
-from .errors import CurvesIntersect, InvalidParams, UnsupportedGraph
+from .errors import CurvesIntersect, InvalidParams, ResourceLimit, UnsupportedGraph
 from .forms import FOUR_PI, CompiledIntegrand
 from .graphs import (
     DecoratedGraph,
@@ -56,6 +56,9 @@ DEFAULT_SEED = 20259
 #: Finest grid of the crossed-chord quadrature in v2.
 X_GRID = 512
 MC_BATCHES = 64
+#: Most samples of one ``a_gamma_mc`` run: a pass peaks near 520 bytes a
+#: row, so 2**22 rows per batch keep a group near 2.2 GB per worker.
+MC_MAX_SAMPLES = 2**28
 #: Most rows of one sampling pass: consecutive batches of m samples are
 #: drawn and evaluated together, max(1, MC_ROWS // m) at a time.
 MC_ROWS = 4096
@@ -331,6 +334,8 @@ def a_gamma_mc(
     """
     if n_samples < 1:
         raise InvalidParams(f"need at least one sample, got {n_samples}")
+    if n_samples > MC_MAX_SAMPLES:
+        raise ResourceLimit(f"at most {MC_MAX_SAMPLES} samples, got {n_samples}")
     if seed < 0:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
     integrand = CompiledIntegrand(graph)

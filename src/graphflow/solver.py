@@ -1,43 +1,32 @@
-"""Exact rational linear algebra for the coboundary matrix and its kernel."""
+"""Exact rational linear algebra for the coboundary matrix and its kernel:
+sparse rows of Fractions, read straight from ``delta``, reduced exactly."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GradeMismatch
 from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs, graph_grade
 
 
+@dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of exact rationals."""
+    """Sparse rational matrix: ``sparse_rows[r]`` maps row r's nonzero columns to entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    cols: int
+    sparse_rows: list[dict[int, Fraction]]
 
-    def __init__(self, entries, cols: int | None = None):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else (cols or 0)
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged rows")
+    @property
+    def rows(self) -> int:
+        return len(self.sparse_rows)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        m = cls.__new__(cls)
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        """Dense rows, built on each access, for the benchmark's kernel
+        check and the dense test oracles only; it goes once that check
+        reads ``sparse_rows`` (ROADMAP item 1)."""
         zero = Fraction(0)
-        m.entries = [[zero] * cols for _ in range(rows)]
-        m.rows, m.cols = rows, cols
-        return m
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r][c]
-
-    def __setitem__(self, rc, value):
-        r, c = rc
-        self.entries[r][c] = Fraction(value)
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
+        return [[row.get(c, zero) for c in range(self.cols)] for row in self.sparse_rows]
 
 
 def delta_matrix(
@@ -45,16 +34,17 @@ def delta_matrix(
 ) -> tuple[list[DecoratedGraph], list[DecoratedGraph], RationalMatrix]:
     """Matrix of the coboundary from degree 0 to degree 1 at fixed order.
 
-    Column k expresses delta(basis0[k]) in basis1.
+    Column k expresses delta(basis0[k]) in basis1; columns are filled in
+    ascending order, so every row's keys ascend.
     """
     basis0 = enumerate_graphs(flavor, order, 0, connected=True)
     basis1 = enumerate_graphs(flavor, order, 1, connected=True)
     index = {g: r for r, g in enumerate(basis1)}
-    m = RationalMatrix.zeros(len(basis1), len(basis0))
+    rows: list[dict[int, Fraction]] = [{} for _ in basis1]
     for c, g in enumerate(basis0):
         for term, coeff in delta(g).items():
-            m[index[term], c] = coeff
-    return basis0, basis1, m
+            rows[index[term]][c] = coeff
+    return basis0, basis1, RationalMatrix(len(basis0), rows)
 
 
 def _rref(m: RationalMatrix) -> list[tuple[int, dict[int, Fraction]]]:
@@ -62,10 +52,10 @@ def _rref(m: RationalMatrix) -> list[tuple[int, dict[int, Fraction]]]:
 
     Columns are eliminated left to right, each with the first remaining
     row that has an entry there; every pivot row is scaled to a leading 1
-    and the pivot column is cleared from all other rows.
+    and the pivot column is cleared from all other rows.  Works on copies
+    of the rows of ``m``.
     """
-    pending = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
-    pending = [row for row in pending if row]
+    pending = [dict(row) for row in m.sparse_rows if row]
     pivots: list[tuple[int, dict[int, Fraction]]] = []
     for c in range(m.cols):
         k = next((k for k, row in enumerate(pending) if c in row), None)
@@ -103,8 +93,6 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     deterministic basis order used to build the matrix.  The vector of
     free column fc is e_fc - sum over pivot rows r of R[r, fc] e_pc(r).
     """
-    if m.cols == 0:
-        return []
     # the pivot-column entries of each free column's vector, by column
     entries: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in range(m.cols)}
     for pc, row in _rref(m):

@@ -359,23 +359,22 @@ def a_gamma_quadrature(
 # --- dense exact matrix products ---
 
 
-def matvec(m, v: list[Fraction]) -> list[Fraction]:
-    """Product of a ``RationalMatrix`` and a vector of rationals."""
-    if len(v) != m.cols:
+def matvec(m: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
+    """Product of dense rows of rationals and a vector."""
+    if any(len(row) != len(v) for row in m):
         raise ValueError("length mismatch")
-    return [sum((row[c] * v[c] for c in range(m.cols)), Fraction(0)) for row in m.entries]
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m]
 
 
-def matmul(a, b) -> list[list[Fraction]]:
-    """Entries of the product of two ``RationalMatrix`` objects."""
-    if a.cols != b.rows:
+def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Product of two matrices given as dense rows of rationals."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("shape mismatch")
-    out = [[Fraction(0)] * b.cols for _ in range(a.rows)]
+    out = [[Fraction(0)] * (len(b[0]) if b else 0) for _ in a]
     # the coboundary matrices are almost all zeros: visit nonzeros only
-    nonzero = [[(c, y) for c, y in enumerate(row) if y] for row in b.entries]
-    for r in range(a.rows):
-        for k in range(a.cols):
-            x = a.entries[r][k]
+    nonzero = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    for r, row in enumerate(a):
+        for k, x in enumerate(row):
             if not x:
                 continue
             for c, y in nonzero[k]:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -10,12 +12,14 @@ from graphflow.curves import load_curve, round_circle
 from graphflow.diagrams import a2_of_curve
 from graphflow.graphs import knot_order2_cocycle, theta_graph
 from graphflow.integrals import (
+    MC_MAX_SAMPLES,
     X_GRID,
     linking_integral,
     sln_integral,
     split_cocycle_terms,
     v2_invariant,
 )
+from graphflow.solver import RationalMatrix
 import oracles
 
 
@@ -209,6 +213,38 @@ def test_param_bounds_exit_code(args, code, tmp_path):
         assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
 
 
+@pytest.mark.parametrize("samples", ["1e15", "1e30"])
+def test_v2_samples_above_the_limit_exit_3(samples):
+    assert float(samples) > MC_MAX_SAMPLES
+    args = ["knot", "v2", "--curve", "circle", "--samples", samples, "--no-cache"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
+
+
+def _nonfinite_curve(kind: str, bad: float) -> dict:
+    if kind == "fourier":
+        obj = load_curve("trefoil").to_json_obj()
+        obj["harmonics"][0][0][1] = bad
+        return obj
+    circle = round_circle(1.0).eval(np.arange(64) / 64).tolist()
+    circle[17][2] = bad
+    return {"type": "polyline", "points": circle}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["fourier", "polyline"])
+def test_nonfinite_curve_exit_2(kind, bad, tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(_nonfinite_curve(kind, bad)))  # writes NaN / Infinity
+    result = CliRunner().invoke(
+        main, ["knot", "sln", "--curve", str(path), "--cache-dir", str(tmp_path / "c")]
+    )
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+    assert not (tmp_path / "c").exists()  # nothing cached
+
+
 def test_v2_repeat_runs_byte_identical(tmp_path, monkeypatch):
     args = [
         "knot",
@@ -280,6 +316,17 @@ def test_cocycles_stdout_pinned(flavor, order):
     res = run("graphs", "cocycles", "--flavor", flavor, "--order", str(order))
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == COCYCLES_SHA256[(flavor, order)]
+
+
+@pytest.mark.parametrize("flavor", ["manifold", "knot"])
+def test_cocycles_never_read_the_dense_view(flavor, monkeypatch):
+    def refuse(self):
+        raise AssertionError("graphs cocycles read RationalMatrix.entries")
+
+    monkeypatch.setattr(RationalMatrix, "entries", property(refuse))
+    res = run("graphs", "cocycles", "--flavor", flavor, "--order", "2")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == COCYCLES_SHA256[(flavor, 2)]
 
 
 #: sha256 of the stdout of ``knot v2 --curve K --samples 2e4 --seed 11

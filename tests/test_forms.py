@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,16 @@ def test_compiled_matches_scalar_wedge():
         slow = wedge_top(forms, conf.dim)
         assert fast[row] == pytest.approx(slow, rel=1e-10)
 
+
+def test_exact_collision_is_flagged_without_a_warning():
+    """A spatial vertex on a knot point is flagged, with no 0/0."""
+    tref = make_torus_knot(2, 3, 2.0, 0.5)
+    tvals = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.8]])
+    pos, tan = tref.eval_with_deriv(tvals)
+    xvals = np.array([pos[0, 1], [0.3, -0.2, 0.9]])[:, None, :]
+    ci = CompiledIntegrand(knot_order2_graphs()[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, bad = ci.evaluate_batch(pos, tan, xvals, 1e-9)
+    assert bad.tolist() == [True, False]
+    assert np.isfinite(values).all()

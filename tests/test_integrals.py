@@ -12,7 +12,7 @@ from graphflow.curves import (
     scaled,
 )
 from graphflow import integrals
-from graphflow.errors import CurvesIntersect, UnsupportedGraph
+from graphflow.errors import CurvesIntersect, ResourceLimit, UnsupportedGraph
 from graphflow.forms import CompiledIntegrand
 from graphflow.graphs import knot_order2_cocycle, knot_order2_graphs
 from graphflow.integrals import (
@@ -390,6 +390,12 @@ def test_group_pass_gives_up_after_64_draws_per_sample(monkeypatch):
     with pytest.raises(UnsupportedGraph, match="^collision guard kept rejecting samples$"):
         _oracle_a_gamma_mc(G2, TREFOIL, 100, seed=31)
     assert rows == [1] * 64
+
+
+def test_sample_count_above_the_limit_raises_before_sampling(monkeypatch):
+    monkeypatch.setattr(integrals, "_mc_group", None)  # a call would fail with TypeError
+    with pytest.raises(ResourceLimit):
+        a_gamma_mc(G2, TREFOIL, n_samples=integrals.MC_MAX_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("n_samples", [100, 25_000])

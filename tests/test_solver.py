@@ -23,26 +23,34 @@ from oracles import is_zero, matmul, matvec
 M, K = Flavor.MANIFOLD, Flavor.KNOT
 
 
+def _matrix(dense: list[list[Fraction]], cols: int | None = None) -> RationalMatrix:
+    """The sparse production matrix of dense rows; ``cols`` when there are none."""
+    cols = len(dense[0]) if dense else cols
+    return RationalMatrix(cols, [{c: Fraction(x) for c, x in enumerate(row) if x} for row in dense])
+
+
 def test_kernel_of_zero_matrix():
-    assert kernel_basis(RationalMatrix.zeros(2, 2)) == [
+    assert kernel_basis(_matrix([[0, 0], [0, 0]])) == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
     ]
 
 
 def test_kernel_of_identity():
-    eye = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert kernel_basis(eye) == []
 
 
 def test_kernel_vectors_normalized_and_exact():
-    m = RationalMatrix([[Fraction(1, 3), Fraction(2, 5), 1], [0, 0, 0]])
+    dense = [[Fraction(1, 3), Fraction(2, 5), 1], [0, 0, 0]]
+    m = _matrix(dense)
     basis = kernel_basis(m)
     assert len(basis) == 2
     for v in basis:
         lead = next(x for x in v if x)
         assert lead == 1
-        assert all(x == 0 for x in matvec(m, v))
+        assert all(x == 0 for x in matvec(dense, v))
+    assert m == _matrix(dense)  # the elimination works on copies of the rows
 
 
 def test_delta_matrix_columns_match_paper():
@@ -51,8 +59,8 @@ def test_delta_matrix_columns_match_paper():
     r1, r2 = canonicalize(g1), canonicalize(g2)
     c1, c2 = basis0.index(r1.graph), basis0.index(r2.graph)
     # express the coboundary of the drawn representatives
-    col1 = [m[r, c1] * r1.sign for r in range(m.rows)]
-    col2 = [m[r, c2] * r2.sign for r in range(m.rows)]
+    col1 = [row[c1] * r1.sign for row in m.entries]
+    col2 = [row[c2] * r2.sign for row in m.entries]
     nz1 = [(r, x) for r, x in enumerate(col1) if x]
     nz2 = [(r, x) for r, x in enumerate(col2) if x]
     assert len(nz1) == 1 and len(nz2) == 1
@@ -64,7 +72,7 @@ def test_delta_matrix_columns_match_paper():
 def test_delta_matrix_theta_column_zero():
     basis0, _, m = delta_matrix(M, 1)
     c = basis0.index(theta_graph(M))
-    assert all(m[r, c] == 0 for r in range(m.rows))
+    assert all(row[c] == 0 for row in m.entries)
 
 
 def test_knot_delta_matrix_columns():
@@ -73,7 +81,7 @@ def test_knot_delta_matrix_columns():
     for g in knot_order2_graphs():
         res = canonicalize(g)
         c = basis0.index(res.graph)
-        cols[g.n_ext] = [m[r, c] * res.sign for r in range(m.rows)]
+        cols[g.n_ext] = [row[c] * res.sign for row in m.entries]
     mags = {
         n_ext: sorted(abs(x) for x in col if x) for n_ext, col in cols.items()
     }
@@ -88,18 +96,18 @@ def test_kernel_contains_paper_cocycle(flavor):
     cocycle = manifold_order2_cocycle() if flavor is M else knot_order2_cocycle()
     vec = [cocycle.coefficient(g) for g in basis0]
     assert any(vec)
-    assert all(x == 0 for x in matvec(m, vec))
+    assert all(x == 0 for x in matvec(m.entries, vec))
     # the vector lies in the span of the kernel: residual after projecting
     # onto pivot-free coordinates must vanish; verify via rank argument
     basis = kernel_basis(m)
-    aug = RationalMatrix([list(v) for v in basis] + [vec])
+    aug = [list(v) for v in basis] + [vec]
     assert len(kernel_basis_transpose_rank(aug)) == len(basis)
 
 
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
+def _integer_rows(m: list[list[Fraction]]) -> list[list[int]]:
     """Rows scaled to integers; row scaling leaves rank and kernel unchanged."""
     int_rows = []
-    for row in m.entries:
+    for row in m:
         mult = lcm(*(x.denominator for x in row)) if row else 1
         int_rows.append([int(x * mult) for x in row])
     return int_rows
@@ -133,26 +141,25 @@ def _row_echelon_fraction_free(m: list[list[int]]) -> tuple[list[list[int]], lis
     return m, piv_cols
 
 
-def kernel_basis_transpose_rank(m: RationalMatrix):
-    """Pivot columns of the row space, from the Bareiss oracle."""
+def kernel_basis_transpose_rank(m: list[list[Fraction]]):
+    """Pivot columns of the row space of dense rows, from the Bareiss oracle."""
     _, piv = _row_echelon_fraction_free(_integer_rows(m))
     return piv
 
 
-def _kernel_basis_oracle(m: RationalMatrix) -> list[list[Fraction]]:
-    """Kernel by Bareiss elimination and per-free-column back-substitution."""
-    if m.cols == 0:
-        return []
+def _kernel_basis_oracle(m: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
+    """Kernel of dense rows by Bareiss elimination and per-free-column
+    back-substitution."""
     echelon, piv_cols = _row_echelon_fraction_free(_integer_rows(m))
     piv_set = set(piv_cols)
     basis = []
-    for fc in (c for c in range(m.cols) if c not in piv_set):
-        v = [Fraction(0)] * m.cols
+    for fc in (c for c in range(cols) if c not in piv_set):
+        v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r in range(len(piv_cols) - 1, -1, -1):
             pc = piv_cols[r]
             s = sum(
-                (Fraction(echelon[r][c]) * v[c] for c in range(pc + 1, m.cols) if v[c]),
+                (Fraction(echelon[r][c]) * v[c] for c in range(pc + 1, cols) if v[c]),
                 Fraction(0),
             )
             v[pc] = -s / echelon[r][pc]
@@ -163,8 +170,9 @@ def _kernel_basis_oracle(m: RationalMatrix) -> list[list[Fraction]]:
 
 @st.composite
 def sparse_rational_matrices(draw):
-    """Mostly zero entries, as in coboundary matrices; some rows repeat an
-    earlier row up to scale, so that the rank drops."""
+    """Dense rows and a column count.  Mostly zero entries, as in
+    coboundary matrices; some rows repeat an earlier row up to scale, so
+    that the rank drops."""
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 9))
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     out = []
@@ -175,13 +183,14 @@ def sparse_rational_matrices(draw):
             out.append([scale * x for x in earlier])
         else:
             out.append([draw(entry) if draw(st.integers(0, 3)) == 0 else Fraction(0) for _ in range(cols)])
-    return RationalMatrix(out, cols=cols)
+    return out, cols
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_rational_matrices())
-def test_kernel_basis_matches_bareiss_back_substitution(m):
-    assert kernel_basis(m) == _kernel_basis_oracle(m)
+def test_kernel_basis_matches_bareiss_back_substitution(dense_cols):
+    dense, cols = dense_cols
+    assert kernel_basis(_matrix(dense, cols)) == _kernel_basis_oracle(dense, cols)
 
 
 @pytest.mark.parametrize("flavor", [M, K])
@@ -189,7 +198,7 @@ def test_kernel_basis_matches_bareiss_back_substitution(m):
 def test_rank_nullity(flavor, order):
     _, _, m = delta_matrix(flavor, order)
     basis = kernel_basis(m)
-    rank = len(kernel_basis_transpose_rank(m))
+    rank = len(kernel_basis_transpose_rank(m.entries))
     assert len(basis) + rank == m.cols
 
 
@@ -197,27 +206,24 @@ def test_rank_nullity(flavor, order):
 @pytest.mark.parametrize("order", [2, 3])
 def test_delta_matrices_compose_to_zero(flavor, order):
     """Matrix of the coboundary deg 1 -> 2 times deg 0 -> 1 is zero."""
-    basis0 = enumerate_graphs(flavor, order, 0)
-    basis1 = enumerate_graphs(flavor, order, 1)
-    basis2 = enumerate_graphs(flavor, order, 2)
-    idx1 = {g: r for r, g in enumerate(basis1)}
-    idx2 = {g: r for r, g in enumerate(basis2)}
-    m01 = RationalMatrix.zeros(len(basis1), len(basis0))
-    for c, g in enumerate(basis0):
-        for term, coeff in delta(g).items():
-            m01[idx1[term], c] = coeff
-    m12 = RationalMatrix.zeros(len(basis2), len(basis1))
-    for c, g in enumerate(basis1):
-        for term, coeff in delta(g).items():
-            m12[idx2[term], c] = coeff
-    assert is_zero(matmul(m12, m01))
+    basis0, basis1, basis2 = (enumerate_graphs(flavor, order, d) for d in range(3))
+
+    def dense(source, target):
+        index = {g: r for r, g in enumerate(target)}
+        out = [[Fraction(0)] * len(source) for _ in target]
+        for c, g in enumerate(source):
+            for term, coeff in delta(g).items():
+                out[index[term]][c] = coeff
+        return out
+
+    assert is_zero(matmul(dense(basis1, basis2), dense(basis0, basis1)))
 
 
 def test_matmul_matches_dense_triple_loop():
-    a = RationalMatrix([[1, 0, Fraction(1, 2)], [0, 0, 0], [0, -3, 2]])
-    b = RationalMatrix([[0, 2], [Fraction(1, 3), 0], [0, 0]])
+    a = [[1, 0, Fraction(1, 2)], [0, 0, 0], [0, -3, 2]]
+    b = [[0, 2], [Fraction(1, 3), 0], [0, 0]]
     expect = [
-        [sum((a[r, k] * b[k, c] for k in range(3)), Fraction(0)) for c in range(2)]
+        [sum((a[r][k] * b[k][c] for k in range(3)), Fraction(0)) for c in range(2)]
         for r in range(3)
     ]
     assert matmul(a, b) == expect
