@@ -12,6 +12,14 @@ single-edge contractions of regular edges and squares to zero.
 ``enumerate_graphs`` lists each class once by orderly generation: an
 edge list grows only while it is its orbit's minimum, as every prefix
 of an orbit minimum is.
+
+Relabelings are compared as packed pair-multiplicity vectors: each
+vertex pair's count is a digit of a stack of int64 words, the first
+pair in lex order most significant.  Of two equal-size edge multisets,
+the one with the larger vector has the lexicographically smaller sorted
+edge list: at the first pair whose counts differ, it has that pair next
+where the other has a larger one.  So an orbit's minimum is the
+relabeling with the largest vector, and nothing is sorted.
 """
 
 from __future__ import annotations
@@ -210,88 +218,72 @@ class CanonicalResult:
         return cls(None, 0)
 
 
-def _perm_parity(perm: tuple[int, ...]) -> int:
-    """Parity (0/1) of a permutation given as a tuple of images of 0..n-1."""
-    seen = [False] * len(perm)
-    parity = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 @lru_cache(maxsize=None)
-def _group(flavor: Flavor, n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
+def _group(n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
     """Admissible relabelings as a (|G|, V+1) image array and parities.
 
     Manifold: all permutations of 1..V.  Knot: cyclic rotations of the
     external labels composed with all internal permutations.  Row k maps
-    label v to ``images[k, v]``; column 0 is unused.  ResourceLimit past
-    the MAX_VERTICES! relabelings that ``enumerate_graphs`` can need.
+    label v to ``images[k, v]``; column 0 is unused, and row 0 is the
+    identity.  ResourceLimit past MAX_VERTICES! relabelings.
     """
-    size = factorial(n_int) * (n_ext if flavor is Flavor.KNOT else 1)
+    size = factorial(n_int) * max(n_ext, 1)
     if size > factorial(MAX_VERTICES):
         raise ResourceLimit(f"{size} relabelings exceed the bound {MAX_VERTICES}!")
-    if flavor is Flavor.MANIFOLD:
-        rotations = [((), 0)]
-    else:
-        # rotation by k steps of n_ext labels has parity (n_ext-1)*k
-        rotations = [
-            (tuple((i + k) % n_ext + 1 for i in range(n_ext)), ((n_ext - 1) * k) & 1)
-            for k in range(n_ext)
-        ]
-    images, parity = [], []
-    for rot, rot_par in rotations:
-        for p in itertools.permutations(range(n_int)):
-            images.append((0,) + rot + tuple(x + n_ext + 1 for x in p))
-            parity.append(rot_par ^ _perm_parity(p))
-    images_arr, parity_arr = np.array(images, dtype=np.intp), np.array(parity)
-    images_arr.flags.writeable = parity_arr.flags.writeable = False
-    return images_arr, parity_arr
+    rotations = [tuple((i + k) % n_ext + 1 for i in range(n_ext)) for k in range(n_ext)] or [()]
+    perms = list(itertools.permutations(range(n_ext + 1, n_ext + n_int + 1)))
+    images = np.array([(0,) + rot + p for rot in rotations for p in perms], dtype=np.intp)
+    # rotating k steps has parity (n_ext-1)*k; a permutation, that of its inversions
+    i, j = np.triu_indices(n_int, 1)
+    flips = np.count_nonzero(images[:, n_ext + 1 + i] > images[:, n_ext + 1 + j], axis=1)
+    odd = ((n_ext - 1) * (np.arange(len(images)) // len(perms)) + flips) & 1 == 1
+    images.flags.writeable = odd.flags.writeable = False
+    return images, odd
 
 
-def _relabel(
-    flavor: Flavor, n_ext: int, n_int: int, enc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every admissible relabeling of the oriented edge lists ``enc``,
-    shape (..., E, 2), at once.
-
-    ``codes[k]`` is ``enc`` under the k-th relabeling with each edge
-    oriented ascending, encoded as lo*(V+1)+hi, and sorted along the
-    last axis; ``signs[k]`` is (-1)^(parity + reversed edges).  Row 0 is
-    the identity.
+@lru_cache(maxsize=None)
+def _digits(nv: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed layout of pair-multiplicity vectors on nv vertices:
+    (pairs, index, onehot).  ``pairs`` lists the pairs i < j in lex order,
+    ``index[i, j] = index[j, i]`` is a pair's position there, and
+    ``onehot[p]`` the (W,) int64 words of one copy of pair p.  A count
+    is a ``width``-bit digit, 63 // width to a word, the first pair most
+    significant, so vectors are exact below 2**width copies of a pair.
     """
-    images, parity = _group(flavor, n_ext, n_int)
-    a, b = images[:, enc[..., 0]], images[:, enc[..., 1]]
-    flips = np.count_nonzero(a > b, axis=-1)
-    codes = np.sort(np.minimum(a, b) * (n_ext + n_int + 1) + np.maximum(a, b), axis=-1)
-    signs = 1 - 2 * ((parity.reshape((-1,) + (1,) * (flips.ndim - 1)) + flips) & 1)
-    return codes, signs
+    pairs = np.stack(np.triu_indices(nv, 1), axis=1) + 1
+    index = np.zeros((nv + 1, nv + 1), dtype=np.intp)
+    index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    per = 63 // width
+    word, digit = np.divmod(np.arange(len(pairs))[:, None], per)
+    shift = width * (per - 1 - digit)
+    onehot = np.where(word == np.arange(-(-len(pairs) // per)), 1 << shift, 0)
+    for arr in (pairs, index, onehot):
+        arr.flags.writeable = False
+    return pairs, index, onehot
 
 
 def canonicalize(g: DecoratedGraph) -> CanonicalResult:
-    """Reduce to the lexicographically minimal admissible relabeling.
+    """Reduce to the lexicographically minimal admissible relabeling:
+    the first with the largest packed multiplicity vector (module docstring).
 
     Returns Zero when some admissible symmetry fixes the underlying
     encoding with sign -1, i.e. the graph equals its own negative.
     """
-    enc = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
-    codes, signs = _relabel(g.flavor, g.n_ext, g.n_int, enc)
-    # without edges every row is empty, and the sign alone decides
-    best = int(np.lexsort(codes.T[::-1])[0]) if g.edges else 0
-    ties = signs[(codes == codes[best]).all(axis=1)]
-    if (ties != signs[best]).any():
+    images, odd = _group(g.n_ext, g.n_int)
+    _, index, onehot = _digits(g.n_vertices, max(1, g.n_edges.bit_length()))
+    ends = images[:, np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)]
+    odd = odd ^ np.logical_xor.reduce(ends[..., 0] > ends[..., 1], axis=1)
+    vectors = onehot[index[ends[..., 0], ends[..., 1]]].sum(axis=1)
+    ties = np.arange(len(vectors))
+    for column in vectors.T:  # narrow to the lexicographically largest
+        column = column[ties]
+        ties = ties[column == column.max()]
+    best = ties[0]
+    if (odd[ties] != odd[best]).any():
         return CanonicalResult.zero()
-    nv1 = g.n_vertices + 1
-    edges = tuple(divmod(c, nv1) for c in codes[best].tolist())
-    return CanonicalResult(DecoratedGraph(g.flavor, g.n_ext, g.n_int, edges), int(signs[best]))
+    edges = tuple(sorted(map(tuple, np.sort(ends[best], axis=1).tolist())))
+    canonical = DecoratedGraph(g.flavor, g.n_ext, g.n_int, edges)
+    return CanonicalResult(canonical, -1 if odd[best] else 1)
 
 
 # --- contraction and coboundary ---
@@ -459,24 +451,22 @@ def graph_grade(s: GraphSum) -> tuple[int, int]:
 
 
 def _grading_combos(flavor: Flavor, order: int, degree: int) -> list[tuple[int, int, int]]:
-    """(n_ext, n_int, n_edges) combos realizing the grade."""
-    combos = []
+    """(n_ext, n_int, n_edges) combos realizing the grade; ResourceLimit
+    at the first past MAX_VERTICES or MAX_EDGES, before the next is built."""
+    v = 2 * order - degree
     if flavor is Flavor.MANIFOLD:
-        v = 2 * order - degree
-        e = 3 * order - degree
-        if v >= 2 and e >= 0:
-            combos.append((0, v, e))
+        shapes = [(0, v, v + order)] if v >= 2 and v + order >= 0 else []
     else:
-        # E = order + Vi, Ve = 2*order - Vi - degree
-        vi = 0
-        while True:
-            ve = 2 * order - vi - degree
-            e = order + vi
-            if ve < 2:
-                break
-            if e >= 0:
-                combos.append((ve, vi, e))
-            vi += 1
+        # Vi internal vertices among V, E = order + Vi, Ve = V - Vi >= 2
+        shapes = ((v - vi, vi, order + vi) for vi in range(max(0, -order), v - 1))
+    combos = []
+    for n_ext, n_int, n_edges in shapes:
+        if n_ext + n_int > MAX_VERTICES or n_edges > MAX_EDGES:
+            raise ResourceLimit(
+                f"grade (ord={order}, deg={degree}) needs V={n_ext + n_int}, E={n_edges} "
+                f"(bounds {MAX_VERTICES}, {MAX_EDGES})"
+            )
+        combos.append((n_ext, n_int, n_edges))
     return combos
 
 
@@ -530,16 +520,19 @@ def enumerate_graphs(
     """All canonical nonzero decorated graphs of the given grade.
 
     Orderly generation (Read 1978; McKay 1998): edges are appended in
-    lex order while the sorted code row is the minimum of its orbit.  A
-    prefix P of an orbit minimum S is one too: under any relabeling the
-    |P| smallest codes of S are entrywise at most the sorted codes of P.
-    So each minimum is reached once, with no record of covered labelings.
+    lex order while the edge list is the minimum of its orbit, that is
+    while no relabeling's packed multiplicity vector is above its own
+    (module docstring).  A prefix P of an orbit minimum S is one too:
+    under any relabeling the |P| smallest edges of S are entrywise at
+    most the sorted edges of P.  So each minimum is reached once, with
+    no record of covered labelings.  Each prefix carries its vectors
+    under every relabeling, so an appended edge adds one precomputed row.
     Zero and connectivity are tested on full edge lists only, since a
     prefix that fails them can grow into a graph that passes.
 
     Deterministically ordered by encoding.  Raises InvalidParams for
     ``order < 1`` and ResourceLimit when the grade needs more than
-    MAX_VERTICES vertices or MAX_EDGES edges.
+    MAX_VERTICES vertices, MAX_EDGES edges or _TABLE table words.
     """
     if order < 1:
         raise InvalidParams(f"order must be at least 1, got {order}")
@@ -552,20 +545,17 @@ def _enumerate_cached(
 ) -> tuple[DecoratedGraph, ...]:
     result: list[DecoratedGraph] = []
     for n_ext, n_int, n_edges in _grading_combos(flavor, order, degree):
-        nv = n_ext + n_int
-        if nv > MAX_VERTICES or n_edges > MAX_EDGES:
-            raise ResourceLimit(
-                f"grade (ord={order}, deg={degree}) needs V={nv}, E={n_edges} "
-                f"(bounds {MAX_VERTICES}, {MAX_EDGES})"
-            )
         result.extend(_enumerate_combo(flavor, n_ext, n_int, n_edges, connected))
     result.sort(key=_sort_key)
     return tuple(result)
 
 
-#: Entries of the (|G|, candidates, edges) code array in one batch of
+#: Entries of the (candidates, |G|, W) packed words of one batch of
 #: extensions, the ~4e6 of ``integrals._gauss_blocks``.
 _BATCH = 4_000_000
+
+#: Words (512 MiB) of the largest relabeling table: 9 vertices fit, 10 only as knots.
+_TABLE = 2**26
 
 
 def _enumerate_combo(
@@ -574,45 +564,55 @@ def _enumerate_combo(
     """Orbit minima among the edge multisets, by orderly generation.
 
     Depth first, an edge list is extended by each edge not below its last
-    one, in batches, and an extension is kept when its identity row is
-    minimal.  With ``connected`` it is dropped once some vertex can get
-    no edge: a vertex below its last edge's lower endpoint has none yet,
-    or the edges left cannot touch every untouched vertex.
+    one, in batches, and an extension is kept when no relabeling's packed
+    vector is above the identity's: each prefix carries its (|G|, W)
+    vectors and reversal parities, and an edge adds its table row.  With
+    ``connected`` it is dropped once some vertex can get no edge: a vertex
+    below its last edge's lower endpoint has none yet, or the edges left
+    cannot touch every untouched vertex.
     """
     nv = n_ext + n_int
-    pairs = np.array([(i, j) for i in range(1, nv) for j in range(i + 1, nv + 1)], dtype=np.intp)
-    group_size = len(_group(flavor, n_ext, n_int)[0])
+    pairs, index, onehot = _digits(nv, n_edges.bit_length())
+    if factorial(n_int) * max(n_ext, 1) * onehot.size > _TABLE:
+        raise ResourceLimit(f"the relabeling table of V={nv} exceeds {_TABLE} words")
+    images, parity = _group(n_ext, n_int)
+    # pair p's digit and whether it is reversed, under each relabeling
+    words = np.empty((len(pairs), len(images), onehot.shape[1]), dtype=np.int64)
+    rev = np.empty(words.shape[:2], dtype=bool)
+    for p, (i, j) in enumerate(pairs):
+        words[p], rev[p] = onehot[index[images[:, i], images[:, j]]], images[:, i] > images[:, j]
     found: list[DecoratedGraph] = []
 
-    def extend(prefix: np.ndarray, first: int):
+    def extend(prefix: list[int], vectors: np.ndarray, odd: np.ndarray):
         k = len(prefix) + 1
-        cand = np.arange(first, len(pairs))
+        cand = np.arange(prefix[-1] if prefix else 0, len(pairs))
         if connected:
             free = np.ones(nv + 1, dtype=bool)
             free[0] = False
-            free[prefix] = False
+            free[pairs[prefix]] = False
             lo, hi = pairs[cand].T
             left = free.sum() - free[lo] - free[hi]
             cand = cand[(np.cumsum(free)[lo - 1] == 0) & (left <= 2 * (n_edges - k))]
-        step = max(1, _BATCH // (group_size * k))
+        step = max(1, _BATCH // words[0].size)
         for s in range(0, len(cand), step):
             batch = cand[s : s + step]
-            enc = np.concatenate(
-                (np.broadcast_to(prefix, (len(batch), k - 1, 2)), pairs[batch, None]), axis=1
-            )
-            codes, signs = _relabel(flavor, n_ext, n_int, enc)
-            diff = codes - codes[0]
-            # each row's first nonzero difference from the identity row
-            lead = np.take_along_axis(diff, (diff != 0).argmax(axis=-1)[..., None], -1)[..., 0]
-            minimal = ~(lead < 0).any(axis=0)
+            ext = vectors + words[batch]
+            # relabelings above the identity (row 0) at their first differing word
+            above, same = np.zeros(ext.shape[:2], dtype=bool), np.ones(ext.shape[:2], dtype=bool)
+            for w in range(ext.shape[2]):
+                above |= same & (ext[..., w] > ext[:, :1, w])
+                same &= ext[..., w] == ext[:, :1, w]
+            minimal = ~above.any(axis=1)
             if k < n_edges:
-                for r in np.flatnonzero(minimal).tolist():
-                    extend(enc[r], int(batch[r]))
+                # only the kept rows stay alive while the children run
+                kept, ext = batch[minimal].tolist(), ext[minimal]
+                for p, row in zip(kept, ext):
+                    extend(prefix + [p], row, odd ^ rev[p])
                 continue
-            # a row equal to the identity with sign -1 makes the class zero
-            zero = ((lead == 0) & (signs < 0)).any(axis=0)
+            # a relabeling equal to the identity with sign -1 makes the class zero
+            zero = (same & (odd ^ rev[batch])).any(axis=1)
             for r in np.flatnonzero(minimal & ~zero).tolist():
-                edges = tuple(map(tuple, enc[r].tolist()))
+                edges = tuple(map(tuple, pairs[prefix + [int(batch[r])]].tolist()))
                 # connectivity is orbit-invariant: checked once per orbit
                 if connected and not (
                     _is_connected(nv, edges) if flavor is Flavor.MANIFOLD
@@ -621,7 +621,7 @@ def _enumerate_combo(
                     continue
                 found.append(DecoratedGraph(flavor, n_ext, n_int, edges))
 
-    extend(np.empty((0, 2), dtype=np.intp), 0)
+    extend([], np.zeros(words.shape[1:], dtype=np.int64), parity)
     return found
 
 

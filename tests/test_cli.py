@@ -77,6 +77,23 @@ def test_resource_limit_exit_3():
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
 
+def test_manifold_order5_exit_3_before_building_its_table():
+    # 10! relabelings x 45 pairs x 3 words would take 3.9 GB
+    result = CliRunner().invoke(main, ["graphs", "enumerate", "--flavor", "manifold", "--order", "5"])
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
+
+
+@pytest.mark.parametrize("order", ["20000000", str(10**18)])
+def test_huge_order_exit_3_before_listing_combos(order):
+    # a knot grade has about 2*order combos; the first is already past
+    # MAX_VERTICES, so none of the others may be built
+    result = CliRunner().invoke(main, ["graphs", "enumerate", "--flavor", "knot", "--order", order])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,22 @@ def test_enumerate_resource_limit():
         enumerate_graphs(M, 6, 0)
 
 
+def test_relabeling_table_past_its_cap_raises(monkeypatch):
+    # manifold order 3, degree 0: 6! relabelings x 15 pairs x 1 word
+    monkeypatch.setattr(graphs_module, "_TABLE", 720 * 15 - 1)
+    with pytest.raises(ResourceLimit):
+        graphs_module._enumerate_combo(M, 0, 6, 9, True)
+    monkeypatch.setattr(graphs_module, "_TABLE", 720 * 15)
+    assert len(graphs_module._enumerate_combo(M, 0, 6, 9, True)) == 670
+
+
+def test_grade_past_the_bounds_raises_before_any_combo_is_enumerated():
+    # V = 10 fits, but E = 8 + Vi passes MAX_EDGES = 15 at Vi = 8, after
+    # eight combos that would each take a full orderly generation
+    with pytest.raises(ResourceLimit, match="V=10, E=16"):
+        _grading_combos(K, 8, 6)
+
+
 def test_knot_connectedness_rule():
     # parallel chords (1,2),(3,4) fall apart after removing two arcs
     graphs = enumerate_graphs(K, 2, 0)
@@ -548,6 +565,24 @@ def test_canonicalize_matches_brute_force(flavor, data):
     _assert_same_class(canonicalize(g), _oracle_canonicalize(g))
 
 
+@pytest.mark.parametrize("copies", [15, 16, 17])
+def test_multiplicities_past_a_four_bit_digit_match_brute_force(copies):
+    """A pair's count is one digit, as wide as the edge count needs: 16
+    parallel edges would carry out of a 4-bit digit into the next pair's.
+    The swap of two vertices is odd and reverses every edge, so an even
+    number of parallel edges on two vertices is zero."""
+    parallel = mg(2, [(1, 2)] * copies)
+    res = canonicalize(parallel)
+    assert res.is_zero == (copies % 2 == 0)
+    _assert_same_class(res, _oracle_canonicalize(parallel))
+    for g in (
+        mg(3, [(2, 3)] * copies + [(3, 1)]),
+        mg(4, [(3, 4)] * copies + [(2, 1), (1, 3)]),
+        kg(3, 1, [(4, 2)] * copies + [(1, 4), (3, 4)]),
+    ):
+        _assert_same_class(canonicalize(g), _oracle_canonicalize(g))
+
+
 def test_edgeless_graph_is_zero_iff_a_symmetry_is_odd():
     # the transposition of two vertices, or the rotation of two externals,
     # is odd; one vertex, or a 3-cycle of externals, has only even ones
@@ -580,6 +615,10 @@ ENUMERATE_ORDER3_SHA256 = {
     (K, 0, False): "07273f072967534e4ceecce1668e3a06a573b13157e4673242a4d4ad1f3d2e94",
     (K, 1, True): "a1406561abb9f1bf4ff9ffc5c0c850daf8fc5aa17ea836fa34083d7d4ba82d95",
     (K, 1, False): "a2c0172209de7866d76d2ada24b9c359822375f3ef1631d39179a73f420bd4df",
+    # 7 vertices, 21 pairs: the 8-edge combo packs its 4-bit digits into
+    # two words, the others into one (6,548 and 37,948 graphs)
+    (K, -1, True): "feb8d9ea6c9dcf4447be1375a0751bc1a1009b3ebb715b41af9b535a1b1677bd",
+    (K, -1, False): "b02e266c2fa7dee4874670e4d4a94655d63902b58e8e8376e39840fd1e2a3677",
 }
 
 
@@ -591,6 +630,24 @@ def test_enumerate_order3_pinned(flavor, degree, connected):
     assert digest == ENUMERATE_ORDER3_SHA256[(flavor, degree, connected)]
 
 
+@pytest.mark.parametrize("degree, count, bound_mib", [(0, 670, 4), (-1, 2774, 16)])
+def test_orderly_generation_stays_small_in_memory(degree, count, bound_mib):
+    """Peak traced memory of a cold manifold order-3 enumeration, with
+    its relabeling table built: the depth-first search keeps only the
+    rows of a batch that it extends while their children run.  Sorting
+    every relabeled edge list instead peaked at 8.4 and 96 MiB, and
+    keeping whole batches or levels alive would cost more still."""
+    graphs_module._enumerate_cached.cache_clear()
+    graphs_module._group.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(enumerate_graphs(M, 3, degree)) == count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak
+
+
 @pytest.mark.parametrize("order", [0, -2])
 def test_enumerate_rejects_order_below_one(order):
     with pytest.raises(InvalidParams):
@@ -599,7 +656,7 @@ def test_enumerate_rejects_order_below_one(order):
 
 @pytest.mark.parametrize("batch", [1, 10, 100])
 def test_orderly_generation_in_small_batches(batch, monkeypatch):
-    """A cap of one code entry leaves one extension per batch; 10 and
+    """A cap of one word leaves one extension per batch; 10 and
     100 leave a few, so the extensions of one edge list span batches."""
     monkeypatch.setattr(graphs_module, "_BATCH", batch)
     for flavor, order, degree in [(M, 2, 0), (M, 2, -1), (K, 2, 0), (K, 2, -1)]:
