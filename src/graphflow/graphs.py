@@ -241,12 +241,12 @@ def _group(n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
     return images, odd
 
 
-@lru_cache(maxsize=None)
-def _digits(nv: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _digits(nv: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Packed layout of pair-multiplicity vectors on nv vertices:
-    (pairs, index, onehot).  ``pairs`` lists the pairs i < j in lex order,
-    ``index[i, j] = index[j, i]`` is a pair's position there, and
-    ``onehot[p]`` the (W,) int64 words of one copy of pair p.  A count
+    (pairs, index, word, unit, W).  ``pairs`` lists the pairs i < j in lex
+    order, ``index[i, j] = index[j, i]`` is a pair's position there, and
+    one copy of pair p adds ``unit[p]`` to word ``word[p]`` of W.  A count
     is a ``width``-bit digit, 63 // width to a word, the first pair most
     significant, so vectors are exact below 2**width copies of a pair.
     """
@@ -254,12 +254,15 @@ def _digits(nv: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     index = np.zeros((nv + 1, nv + 1), dtype=np.intp)
     index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
     per = 63 // width
-    word, digit = np.divmod(np.arange(len(pairs))[:, None], per)
-    shift = width * (per - 1 - digit)
-    onehot = np.where(word == np.arange(-(-len(pairs) // per)), 1 << shift, 0)
-    for arr in (pairs, index, onehot):
+    word, digit = np.divmod(np.arange(len(pairs)), per)
+    unit = np.left_shift(1, width * (per - 1 - digit), dtype=np.int64)
+    for arr in (pairs, index, word, unit):
         arr.flags.writeable = False
-    return pairs, index, onehot
+    return pairs, index, word, unit, -(-len(pairs) // per)
+
+
+#: Words (512 KiB) of the tied relabelings' vectors that ``canonicalize`` builds at once.
+_BLOCK = 2**16
 
 
 def canonicalize(g: DecoratedGraph) -> CanonicalResult:
@@ -270,14 +273,27 @@ def canonicalize(g: DecoratedGraph) -> CanonicalResult:
     encoding with sign -1, i.e. the graph equals its own negative.
     """
     images, odd = _group(g.n_ext, g.n_int)
-    _, index, onehot = _digits(g.n_vertices, max(1, g.n_edges.bit_length()))
+    _, index, word, unit, n_words = _digits(g.n_vertices, max(1, g.n_edges.bit_length()))
     ends = images[:, np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)]
     odd = odd ^ np.logical_xor.reduce(ends[..., 0] > ends[..., 1], axis=1)
-    vectors = onehot[index[ends[..., 0], ends[..., 1]]].sum(axis=1)
-    ties = np.arange(len(vectors))
-    for column in vectors.T:  # narrow to the lexicographically largest
-        column = column[ties]
-        ties = ties[column == column.max()]
+    codes = index[ends[..., 0], ends[..., 1]]
+    ties = np.arange(len(codes))
+    span = max(1, _BLOCK // len(codes))
+    for start in range(0, n_words, span):  # narrow to the lexicographically largest
+        c, width = codes[ties], min(span, n_words - start) + 2
+        # this block's words, and a spare column at each end for the words before and after it
+        at = np.minimum(np.maximum(word[c] - start + 1, 0), width - 1)
+        at += width * np.arange(len(c))[:, None]
+        block = np.zeros((len(c), width), dtype=np.int64)
+        np.add.at(block.ravel(), at.ravel(), unit[c].ravel())
+        keep, block = np.arange(len(c)), block[:, 1:-1]
+        for column in np.flatnonzero((block[1:] != block[0]).any(axis=0)).tolist():
+            keep = keep[block[keep, column] == block[keep, column].max()]
+            if len(keep) == 1:
+                break
+        ties = ties[keep]
+        if len(ties) == 1:
+            break
     best = ties[0]
     if (odd[ties] != odd[best]).any():
         return CanonicalResult.zero()
@@ -572,15 +588,16 @@ def _enumerate_combo(
     cannot touch every untouched vertex.
     """
     nv = n_ext + n_int
-    pairs, index, onehot = _digits(nv, n_edges.bit_length())
-    if factorial(n_int) * max(n_ext, 1) * onehot.size > _TABLE:
+    pairs, index, word, unit, n_words = _digits(nv, n_edges.bit_length())
+    if factorial(n_int) * max(n_ext, 1) * len(pairs) * n_words > _TABLE:
         raise ResourceLimit(f"the relabeling table of V={nv} exceeds {_TABLE} words")
     images, parity = _group(n_ext, n_int)
     # pair p's digit and whether it is reversed, under each relabeling
-    words = np.empty((len(pairs), len(images), onehot.shape[1]), dtype=np.int64)
+    words = np.zeros((len(pairs), len(images), n_words), dtype=np.int64)
     rev = np.empty(words.shape[:2], dtype=bool)
     for p, (i, j) in enumerate(pairs):
-        words[p], rev[p] = onehot[index[images[:, i], images[:, j]]], images[:, i] > images[:, j]
+        q = index[images[:, i], images[:, j]]
+        words[p, np.arange(len(q)), word[q]], rev[p] = unit[q], images[:, i] > images[:, j]
     found: list[DecoratedGraph] = []
 
     def extend(prefix: list[int], vectors: np.ndarray, odd: np.ndarray):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -581,6 +582,56 @@ def test_multiplicities_past_a_four_bit_digit_match_brute_force(copies):
         kg(3, 1, [(4, 2)] * copies + [(1, 4), (3, 4)]),
     ):
         _assert_same_class(canonicalize(g), _oracle_canonicalize(g))
+
+
+def _chords(n_ext, seed):
+    """A knot graph with n_ext externals paired up by random chords."""
+    labels = list(range(1, n_ext + 1))
+    random.Random(seed).shuffle(labels)
+    return kg(n_ext, 0, zip(labels[::2], labels[1::2]))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        kg(8, 0, [(1, 5), (2, 6), (3, 7), (4, 8)]),  # every rotation maps it to itself
+        kg(8, 0, [(1, 3), (5, 7)]),
+        kg(8, 0, [(1, 3), (7, 5), (2, 4), (4, 6), (6, 8), (8, 2)]),
+        kg(6, 2, [(1, 7), (4, 8), (7, 8), (8, 7), (2, 7), (5, 8), (3, 7), (6, 8)]),
+        mg(8, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5), (1, 5), (2, 6), (3, 7), (4, 8)]),
+        *(_chords(n, seed) for n in (8, 10, 12) for seed in range(3)),
+    ],
+)
+@pytest.mark.parametrize("block", [1, graphs_module._BLOCK])
+def test_canonicalize_in_blocks_of_words_matches_brute_force(g, block, monkeypatch):
+    """28 pairs or more take two words or more.  With a block of one
+    word, each word of the tied relabelings' vectors is built and compared
+    on its own, and symmetric graphs keep several relabelings tied from
+    one block to the next; with the default block, all words at once."""
+    monkeypatch.setattr(graphs_module, "_BLOCK", block)
+    _assert_same_class(canonicalize(g), _oracle_canonicalize(g))
+
+
+def test_canonicalize_of_a_large_knot_graph_stays_small_in_memory():
+    """300 externals have 44,850 pairs, 6,408 words of 8-bit digits, under
+    each of 300 rotations.  Building every relabeling's whole vector, or
+    a one-hot row per pair, would take 15 MB or 2.3 GB; canonicalize
+    builds a block of _BLOCK words at a time, and the pair layout it
+    caches is O(V^2).  The parent, sorting relabeled edge lists, peaked
+    near 3.2 MiB."""
+    g = _chords(300, 0)
+    contracted, _ = contract_edge(g, (1, 2))
+    graphs_module._digits.cache_clear()
+    graphs_module._group.cache_clear()
+    tracemalloc.start()
+    try:
+        results = [canonicalize(g), canonicalize(contracted)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    for res, h in zip(results, (g, contracted)):
+        _assert_same_class(res, _oracle_canonicalize(h))
 
 
 def test_edgeless_graph_is_zero_iff_a_symmetry_is_odd():
