@@ -617,7 +617,7 @@ def test_canonicalize_of_a_large_knot_graph_stays_small_in_memory():
     each of 300 rotations.  Building every relabeling's whole vector, or
     a one-hot row per pair, would take 15 MB or 2.3 GB; canonicalize
     builds a block of _BLOCK words at a time, and the pair layout it
-    caches is O(V^2).  The parent, sorting relabeled edge lists, peaked
+    caches is O(V^2).  Sorting every relabeled edge list instead peaked
     near 3.2 MiB."""
     g = _chords(300, 0)
     contracted, _ = contract_edge(g, (1, 2))
