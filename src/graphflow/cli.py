@@ -31,7 +31,15 @@ from .errors import (
     InvalidParams,
     ResourceLimit,
 )
-from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs, knot_order2_cocycle
+from .graphs import (
+    DecoratedGraph,
+    Flavor,
+    GraphSum,
+    delta,
+    enumerate_graphs,
+    knot_order2_cocycle,
+    knot_order2_graphs,
+)
 from .integrals import (
     DEFAULT_SEED,
     MC_MAX_SAMPLES,
@@ -39,7 +47,6 @@ from .integrals import (
     linking_integral,
     resolve_workers,
     sln_integral,
-    split_cocycle_terms,
     v2_invariant,
 )
 from .solver import delta_matrix, kernel_basis
@@ -311,9 +318,9 @@ def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
 
     def evaluate(curve):
         est = v2_invariant(curve, n_samples=n_samples, seed=seed, workers=n_workers)
-        _, skipped = split_cocycle_terms(knot_order2_cocycle())
-        omitted = GraphSum({g: c for c, g in skipped}).to_json_obj()
-        return {**est.to_json_obj(), "op": "v2", "omitted_terms": omitted}
+        evaluated = knot_order2_graphs()[:2]  # the crossed chords and the tripod
+        omitted = {g: c for g, c in knot_order2_cocycle().items() if g not in evaluated}
+        return {**est.to_json_obj(), "op": "v2", "omitted_terms": GraphSum(omitted).to_json_obj()}
 
     params = {"samples": n_samples, "seed": seed, "x_grid": X_GRID}
     _knot_command("knot v2", evaluate, {"curve": curve_path}, cache_dir, no_cache, **params)

@@ -16,7 +16,6 @@ import numpy as np
 from .curves import KnotCurve
 from .errors import DegenerateProjection, InconsistentDiagram, InvalidParams
 
-_PAR_TOL = 1e-9
 #: Segment counts of the first and the finest projected polyline.
 MIN_SEGMENTS = 2048
 MAX_SEGMENTS = 32768

@@ -50,7 +50,7 @@ class InconsistentDiagram(GraphflowError):
 
 
 class UnsupportedGraph(GraphflowError):
-    """Graph is outside what the Monte Carlo evaluator supports."""
+    """The tripod's Monte Carlo gave up: its collision guard kept rejecting samples."""
 
 
 class CurvesIntersect(GraphflowError):

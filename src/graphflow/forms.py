@@ -2,10 +2,10 @@
 
 With a trivial framing on R^3 the propagator reduces to the Gauss
 form: the unit-normalized area form of S^2 pulled back by the
-direction map (x_j - x_i)/|x_j - x_i|.  The one graph integrated by
-Monte Carlo is the tripod Y, whose edges join the knot points
-gamma(t_1), gamma(t_2), gamma(t_3) to one spatial vertex x.  Contracted
-with the knot tangent T_k, the form of edge k is the Biot-Savart field
+direction map (x_j - x_i)/|x_j - x_i|.  The one integrand here is the
+tripod Y's, whose edges join the knot points gamma(t_1), gamma(t_2),
+gamma(t_3) to one spatial vertex x.  Contracted with the knot
+tangent T_k, the form of edge k is the Biot-Savart field
 B_k = (v_k x T_k) / (4 pi |v_k|^3), v_k = x - gamma(t_k), of a current
 element at gamma(t_k) (Cantarella, DeTurck and Gluck, J. Math. Phys.
 2001), and the top-degree wedge of the three forms is
@@ -18,9 +18,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-from .errors import UnsupportedGraph
-from .graphs import DecoratedGraph, knot_order2_graphs
 
 FOUR_PI = 4.0 * np.pi
 
@@ -37,11 +34,9 @@ class CompiledIntegrand:
 
     assignments = list(zip((1.0, -1.0, -1.0, 1.0, 1.0, -1.0), itertools.permutations(range(3))))
 
-    def __init__(self, graph: DecoratedGraph):
-        if graph != knot_order2_graphs()[1]:
-            raise UnsupportedGraph("the Monte Carlo integrand exists for the tripod only")
-        self.n = graph.n_ext
-        self.t = graph.n_int
+    def __init__(self):
+        self.n = 3  # knot points
+        self.t = 1  # spatial vertices
 
     def evaluate_batch(
         self, pos: np.ndarray, tan: np.ndarray, xvals: np.ndarray, eps_coll: float

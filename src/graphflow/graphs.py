@@ -420,14 +420,6 @@ class GraphSum:
             for g, c in self.items()
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "GraphSum":
-        out = cls()
-        for entry in obj:
-            c = Fraction(entry["coeff"])
-            out._add(DecoratedGraph.from_json_obj(entry["graph"]), c)
-        return out
-
 
 def _sort_key(g: DecoratedGraph):
     return (g.flavor.value, g.n_ext, g.n_int, g.edges)
@@ -506,12 +498,6 @@ def _merges(parent: list[int], undirected: Iterable[Edge]) -> Iterator[bool]:
 
 def _is_connected(n_vertices: int, undirected: Iterable[Edge]) -> bool:
     return n_vertices - sum(_merges(list(range(n_vertices + 1)), undirected)) == 1
-
-
-def has_internal_loop(g: DecoratedGraph) -> bool:
-    """Cycle made entirely of edges between internal vertices."""
-    internal = [(i, j) for i, j in g.edges if not (g.is_external(i) or g.is_external(j))]
-    return not all(_merges(list(range(g.n_vertices + 1)), internal))
 
 
 def _knot_connected(n_ext: int, n_int: int, edges: tuple[Edge, ...]) -> bool:

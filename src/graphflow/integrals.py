@@ -2,11 +2,11 @@
 
 Deterministic quadrature covers the integrals whose graphs have no
 internal vertex: the two-point integrals (self-linking and Gauss
-linking) by product quadrature, and the crossed-chord term of v2 by an
-O(N^2) cumulative-sum form of its four-point midpoint sum.  The tripod,
-v2's one term with an internal vertex, runs Monte Carlo with its knot
-parameters on the ordered simplex and its spatial vertex
-importance-sampled from kernels centered on the sampled knot points.
+linking) by product quadrature, and the crossed-chord term X of v2 by
+an O(N^2) cumulative-sum form of its four-point midpoint sum.  v2's
+other term, the tripod Y, runs Monte Carlo with its knot parameters on
+the ordered simplex and its spatial vertex importance-sampled from
+kernels centered on the sampled knot points.
 Each of the 64 batches draws from its own random stream, and
 consecutive batches of m samples are sampled and evaluated together, in
 groups of at most max(m, MC_ROWS) rows.  Each sample's knot points are
@@ -24,22 +24,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .curves import SEPARATION_SAMPLES, KnotCurve, min_distance
 from .errors import CurvesIntersect, InvalidParams, ResourceLimit, UnsupportedGraph
 from .forms import FOUR_PI, CompiledIntegrand
-from .graphs import (
-    DecoratedGraph,
-    Flavor,
-    GraphSum,
-    graph_grade,
-    has_internal_loop,
-    is_trivalent,
-    knot_order2_cocycle,
-)
+from .graphs import knot_order2_cocycle, knot_order2_graphs
 
 #: Orientation of the component of cyclically ordered knot points,
 #: relative to the coordinate order (t_1..t_n, x, y, z, ...).  Like the
@@ -63,6 +54,9 @@ MC_MAX_SAMPLES = 2**28
 #: drawn and evaluated together, max(1, MC_ROWS // m) at a time.
 MC_ROWS = 4096
 NEAR_WEIGHT = 0.25
+#: Stable 63-bit tag of the tripod's encoding, flavor|n_ext|n_int|edges,
+#: in the seed of every Monte Carlo batch stream.
+_TRIPOD_TAG = int(hashlib.sha256(b"knot|3|1|((1, 4), (2, 4), (3, 4))").hexdigest()[:16], 16) >> 1
 
 
 @dataclass(frozen=True)
@@ -108,12 +102,6 @@ def _gauss_coeff(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     num = np.einsum("...i,...i->...", v, np.cross(a, b))
     r2 = np.einsum("...i,...i->...", v, v)
     return num / (FOUR_PI * r2**1.5)
-
-
-def hash_graph(graph: DecoratedGraph) -> int:
-    """Stable 63-bit tag of a graph encoding, for seed derivation."""
-    text = f"{graph.flavor.value}|{graph.n_ext}|{graph.n_int}|{graph.edges}"
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
 
 # --- two-point quadratures ---
@@ -316,21 +304,20 @@ def _mc_group(
 
 
 def a_gamma_mc(
-    graph: DecoratedGraph,
     curve: KnotCurve,
     n_samples: int = 1_000_000,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> IntegralEstimate:
     """Monte Carlo configuration integral of the tripod, the graph
-    ``knot_order2_graphs()[1]``; any other graph raises UnsupportedGraph.
+    ``knot_order2_graphs()[1]``.
 
     Estimates and errors come from 64 batch means of m = n_samples // 64
     samples (at least 1), each batch drawing from its own stream seeded
-    by (seed, graph tag, batch).  Batches are evaluated in groups of at
-    most max(m, MC_ROWS) rows, one group per worker task, so results are
-    bit-identical for fixed (graph, curve, n_samples, seed) whatever the
-    worker count.
+    by (seed, the tripod's tag, batch).  Batches are evaluated in groups
+    of at most max(m, MC_ROWS) rows, one group per worker task, so
+    results are bit-identical for fixed (curve, n_samples, seed) whatever
+    the worker count.
     """
     if n_samples < 1:
         raise InvalidParams(f"need at least one sample, got {n_samples}")
@@ -338,21 +325,19 @@ def a_gamma_mc(
         raise ResourceLimit(f"at most {MC_MAX_SAMPLES} samples, got {n_samples}")
     if seed < 0:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
-    integrand = CompiledIntegrand(graph)
+    integrand = CompiledIntegrand()
     curve.validate()
     diam = curve.diameter()
     r0 = 0.1 * diam
     r_near = 0.2 * diam
     eps_coll = 1e-9 * diam
     m = max(1, n_samples // MC_BATCHES)
-    # stable per-graph tag so different graphs draw independent streams
-    tag = hash_graph(graph)
 
     size = max(1, MC_ROWS // m)
     groups = [range(g, min(g + size, MC_BATCHES)) for g in range(0, MC_BATCHES, size)]
 
     def run(group: range) -> list[float]:
-        rngs = [np.random.default_rng([seed, tag, b]) for b in group]
+        rngs = [np.random.default_rng([seed, _TRIPOD_TAG, b]) for b in group]
         return _mc_group(integrand, curve, m, rngs, r0, r_near, eps_coll)
 
     nworkers = resolve_workers(workers)
@@ -373,21 +358,6 @@ def a_gamma_mc(
 # --- the order-2 invariant ---
 
 
-def split_cocycle_terms(
-    cocycle: GraphSum,
-) -> tuple[list[tuple[Fraction, DecoratedGraph]], list[tuple[Fraction, DecoratedGraph]]]:
-    """Partition cocycle terms into MC-supported and internal-loop terms."""
-    order, _ = graph_grade(cocycle)
-    if order % 2:
-        raise UnsupportedGraph("only even-order cocycles are evaluated numerically")
-    supported, skipped = [], []
-    for g, c in cocycle.items():
-        if g.flavor is not Flavor.KNOT or not is_trivalent(g):
-            raise UnsupportedGraph("cocycle terms must be trivalent knot graphs")
-        (skipped if has_internal_loop(g) else supported).append((c, g))
-    return supported, skipped
-
-
 def v2_invariant(
     curve: KnotCurve,
     n_samples: int = 1_000_000,
@@ -398,23 +368,23 @@ def v2_invariant(
 
     X, the crossed-chord term, comes from the deterministic quadrature
     ``_x_quadrature`` on an ``X_GRID`` grid; Y, the tripod, from
-    ``a_gamma_mc`` with ``n_samples`` samples.  The two errors add in
+    ``a_gamma_mc`` with ``n_samples`` samples.  Their coefficients are
+    read from ``knot_order2_cocycle()``.  The two errors add in
     quadrature, and ``n_samples`` of the result counts the Monte Carlo
-    samples only.  The term whose graph contains an internal loop
-    contributes a knot-independent offset in the flat setting used here
-    and is omitted; differences of this quantity between knots match the
-    order-2 combinatorial invariant.
+    samples only.  The cocycle's third term is omitted: its graph has an
+    internal loop, a doubled edge between its two internal vertices, so
+    its integral is a knot-independent offset in the flat setting used
+    here (Bott and Taubes, J. Math. Phys. 1994).  Differences of this
+    quantity between knots therefore match the order-2 combinatorial
+    invariant.
     """
-    supported, _ = split_cocycle_terms(knot_order2_cocycle())
+    cocycle = knot_order2_cocycle()
+    crossed, tripod, _ = knot_order2_graphs()
+    y = a_gamma_mc(curve, n_samples=n_samples, seed=seed, workers=workers)
+    x = _x_quadrature(curve)
     value = 0.0
     var = 0.0
-    total = 0
-    for coeff, g in supported:
-        if g.n_int:
-            est = a_gamma_mc(g, curve, n_samples=n_samples, seed=seed, workers=workers)
-            total += est.n_samples
-        else:  # the crossed chords, the cocycle's one chord-only graph
-            est = _x_quadrature(curve)
+    for coeff, est in ((cocycle.coefficient(tripod), y), (cocycle.coefficient(crossed), x)):
         value += float(coeff) * est.value
         var += (float(coeff) * est.std_error) ** 2
-    return IntegralEstimate(value, math.sqrt(var), total, seed, "mc")
+    return IntegralEstimate(value, math.sqrt(var), y.n_samples, seed, "mc")

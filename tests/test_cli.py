@@ -16,7 +16,6 @@ from graphflow.integrals import (
     X_GRID,
     linking_integral,
     sln_integral,
-    split_cocycle_terms,
     v2_invariant,
 )
 from graphflow.solver import RationalMatrix
@@ -472,10 +471,10 @@ def _lk_doc():
 def _v2_doc():
     curve = load_curve("trefoil")
     h = curve.content_hash()
-    _, skipped = split_cocycle_terms(knot_order2_cocycle())
-    omitted = [
-        {"coeff": f"{c.numerator}/{c.denominator}", "graph": g.to_json_obj()} for c, g in skipped
-    ]
+    # the cocycle's one internal-loop term: a doubled edge between its internal vertices
+    cocycle = knot_order2_cocycle()
+    [(c, g)] = [(c, g) for g, c in cocycle.items() if len(set(g.edges)) < len(g.edges)]
+    omitted = [{"coeff": f"{c.numerator}/{c.denominator}", "graph": g.to_json_obj()}]
     result = v2_invariant(curve, n_samples=20000, seed=11).to_json_obj()
     config = {"curve": "trefoil", "curve_hash": h, "samples": 20000, "seed": 11, "x_grid": X_GRID}
     return config, {**result, "op": "v2", "curve_hash": h, "omitted_terms": omitted}

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from graphflow.curves import make_torus_knot
-from graphflow.errors import UnsupportedGraph
 from graphflow.forms import CompiledIntegrand
-from graphflow.graphs import DecoratedGraph, Flavor, has_internal_loop, knot_order2_graphs
+from graphflow.graphs import knot_order2_graphs
 from oracles import (
     CoincidentPoints,
     Configuration,
@@ -15,8 +14,6 @@ from oracles import (
     gauss_two_form,
     wedge_top,
 )
-
-K = Flavor.KNOT
 
 
 def test_two_form_requires_antisymmetry():
@@ -115,30 +112,13 @@ def test_gauss_form_unit_integral_over_sphere():
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
-def test_internal_loop_detection():
-    g1, g2, g3 = knot_order2_graphs()
-    assert not has_internal_loop(g1)
-    assert not has_internal_loop(g2)
-    assert has_internal_loop(g3)
-
-
-def test_compiled_integrand_rejects_bad_graphs():
-    g1, g2, g3 = knot_order2_graphs()
-    for g in (g1, g3):
-        with pytest.raises(UnsupportedGraph):
-            CompiledIntegrand(g)
-    not_trivalent = DecoratedGraph(K, 2, 0, ((1, 2), (1, 2)))
-    with pytest.raises(UnsupportedGraph):
-        CompiledIntegrand(not_trivalent)
-
-
 def test_compiled_matches_scalar_wedge():
     """The tripod's det(B_1, B_2, B_3) equals per-sample gauss forms +
     wedge_top."""
     tref = make_torus_knot(2, 3, 2.0, 0.5)
     rng = np.random.default_rng(5)
     g = knot_order2_graphs()[1]
-    ci = CompiledIntegrand(g)
+    ci = CompiledIntegrand()
     tvals = np.sort(rng.random((12, 3)), axis=1)
     xvals = rng.normal(scale=2.0, size=(12, 1, 3))
     pos, tan = tref.eval_with_deriv(tvals)
@@ -157,7 +137,7 @@ def test_exact_collision_is_flagged_without_a_warning():
     tvals = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.8]])
     pos, tan = tref.eval_with_deriv(tvals)
     xvals = np.array([pos[0, 1], [0.3, -0.2, 0.9]])[:, None, :]
-    ci = CompiledIntegrand(knot_order2_graphs()[1])
+    ci = CompiledIntegrand()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values, bad = ci.evaluate_batch(pos, tan, xvals, 1e-9)

@@ -343,8 +343,11 @@ def test_graph_sum_cancellation():
 
 
 def test_graph_sum_json_round_trip():
+    """The JSON terms, read back graph by graph, rebuild the sum."""
     s = knot_order2_cocycle()
-    assert GraphSum.from_json_obj(s.to_json_obj()) == s
+    terms = s.to_json_obj()
+    read = [(Fraction(t["coeff"]), DecoratedGraph.from_json_obj(t["graph"])) for t in terms]
+    assert GraphSum.of(read) == s
 
 
 # --- properties ---
