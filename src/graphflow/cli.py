@@ -43,6 +43,7 @@ from .graphs import (
 from .integrals import (
     DEFAULT_SEED,
     MC_MAX_SAMPLES,
+    SLN_MIN_GRID,
     X_GRID,
     linking_integral,
     resolve_workers,
@@ -269,6 +270,9 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
 @_cache_options
 def knot_sln(curve_path, grid, cache_dir, no_cache):
     """Self-linking integral by banded quadrature."""
+    # checked before the cache lookup, so that a hit cannot replay an empty-band result
+    if grid < SLN_MIN_GRID:
+        _fail(InvalidParams(f"grid must be at least {SLN_MIN_GRID}, got {grid}"))
 
     def evaluate(curve):
         return {**sln_integral(curve, grid=grid).to_json_obj(), "op": "sln"}

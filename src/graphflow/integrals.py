@@ -3,7 +3,10 @@
 Deterministic quadrature covers the integrals whose graphs have no
 internal vertex: the two-point integrals (self-linking and Gauss
 linking) by product quadrature, and the crossed-chord term X of v2 by
-an O(N^2) cumulative-sum form of its four-point midpoint sum.  v2's
+an O(N^2) cumulative-sum form of its four-point midpoint sum.  All
+three read the Gauss integrand on an n x n grid of point pairs, which
+``_gauss_blocks`` fills in row blocks, a few rows per pass, from
+coordinate planes of the knot points and tangents.  v2's
 other term, the tripod Y, runs Monte Carlo with its knot parameters on
 the ordered simplex and its spatial vertex importance-sampled from
 kernels centered on the sampled knot points.
@@ -14,7 +17,9 @@ evaluated once, position and tangent together, and shared by the
 sampler and the compiled integrand.
 All estimators are bit-reproducible for a fixed (inputs, seed) pair.
 The O(N^4) product quadrature of chord-only graph integrals that the
-crossed-chord quadrature is checked against lives in ``tests/oracles.py``.
+crossed-chord quadrature is checked against, and the einsum form of the
+Gauss integrand whose bits the grid reproduces, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -46,6 +51,14 @@ COMPONENT_ORIENT = -1.0
 DEFAULT_SEED = 20259
 #: Finest grid of the crossed-chord quadrature in v2.
 X_GRID = 512
+#: Smallest grid of ``sln_integral``.  Its narrowest band excludes cyclic
+#: distances up to 8 / grid, and no distance exceeds 1/2, so on a grid
+#: of 16 or fewer points every band sum would be empty.
+SLN_MIN_GRID = 17
+#: Rows of a Gauss integrand grid filled per pass (``_gauss_blocks``,
+#: ``_sln_grid_sum``): at grids 512 and 1024, 16 rows ran fastest of 4
+#: to 64 on a 2-core x86-64 machine with numpy 2.4.
+GAUSS_PASS_ROWS = 16
 MC_BATCHES = 64
 #: Most samples of one ``a_gamma_mc`` run: a pass peaks near 520 bytes a
 #: row, so 2**22 rows per batch keep a group near 2.2 GB per worker.
@@ -97,44 +110,73 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _gauss_coeff(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """det(v, a, b) / (4 pi |v|^3), broadcasting over leading axes."""
-    num = np.einsum("...i,...i->...", v, np.cross(a, b))
-    r2 = np.einsum("...i,...i->...", v, v)
-    return num / (FOUR_PI * r2**1.5)
-
-
 # --- two-point quadratures ---
 
 
 def _gauss_blocks(p1, d1, p2, d2, rows=None):
     """Row blocks (i0, i1, f) of the n x n Gauss integrand grid
-    f[i, j] = _gauss_coeff(p2[j] - p1[i], -d1[i], d2[j]), for positions
-    and tangents of two curves at the same n parameters, ``rows`` rows at
-    a time (by default about 4e6 entries).  Coincident points give nan or
-    inf entries."""
+    f[i, j] = det(v, -d1[i], d2[j]) / (4 pi |v|^3), v = p2[j] - p1[i], for
+    positions and tangents of two curves at the same n parameters,
+    ``rows`` rows at a time (by default about 4e6 entries).  Coincident
+    points give nan or inf entries.
+
+    A block is filled GAUSS_PASS_ROWS rows at a time from (3, n)
+    coordinate planes, so that a pass's temporaries stay in cache.  The
+    cross product is formed component by component as ``np.cross`` forms
+    it, and each dot product is summed from 0.0 in the order (0, 2, 1),
+    as numpy's ``einsum`` sums three products; the entries are then bit
+    for bit those of the einsum form in ``tests/oracles.py``, signed
+    zeros included.
+    """
     n = len(p1)
     chunk = rows or max(1, 4_000_000 // n)
+    x1, a = p1.T, -d1.T  # row planes: positions and negated tangents
+    x2, b = np.ascontiguousarray(p2.T), np.ascontiguousarray(d2.T)
+    buf = np.empty((5, GAUSS_PASS_ROWS, n))
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f = _gauss_coeff(
-                p2[None, :, :] - p1[i0:i1, None, :], -d1[i0:i1, None, :], d2[None, :, :]
-            )
+        f = np.empty((i1 - i0, n))
+        for r0 in range(i0, i1, GAUSS_PASS_ROWS):
+            r1 = min(r0 + GAUSS_PASS_ROWS, i1)
+            v, c, s, num, r2 = buf[:, : r1 - r0]
+            num.fill(0.0)
+            r2.fill(0.0)
+            for k in (0, 2, 1):
+                k1, k2 = (k + 1) % 3, (k + 2) % 3
+                np.subtract(x2[k], x1[k, r0:r1, None], out=v)
+                np.multiply(a[k1, r0:r1, None], b[k2], out=c)
+                np.multiply(a[k2, r0:r1, None], b[k1], out=s)
+                c -= s  # (a x b)[k], as np.cross forms it
+                c *= v
+                num += c
+                v *= v
+                r2 += v
+            np.power(r2, 1.5, out=r2)
+            r2 *= FOUR_PI
+            with np.errstate(invalid="ignore", divide="ignore"):
+                np.divide(num, r2, out=f[r0 - i0 : r1 - i0])
         yield i0, i1, f
 
 
 def _sln_grid_sum(curve: KnotCurve, n: int, bands: list[float]) -> list[float]:
-    """Banded midpoint sums of the self-linking integrand on an n x n grid."""
+    """Banded midpoint sums of the self-linking integrand on an n x n grid:
+    per block, the sum of the entries whose cyclic parameter distance
+    exceeds each band.  The masks of those entries are built in row passes,
+    so no (rows, n) array of distances is formed."""
     t = (np.arange(n) + 0.5) / n
     pos, tan = curve.eval_with_deriv(t)
     out = [0.0 for _ in bands]
     for i0, i1, f in _gauss_blocks(pos, tan, pos, tan):
-        dt = np.abs(t[None, :] - t[i0:i1, None])
-        cyc = np.minimum(dt, 1.0 - dt)
         np.nan_to_num(f, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-        for k, band in enumerate(bands):
-            out[k] += float(f[cyc > band].sum())
+        outside = np.empty((len(bands), i1 - i0, n), dtype=bool)
+        for r0 in range(i0, i1, GAUSS_PASS_ROWS):
+            r1 = min(r0 + GAUSS_PASS_ROWS, i1)
+            cyc = np.abs(t - t[r0:r1, None])
+            np.minimum(cyc, 1.0 - cyc, out=cyc)
+            for k, band in enumerate(bands):
+                np.greater(cyc, band, out=outside[k, r0 - i0 : r1 - i0])
+        for k in range(len(bands)):
+            out[k] += float(f[outside[k]].sum())
     return [s / (n * n) for s in out]
 
 
@@ -147,8 +189,8 @@ def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     successive extrapolations (plus a coarse-grid comparison) feeds the
     error estimate.
     """
-    if grid < 2:  # the error estimate compares against a grid of half the size
-        raise InvalidParams(f"grid must be at least 2, got {grid}")
+    if grid < SLN_MIN_GRID:
+        raise InvalidParams(f"grid must be at least {SLN_MIN_GRID}, got {grid}")
     curve.validate()
     band0 = 32.0 / grid
     bands = [band0, band0 / 2, band0 / 4]

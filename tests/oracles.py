@@ -356,6 +356,19 @@ def a_gamma_quadrature(
     return IntegralEstimate(value, abs(value - fine), (2 * grid) ** n, 0, "quadrature")
 
 
+# --- the two-point Gauss integrand ---
+
+
+def gauss_coeff(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """det(v, a, b) / (4 pi |v|^3), broadcasting over leading axes, by
+    ``np.cross`` and two ``einsum`` contractions over (..., 3) arrays.
+    The production grid is filled from coordinate planes instead, and
+    must match this form bit for bit."""
+    num = np.einsum("...i,...i->...", v, np.cross(a, b))
+    r2 = np.einsum("...i,...i->...", v, v)
+    return num / (FOUR_PI * r2**1.5)
+
+
 # --- dense exact matrix products ---
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from graphflow import __version__, cli, errors
+from graphflow import __version__, cli, errors, integrals
 from graphflow.cli import main
 from graphflow.curves import load_curve, round_circle
 from graphflow.diagrams import a2_of_curve
@@ -205,7 +205,8 @@ def test_unknown_curve_exit_2(tmp_path):
     [
         ("sln --curve circle --grid 0", 2),
         ("sln --curve circle --grid 1", 2),
-        ("sln --curve circle --grid 2", 0),
+        ("sln --curve circle --grid 16", 2),
+        ("sln --curve circle --grid 17", 0),
         ("lk --curve hopf_a --curve2 hopf_b --grid 1", 2),
         ("lk --curve hopf_a --curve2 hopf_b --grid 2", 0),
         ("v2 --curve circle --samples nan", 2),
@@ -227,6 +228,20 @@ def test_param_bounds_exit_code(args, code, tmp_path):
     assert result.exit_code == code
     if code:
         assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+
+
+def test_sln_grid_is_checked_before_the_cache_lookup(tmp_path, monkeypatch):
+    """An entry cached for a grid whose bands are all empty (0.0 +- 0.0)
+    is never replayed."""
+    args = ["knot", "sln", "--curve", "circle", "--grid", "16", "--cache-dir", str(tmp_path)]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "SLN_MIN_GRID", 2)
+        m.setattr(integrals, "SLN_MIN_GRID", 2)
+        assert json.loads(run(*args).output)["result"]["value"] == 0.0
+    assert len(list(tmp_path.rglob("*.json"))) == 1
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
 
 
 @pytest.mark.parametrize("samples", ["1e15", "1e30"])
@@ -361,6 +376,31 @@ def test_v2_stdout_pinned(curve):
     res = run("knot", "v2", "--curve", curve, "--samples", "2e4", "--seed", "11", "--no-cache")
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == V2_SHA256[curve]
+
+
+#: sha256 of the stdout of ``knot sln --curve K --no-cache`` (grid 1024):
+#: the Gauss grid, its banded sums and the Richardson step, byte for byte.
+SLN_SHA256 = {
+    "circle": "61e76777ccd3ef836061b9b27b53c8fe7a304b8ed7c8f1ab71460be4d47ef032",
+    "trefoil": "5f47aa5a62723fd088859f033fd3620d230a87ff4bcd69e415ebb2b530090f95",
+    "figure_eight": "dac254d5ca9dcce8a909fda27bcb663d0e587a624dd20e648dc494aa5a388621",
+    "torus_2_5": "9978a617e4fcac446e3231c24622c7feaebfd221c1ef524b4a2f4b58f102c268",
+}
+#: sha256 of the stdout of ``knot lk --curve hopf_a --curve2 hopf_b --no-cache``.
+LK_SHA256 = "b848da18bb8d2f2c49a9e201f3cdd147c1f35707e0043ee6dbef4f88bef4d20f"
+
+
+@pytest.mark.parametrize("curve", list(SLN_SHA256))
+def test_sln_stdout_pinned(curve):
+    res = run("knot", "sln", "--curve", curve, "--no-cache")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == SLN_SHA256[curve]
+
+
+def test_lk_stdout_pinned():
+    res = run("knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--no-cache")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == LK_SHA256
 
 
 def _sln_circle(cache_dir):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from graphflow.integrals import (
     sln_integral,
     v2_invariant,
 )
-from oracles import a_gamma_quadrature
+from oracles import a_gamma_quadrature, gauss_coeff
 
 G1, G2, _ = knot_order2_graphs()
 CIRCLE = round_circle(1.0)
 TREFOIL = make_torus_knot(2, 3, 2.0, 0.5)
+BUNDLED_KNOTS = ["circle", "trefoil", "figure_eight", "torus_2_5"]
 
 # frozen by an initial grid-1024 run; deterministic quadrature
 SLN_TREFOIL_1024 = -3.1273574679051896
@@ -218,7 +220,7 @@ def _oracle_sln_grid_sum(curve, n, bands):
         i1 = min(i0 + chunk, n)
         v = pos[None, :, :] - pos[i0:i1, None, :]
         with np.errstate(invalid="ignore", divide="ignore"):
-            f = integrals._gauss_coeff(v, -tan[i0:i1, None, :], tan[None, :, :])
+            f = gauss_coeff(v, -tan[i0:i1, None, :], tan[None, :, :])
         dt = np.abs(t[None, :] - t[i0:i1, None])
         cyc = np.minimum(dt, 1.0 - dt)
         f = np.nan_to_num(f, nan=0.0, posinf=0.0, neginf=0.0)
@@ -237,7 +239,7 @@ def _oracle_linking_grid(k1, k2, n):
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         v = p2[None, :, :] - p1[i0:i1, None, :]
-        f = integrals._gauss_coeff(v, -d1[i0:i1, None, :], d2[None, :, :])
+        f = gauss_coeff(v, -d1[i0:i1, None, :], d2[None, :, :])
         total += float(f.sum())
     return total / (n * n)
 
@@ -256,10 +258,50 @@ def test_linking_quadrature_bit_identical_to_separate_loop(monkeypatch):
     assert est == linking_integral(a, b)
 
 
+@pytest.mark.parametrize(
+    "integral, names, bound_mib",
+    [(sln_integral, ["trefoil"], 24), (linking_integral, ["hopf_a", "hopf_b"], 16)],
+    ids=["sln", "lk"],
+)
+def test_grid_integrals_stay_small_in_memory(integral, names, bound_mib):
+    """Peak traced memory at grid 1024 on fresh curves.  The one 1024 x
+    1024 block of the Gauss grid is 8 MiB; broadcasting ``np.cross`` and
+    ``einsum`` over (rows, n, 3) arrays to fill it peaks near 56 MiB for
+    each."""
+    curves = [bundled_curve(name) for name in names]
+    tracemalloc.start()
+    try:
+        integral(*curves, grid=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak
+
+
 def test_gauss_blocks_cross_chunks():
-    # n = 2048 gives row chunks of 1953 and 95
+    """Every block of the grid, filled from coordinate planes in row
+    passes, has the bits of the einsum form: the four knots' self grids
+    (a nan diagonal on each, +0.0 entries on the planar circle), the Hopf
+    pair at n = 2048 (row chunks of 1953 and 95) and rows=64 at n = 200
+    (the last block partial)."""
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
     assert integrals._linking_grid(a, b, 2048) == _oracle_linking_grid(a, b, 2048)
+    cases = [(bundled_curve(name), None, 1024, None) for name in BUNDLED_KNOTS]
+    cases += [(a, b, 2048, None), (TREFOIL, None, 200, 64)]
+    for k1, k2, n, rows in cases:
+        t = (np.arange(n) + 0.5) / n
+        p1, d1 = k1.eval_with_deriv(t)
+        p2, d2 = (p1, d1) if k2 is None else k2.eval_with_deriv(t)
+        bounds = []
+        for i0, i1, f in integrals._gauss_blocks(p1, d1, p2, d2, rows=rows):
+            bounds.append((i0, i1))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = gauss_coeff(p2[None] - p1[i0:i1, None], -d1[i0:i1, None], d2[None])
+            assert np.array_equal(f.view(np.int64), want.view(np.int64)), (n, i0)
+            assert k2 is not None or np.isnan(np.diagonal(f, offset=i0)).all()
+            assert k1.name != "circle" or (f.view(np.int64) == 0).any()
+        chunk = rows or 4_000_000 // n
+        assert bounds == [(i0, min(i0 + chunk, n)) for i0 in range(0, n, chunk)]
 
 
 def _oracle_mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll):

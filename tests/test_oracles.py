@@ -11,7 +11,7 @@ ALLOWED |= {"GraphflowError", "UnsupportedGraph", "COMPONENT_ORIENT", "FOUR_PI"}
 #: Production code that the oracles are compared against.
 CHECKED = {"CompiledIntegrand", "a2_oracle", "a_gamma_mc", "kernel_basis", "delta"}
 CHECKED |= {"_candidate_pairs", "sq_distance_blocks", "min_distance", "diameter"}
-CHECKED |= {"sparse_rows", "delta_matrix", "_rref"}
+CHECKED |= {"sparse_rows", "delta_matrix", "_rref", "_gauss_blocks"}
 
 
 def test_oracles_import_only_data_types_errors_and_constants():

@@ -109,7 +109,7 @@ def _integer_rows(m: list[list[Fraction]]) -> list[list[int]]:
     int_rows = []
     for row in m:
         mult = lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * mult) for x in row])
+        int_rows.append([int(x * mult) if x else 0 for x in row])
     return int_rows
 
 
@@ -117,28 +117,40 @@ def _row_echelon_fraction_free(m: list[list[int]]) -> tuple[list[list[int]], lis
     """Bareiss fraction-free elimination; returns (echelon, pivot columns).
 
     Oracle for the solver's sparse reduced row echelon form: an
-    independent elimination over the integers.
+    independent elimination over the integers.  Rows are held as
+    {column: entry} of their nonzero entries, and an update visits only
+    the columns where either row is nonzero: an entry that is zero in
+    both rows stays zero.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
     piv_cols: list[int] = []
     prev_pivot = 1
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot_row = next((i for i in range(r, rows) if c in sparse[i]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        sparse[r], sparse[pivot_row] = sparse[pivot_row], sparse[r]
+        top = sparse[r]
+        pivot = top[c]
+        top_cols = top.keys() - {c}
         for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev_pivot
-            m[i][c] = 0
-        prev_pivot = m[r][c]
+            row = sparse[i]
+            lead = row.pop(c, 0)
+            updated = {}
+            for j in row.keys() | top_cols:
+                x = (pivot * row.get(j, 0) - lead * top.get(j, 0)) // prev_pivot
+                if x:
+                    updated[j] = x
+            sparse[i] = updated
+        prev_pivot = pivot
         piv_cols.append(c)
         r += 1
         if r == rows:
             break
-    return m, piv_cols
+    return [[row.get(j, 0) for j in range(cols)] for row in sparse], piv_cols
 
 
 def kernel_basis_transpose_rank(m: list[list[Fraction]]):
