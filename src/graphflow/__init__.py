@@ -13,8 +13,6 @@ from .graphs import (  # noqa: F401
     delta,
     enumerate_graphs,
     grade,
-    is_trivalent,
     knot_order2_cocycle,
     manifold_order2_cocycle,
-    theta_graph,
 )

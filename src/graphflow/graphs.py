@@ -8,7 +8,8 @@ identified up to relabeling and edge reversal with the sign
 (-1)^(p+l), where p is the permutation parity and l the number of
 reversed edges; ``canonicalize`` reduces to a unique representative or
 detects that the class is zero.  ``delta`` is the signed sum of
-single-edge contractions of regular edges and squares to zero.
+single-edge contractions of regular edges and squares to zero.  Both
+take whole batches of graphs as integer arrays, one shape at a time.
 ``enumerate_graphs`` lists each class once by orderly generation: an
 edge list grows only while it is its orbit's minimum, as every prefix
 of an orbit minimum is.
@@ -94,37 +95,7 @@ class DecoratedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def is_external(self, v: int) -> bool:
-        return self.flavor is Flavor.KNOT and v <= self.n_ext
-
-    def knot_arcs(self) -> tuple[Edge, ...]:
-        """Implicit oriented arcs of the knot loop, in label order."""
-        if self.flavor is not Flavor.KNOT:
-            return ()
-        n = self.n_ext
-        return tuple((i, i % n + 1) for i in range(1, n + 1))
-
-    def connection_count(self, a: int, b: int) -> int:
-        """Number of connections between a and b, counting knot arcs."""
-        count = sum(1 for i, j in self.edges if {i, j} == {a, b})
-        if self.flavor is Flavor.KNOT and a != b:
-            count += sum(1 for i, j in self.knot_arcs() if {i, j} == {a, b})
-        return count
-
-    def degrees(self) -> list[int]:
-        """Edge-degree of each vertex (1-based index 0 unused)."""
-        deg = [0] * (self.n_vertices + 1)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     # --- serialization ---
-
-    def to_text(self) -> str:
-        lines = [f"flavor {self.flavor.value}", f"ext {self.n_ext}", f"int {self.n_int}"]
-        lines += [f"edge {i} {j}" for i, j in self.edges]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "DecoratedGraph":
@@ -185,17 +156,6 @@ def grade(g: DecoratedGraph) -> tuple[int, int]:
         v = g.n_vertices
         return e - v, 2 * e - 3 * v
     return e - g.n_int, 2 * e - 3 * g.n_int - g.n_ext
-
-
-def is_trivalent(g: DecoratedGraph) -> bool:
-    """Manifold: every vertex trivalent.  Knot: internal vertices have
-    internal-edge degree 3 and external ones degree 1."""
-    deg = g.degrees()
-    if g.flavor is Flavor.MANIFOLD:
-        return all(d == 3 for d in deg[1:])
-    ext_ok = all(deg[v] == 1 for v in range(1, g.n_ext + 1))
-    int_ok = all(deg[v] == 3 for v in range(g.n_ext + 1, g.n_vertices + 1))
-    return ext_ok and int_ok
 
 
 # --- canonical forms ---
@@ -261,8 +221,88 @@ def _digits(nv: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return pairs, index, word, unit, -(-len(pairs) // per)
 
 
-#: Words (512 KiB) of the tied relabelings' vectors that ``canonicalize`` builds at once.
+#: Words (512 KiB) of packed vectors built at once.  A block has at most _BLOCK // 16
+#: (graph, relabeling) rows, so the dozen arrays of a word per row in its edge loop fit too.
 _BLOCK = 2**16
+
+
+def _chunks(graphs: list[DecoratedGraph]) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
+    """The graphs of each (flavor, n_ext, n_int, E) shape among ``graphs``, as (shape, positions,
+    (n, E, 2) edge array) chunks of at most _BLOCK // 16 (graph, slot, edge) entries (``_slots``),
+    or one graph."""
+    at: dict[tuple, list[int]] = {}
+    for k, g in enumerate(graphs):
+        at.setdefault((g.flavor, g.n_ext, g.n_int, g.n_edges), []).append(k)
+    for shape, ks in at.items():
+        step = max(1, _BLOCK // 16 // max(1, (shape[1] + shape[3]) * shape[3]))
+        for chunk in (ks[s : s + step] for s in range(0, len(ks), step)):
+            edges = np.fromiter((e for k in chunk for e in graphs[k].edges), (np.intp, 2))
+            yield shape, np.array(chunk), edges.reshape(len(chunk), shape[3], 2)
+
+
+def _classes(shape: tuple, edges: np.ndarray, seen: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms of the graphs of one shape in an (N, E, 2) edge array: per graph, its
+    class's index in ``seen`` (-1 for zero) and the sign relating it to that class.  ``seen``
+    maps each class met so far, keyed by (shape, sorted pair codes), to its index, and gains
+    the new ones.  Each graph takes the first relabeling with the largest packed vector
+    (module docstring), and is zero when one tied with it has the other parity.  Blocks of
+    whole graphs build their vectors _BLOCK // rows words at a time, each span narrowing ties."""
+    flavor, n_ext, n_int, n_edges = shape
+    images, parity = _group(n_ext, n_int)
+    pairs, index, word, unit, n_words = _digits(n_ext + n_int, max(1, n_edges.bit_length()))
+    size, step = len(images), max(1, _BLOCK // 16 // len(images))
+    which, signs = [], []
+    for block in (edges[s : s + step] for s in range(0, len(edges), step)):
+        m = len(block)
+        tie, odd = np.ones((size, m), dtype=bool), np.repeat(parity[:, None], m, axis=1)
+        span = max(1, _BLOCK // (size * m))
+        for start in range(0, n_words, span):
+            # a pair's column in this span's words, and its unit, 0 outside the span
+            width = min(span, n_words - start)
+            column = np.clip(word - start, 0, width - 1)
+            inside = np.where(word // span == start // span, unit, 0)
+            rows = np.arange(size * m).reshape(size, m) * width
+            vectors = np.zeros(size * m * width, dtype=np.int64)
+            for e in range(n_edges):
+                ia, ib = images[:, block[:, e, 0]], images[:, block[:, e, 1]]
+                c = index[ia, ib]
+                if start == 0:
+                    odd ^= ia > ib
+                vectors[rows + column[c]] += inside[c]
+            vectors = vectors.reshape(size, m, width)
+            for w in range(width):  # narrow to the lexicographically largest
+                v = np.where(tie, vectors[..., w], -1)
+                tie &= v == v.max(axis=0)
+            if (tie.sum(axis=0) == 1).all():
+                break
+        best = tie.argmax(axis=0)
+        odd_best = odd[best, np.arange(m)]
+        zero = (tie & (odd != odd_best)).any(axis=0)
+        # sorted pair codes: the canonical edge list
+        relabeled = images[best[:, None, None], block]
+        codes = np.sort(index[relabeled[..., 0], relabeled[..., 1]], axis=1)
+        keys = ((shape, k.tobytes()) for k in codes)
+        which += [-1 if z else seen.setdefault(key, len(seen)) for key, z in zip(keys, zero)]
+        signs.append(np.where(odd_best, -1, 1))
+    return np.array(which, dtype=np.intp), np.concatenate(signs)
+
+
+def _graph(shape: tuple, codes: bytes) -> DecoratedGraph:
+    """The canonical graph of a class that ``_classes`` keys by (shape, sorted pair codes)."""
+    pairs = _digits(shape[1] + shape[2], max(1, shape[3].bit_length()))[0]
+    edges = pairs[np.frombuffer(codes, np.intp)].tolist()
+    return DecoratedGraph(*shape[:3], tuple(map(tuple, edges)))
+
+
+def canonicalize_many(graphs: list[DecoratedGraph]) -> list[CanonicalResult]:
+    """``canonicalize`` of each graph, shape by shape in batches."""
+    seen: dict = {}
+    found = [(at, *_classes(shape, edges, seen)) for shape, at, edges in _chunks(graphs)]
+    classes, out = [_graph(*key) for key in seen], [CanonicalResult.zero()] * len(graphs)
+    for at, which, sign in found:
+        for k, w, x in zip(at.tolist(), which.tolist(), sign.tolist()):
+            out[k] = CanonicalResult(classes[w], x) if w >= 0 else out[k]
+    return out
 
 
 def canonicalize(g: DecoratedGraph) -> CanonicalResult:
@@ -272,90 +312,84 @@ def canonicalize(g: DecoratedGraph) -> CanonicalResult:
     Returns Zero when some admissible symmetry fixes the underlying
     encoding with sign -1, i.e. the graph equals its own negative.
     """
-    images, odd = _group(g.n_ext, g.n_int)
-    _, index, word, unit, n_words = _digits(g.n_vertices, max(1, g.n_edges.bit_length()))
-    ends = images[:, np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)]
-    odd = odd ^ np.logical_xor.reduce(ends[..., 0] > ends[..., 1], axis=1)
-    codes = index[ends[..., 0], ends[..., 1]]
-    ties = np.arange(len(codes))
-    span = max(1, _BLOCK // len(codes))
-    for start in range(0, n_words, span):  # narrow to the lexicographically largest
-        c, width = codes[ties], min(span, n_words - start) + 2
-        # this block's words, and a spare column at each end for the words before and after it
-        at = np.minimum(np.maximum(word[c] - start + 1, 0), width - 1)
-        at += width * np.arange(len(c))[:, None]
-        block = np.zeros((len(c), width), dtype=np.int64)
-        np.add.at(block.ravel(), at.ravel(), unit[c].ravel())
-        keep, block = np.arange(len(c)), block[:, 1:-1]
-        for column in np.flatnonzero((block[1:] != block[0]).any(axis=0)).tolist():
-            keep = keep[block[keep, column] == block[keep, column].max()]
-            if len(keep) == 1:
-                break
-        ties = ties[keep]
-        if len(ties) == 1:
-            break
-    best = ties[0]
-    if (odd[ties] != odd[best]).any():
-        return CanonicalResult.zero()
-    edges = tuple(sorted(map(tuple, np.sort(ends[best], axis=1).tolist())))
-    canonical = DecoratedGraph(g.flavor, g.n_ext, g.n_int, edges)
-    return CanonicalResult(canonical, -1 if odd[best] else 1)
+    return canonicalize_many([g])[0]
 
 
 # --- contraction and coboundary ---
 
 
-def _sigma(i: int, j: int) -> int:
-    """Contraction sign for the oriented edge from i to j."""
-    if j > i:
-        return -1 if j & 1 else 1
-    return -1 if (i + 1) & 1 else 1
+def _slots(shape: tuple, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each graph's stored edges, then its knot arcs (i, i % n_ext + 1), as an (N, S, 2) array;
+    each such slot's connection count (parallel edges and arcs), and whether it may be
+    contracted: it is regular, with a count of 1, and not a chord between two externals."""
+    flavor, n_ext, n_int, n_edges = shape
+    arcs = [(i, i % n_ext + 1) for i in range(1, n_ext + 1)] if flavor is Flavor.KNOT else []
+    arcs = np.broadcast_to(np.array(arcs, dtype=np.intp).reshape(-1, 2), (len(edges), len(arcs), 2))
+    ends = np.concatenate([edges, arcs], axis=1)
+    lo, hi = ends.min(axis=2), ends.max(axis=2)
+    pair = lo * (n_ext + n_int + 1) + hi
+    count = (pair[:, :, None] == pair[:, None, :]).sum(axis=2)
+    ok = count == 1
+    ok[:, :n_edges] &= hi[:, :n_edges] > n_ext
+    return ends, count, ok
 
 
-def _relabel_after_merge(v: int, lo: int, hi: int) -> int:
-    if v == lo or v == hi:
-        return lo
-    return v - 1 if v > hi else v
+def _contract(shape: tuple, ends: np.ndarray, src: np.ndarray, slot: np.ndarray) -> Iterator[tuple]:
+    """Contract slot ``slot[k]`` (of ``ends``, from ``_slots``) of graph ``src[k]``, each k.
+    Yields (shape, rows of src, contracted (M, E', 2) edges, signs) per resulting shape: i, j
+    merge into min(i, j), labels above max(i, j) move down by one, and the sign is (-1)^j for
+    i < j, (-1)^(i+1) for i > j.  Externals have the smaller labels: an internal vertex goes."""
+    flavor, n_ext, n_int, n_edges = shape
+    i, j = ends[src, slot].T
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    sign = np.where(np.where(j > i, j, i + 1) & 1, -1, 1)
+    for arc in (False, True):
+        rows = np.flatnonzero((slot >= n_edges) == arc)
+        if len(rows) == 0:
+            continue
+        # every stored edge but the one contracted (column ``slot``), relabeled in place
+        k = np.arange(n_edges if arc else n_edges - 1)
+        merged = ends[src[rows, None], k + (k >= slot[rows, None])]
+        top = hi[rows, None, None]
+        at_top = merged == top
+        merged -= merged > top
+        np.copyto(merged, lo[rows, None, None], where=at_top)
+        result = (flavor, n_ext - 1, n_int) if arc else (flavor, n_ext, n_int - 1)
+        yield result + (merged.shape[1],), rows, merged, sign[rows]
 
 
 def contract_edge(g: DecoratedGraph, e: Edge) -> tuple[DecoratedGraph, int]:
-    """Contract a regular edge or knot arc; return (graph, sign).
-
-    ``e`` must match a stored directed edge, or in knot flavor an
-    oriented arc (i, successor of i) of the knot loop.
-    """
-    i, j = e
-    is_arc = False
-    if e in g.edges:
-        edge_index = g.edges.index(e)
-    elif g.flavor is Flavor.KNOT and e in g.knot_arcs():
-        is_arc = True
-        edge_index = -1
-    else:
+    """Contract a regular edge or knot arc; return (graph, sign).  ``e`` must match a stored
+    directed edge, or in knot flavor an oriented arc (i, successor of i) of the knot loop."""
+    ((shape, _, edges),) = _chunks([g])
+    ends, count, ok = _slots(shape, edges)
+    slots = list(map(tuple, ends[0].tolist()))
+    if e not in slots:
         raise InvalidGraph(f"no edge or arc {e} in graph")
-
-    if g.connection_count(i, j) != 1:
+    k = slots.index(e)
+    if count[0, k] != 1:
         raise NotRegular(f"endpoints of {e} share more than one connection")
-    if g.flavor is Flavor.KNOT and not is_arc:
-        if g.is_external(i) and g.is_external(j):
-            raise NotContractible("internal edge between two external vertices")
+    if not ok[0, k]:
+        raise NotContractible("internal edge between two external vertices")
+    ((result, _, merged, sign),) = _contract(shape, ends, np.array([0]), np.array([k]))
+    return DecoratedGraph(*result[:3], tuple(map(tuple, merged[0].tolist()))), int(sign[0])
 
-    lo, hi = min(i, j), max(i, j)
-    new_edges = []
-    for k, (a, b) in enumerate(g.edges):
-        if k == edge_index:
-            continue
-        new_edges.append((_relabel_after_merge(a, lo, hi), _relabel_after_merge(b, lo, hi)))
 
-    if g.flavor is Flavor.MANIFOLD:
-        merged = DecoratedGraph(g.flavor, 0, g.n_int - 1, tuple(new_edges))
-    elif is_arc:
-        merged = DecoratedGraph(g.flavor, g.n_ext - 1, g.n_int, tuple(new_edges))
-    else:
-        # externals carry the smaller labels, so min{i,j} stays external
-        # whenever one endpoint is; an internal vertex always disappears
-        merged = DecoratedGraph(g.flavor, g.n_ext, g.n_int - 1, tuple(new_edges))
-    return merged, _sigma(i, j)
+def delta_columns(graphs: list[DecoratedGraph]) -> tuple[list[DecoratedGraph], list[dict]]:
+    """(classes, columns): the coboundary of graphs[k] is columns[k], {class index: coefficient},
+    over the distinct canonical graphs reached, each built once.  A chunk (``_chunks``) of
+    graphs of one shape is contracted, and its terms canonicalized, at a time."""
+    seen: dict = {}
+    columns: list[dict[int, int]] = [{} for _ in graphs]
+    for shape, at, edges in _chunks(graphs):
+        ends, _, ok = _slots(shape, edges)
+        src, slot = np.nonzero(ok)
+        for result, rows, merged, sigma in _contract(shape, ends, src, slot):
+            which, sign = _classes(result, merged, seen)
+            for k, w, x in zip(at[src[rows]].tolist(), which.tolist(), (sigma * sign).tolist()):
+                if w >= 0:
+                    columns[k][w] = columns[k].get(w, 0) + x
+    return [_graph(*key) for key in seen], columns
 
 
 class GraphSum:
@@ -429,21 +463,12 @@ def delta(g: DecoratedGraph | GraphSum) -> GraphSum:
     """Coboundary: signed sum of single contractions of regular edges
     (and, in knot flavor, regular knot arcs), extended linearly.  The
     edges and arcs that ``contract_edge`` refuses are skipped."""
-    if isinstance(g, GraphSum):
-        out = GraphSum()
-        for graph, c in g.items():
-            for term, coeff in delta(graph)._terms.items():
-                out._add(term, c * coeff)
-        return out
+    terms = g.items() if isinstance(g, GraphSum) else [(g, Fraction(1))]
+    classes, columns = delta_columns([h for h, _ in terms])
     out = GraphSum()
-    for e in dict.fromkeys(g.edges + g.knot_arcs()):
-        try:
-            contracted, sign = contract_edge(g, e)
-        except (NotRegular, NotContractible):
-            continue
-        res = canonicalize(contracted)
-        if not res.is_zero:
-            out._add(res.graph, Fraction(sign * res.sign))
+    for (_, c), column in zip(terms, columns):
+        for w, x in column.items():
+            out._add(classes[w], c * x)
     return out
 
 
@@ -629,14 +654,6 @@ def _enumerate_combo(
 
 
 # --- reference graphs and cocycles ---
-
-
-def theta_graph(flavor: Flavor = Flavor.MANIFOLD) -> DecoratedGraph:
-    """The theta graph: triple edge on two vertices, or in knot flavor
-    two external vertices joined by one chord."""
-    if flavor is Flavor.MANIFOLD:
-        return DecoratedGraph(flavor, 0, 2, ((1, 2), (1, 2), (1, 2)))
-    return DecoratedGraph(flavor, 2, 0, ((1, 2),))
 
 
 def manifold_order2_graphs() -> tuple[DecoratedGraph, DecoratedGraph]:

@@ -1,12 +1,13 @@
 """Exact rational linear algebra for the coboundary matrix and its kernel:
-sparse rows of Fractions, read straight from ``delta``, reduced exactly."""
+sparse rows of Fractions, read from the batched coboundary, reduced exactly."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import DecoratedGraph, Flavor, GraphSum, delta, enumerate_graphs, graph_grade
+from .graphs import DecoratedGraph, Flavor, GraphSum, delta, delta_columns
+from .graphs import enumerate_graphs, graph_grade
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,20 @@ def delta_matrix(
 ) -> tuple[list[DecoratedGraph], list[DecoratedGraph], RationalMatrix]:
     """Matrix of the coboundary from degree 0 to degree 1 at fixed order.
 
-    Column k expresses delta(basis0[k]) in basis1; columns are filled in
+    Column k expresses delta(basis0[k]) in basis1.  basis0 is contracted and
+    canonicalized in batches (``delta_columns``); columns are filled in
     ascending order, so every row's keys ascend.
     """
     basis0 = enumerate_graphs(flavor, order, 0, connected=True)
     basis1 = enumerate_graphs(flavor, order, 1, connected=True)
     index = {g: r for r, g in enumerate(basis1)}
+    classes, columns = delta_columns(basis0)
+    target = [index[h] for h in classes]
     rows: list[dict[int, Fraction]] = [{} for _ in basis1]
-    for c, g in enumerate(basis0):
-        for term, coeff in delta(g).items():
-            rows[index[term]][c] = coeff
+    for c, column in enumerate(columns):
+        for r, x in sorted((target[w], x) for w, x in column.items()):
+            if x:
+                rows[r][c] = Fraction(x)
     return basis0, basis1, RationalMatrix(len(basis0), rows)
 
 

@@ -14,7 +14,7 @@ from graphflow.curves import KnotCurve
 from graphflow.diagrams import GaussDiagram
 from graphflow.errors import GraphflowError, UnsupportedGraph
 from graphflow.forms import FOUR_PI
-from graphflow.graphs import DecoratedGraph
+from graphflow.graphs import DecoratedGraph, Flavor
 from graphflow.integrals import COMPONENT_ORIENT, IntegralEstimate
 
 
@@ -367,6 +367,95 @@ def gauss_coeff(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     num = np.einsum("...i,...i->...", v, np.cross(a, b))
     r2 = np.einsum("...i,...i->...", v, v)
     return num / (FOUR_PI * r2**1.5)
+
+
+# --- reference graphs, their text form and the per-edge contraction rule ---
+
+
+def theta_graph(flavor: Flavor = Flavor.MANIFOLD) -> DecoratedGraph:
+    """The theta graph: triple edge on two vertices, or in knot flavor
+    two external vertices joined by one chord."""
+    if flavor is Flavor.MANIFOLD:
+        return DecoratedGraph(flavor, 0, 2, ((1, 2), (1, 2), (1, 2)))
+    return DecoratedGraph(flavor, 2, 0, ((1, 2),))
+
+
+def is_trivalent(g: DecoratedGraph) -> bool:
+    """Manifold: every vertex trivalent.  Knot: internal vertices have
+    internal-edge degree 3 and external ones degree 1."""
+    deg = [0] * (g.n_vertices + 1)
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    if g.flavor is Flavor.MANIFOLD:
+        return all(d == 3 for d in deg[1:])
+    ext_ok = all(deg[v] == 1 for v in range(1, g.n_ext + 1))
+    int_ok = all(deg[v] == 3 for v in range(g.n_ext + 1, g.n_vertices + 1))
+    return ext_ok and int_ok
+
+
+def to_text(g: DecoratedGraph) -> str:
+    """The text form that ``DecoratedGraph.from_text`` reads."""
+    lines = [f"flavor {g.flavor.value}", f"ext {g.n_ext}", f"int {g.n_int}"]
+    lines += [f"edge {i} {j}" for i, j in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def knot_arcs(g: DecoratedGraph) -> tuple[tuple[int, int], ...]:
+    """Implicit oriented arcs of the knot loop, in label order."""
+    if g.flavor is not Flavor.KNOT:
+        return ()
+    n = g.n_ext
+    return tuple((i, i % n + 1) for i in range(1, n + 1))
+
+
+def connection_count(g: DecoratedGraph, a: int, b: int) -> int:
+    """Number of connections between a and b, counting knot arcs."""
+    count = sum(1 for i, j in g.edges if {i, j} == {a, b})
+    if a != b:
+        count += sum(1 for i, j in knot_arcs(g) if {i, j} == {a, b})
+    return count
+
+
+class UncontractibleEdge(GraphflowError):
+    """No such edge or arc, or one that the contraction rule refuses."""
+
+
+def contract(g: DecoratedGraph, e: tuple[int, int]) -> tuple[DecoratedGraph, int]:
+    """Contract one regular edge or knot arc of g, edge by edge in Python:
+    (graph, sign).  The endpoints merge into the smaller label, the labels
+    above the larger move down by one, and the sign is that of the
+    oriented edge i -> j: (-1)^j for j > i, (-1)^(i+1) otherwise."""
+    i, j = e
+    is_arc = e not in g.edges
+    if is_arc and e not in knot_arcs(g):
+        raise UncontractibleEdge(f"no edge or arc {e} in graph")
+    if connection_count(g, i, j) != 1:
+        raise UncontractibleEdge(f"endpoints of {e} share more than one connection")
+    if g.flavor is Flavor.KNOT and not is_arc and max(i, j) <= g.n_ext:
+        raise UncontractibleEdge("internal edge between two external vertices")
+    lo, hi = min(i, j), max(i, j)
+    skip = -1 if is_arc else g.edges.index(e)
+
+    def relabel(v: int) -> int:
+        if v == lo or v == hi:
+            return lo
+        return v - 1 if v > hi else v
+
+    edges = tuple((relabel(a), relabel(b)) for k, (a, b) in enumerate(g.edges) if k != skip)
+    if g.flavor is Flavor.MANIFOLD:
+        n_ext, n_int = 0, g.n_int - 1
+    elif is_arc:
+        n_ext, n_int = g.n_ext - 1, g.n_int
+    else:
+        # externals carry the smaller labels, so min{i,j} stays external
+        # whenever one endpoint is; an internal vertex always disappears
+        n_ext, n_int = g.n_ext, g.n_int - 1
+    if j > i:
+        sign = -1 if j & 1 else 1
+    else:
+        sign = -1 if (i + 1) & 1 else 1
+    return DecoratedGraph(g.flavor, n_ext, n_int, edges), sign
 
 
 # --- dense exact matrix products ---

@@ -10,7 +10,7 @@ from graphflow import __version__, cli, errors, integrals
 from graphflow.cli import main
 from graphflow.curves import load_curve, round_circle
 from graphflow.diagrams import a2_of_curve
-from graphflow.graphs import knot_order2_cocycle, theta_graph
+from graphflow.graphs import knot_order2_cocycle
 from graphflow.integrals import (
     MC_MAX_SAMPLES,
     X_GRID,
@@ -20,6 +20,7 @@ from graphflow.integrals import (
 )
 from graphflow.solver import RationalMatrix
 import oracles
+from oracles import theta_graph, to_text
 
 
 def run(*args):
@@ -44,7 +45,7 @@ def test_enumerate_stable_across_runs():
 
 def test_delta_of_theta_is_empty(tmp_path):
     path = tmp_path / "theta.txt"
-    path.write_text(theta_graph().to_text())
+    path.write_text(to_text(theta_graph()))
     res = run("graphs", "delta", "--input", str(path))
     assert res.exit_code == 0
     assert json.loads(res.output)["result"] == []

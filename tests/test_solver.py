@@ -1,3 +1,6 @@
+import hashlib
+import json
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -15,10 +18,9 @@ from graphflow.graphs import (
     knot_order2_graphs,
     manifold_order2_cocycle,
     manifold_order2_graphs,
-    theta_graph,
 )
 from graphflow.solver import RationalMatrix, delta_matrix, kernel_basis, verify_cocycle
-from oracles import is_zero, matmul, matvec
+from oracles import is_zero, matmul, matvec, theta_graph
 
 M, K = Flavor.MANIFOLD, Flavor.KNOT
 
@@ -229,6 +231,40 @@ def test_delta_matrices_compose_to_zero(flavor, order):
         return out
 
     assert is_zero(matmul(dense(basis1, basis2), dense(basis0, basis1)))
+
+
+#: sha256 of the JSON list of ``delta_matrix(flavor, 3).sparse_rows``, each
+#: row as its [column, entry] pairs in key order, entries as strings.  Knot
+#: order 3 contracts chords and knot arcs of four shapes of basis0.
+DELTA_MATRIX_ORDER3_SHA256 = {
+    M: "cb83cbec1d53f0258ab568ec7ef56479a620383b29a544bbe25142f331d0ea75",
+    K: "f85053b0a71e154348cb64eeb366bc62cb593663060dd7fa0aca801ec742b483",
+}
+
+
+@pytest.mark.parametrize("flavor", [M, K])
+def test_delta_matrix_order3_pinned(flavor):
+    _, _, m = delta_matrix(flavor, 3)
+    text = json.dumps([[[c, str(x)] for c, x in row.items()] for row in m.sparse_rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == DELTA_MATRIX_ORDER3_SHA256[flavor]
+
+
+@pytest.mark.parametrize("flavor", [M, K])
+def test_delta_matrix_order3_stays_small_in_memory(flavor):
+    """Peak traced memory of ``delta_matrix`` at order 3 with enumeration
+    cached: basis0 is contracted and canonicalized in chunks and blocks.
+    Contracting one graph and canonicalizing one term at a time peaked
+    at 0.2 and 0.5 MiB (manifold, knot), and contracting and
+    canonicalizing every term of a shape at once at 4.5 and 9.1 MiB."""
+    for degree in (0, 1):
+        enumerate_graphs(flavor, 3, degree)
+    tracemalloc.start()
+    try:
+        delta_matrix(flavor, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_matmul_matches_dense_triple_loop():
