@@ -25,10 +25,10 @@ from graphflow.graphs import (
     _is_connected,
     _knot_connected,
     canonicalize,
+    canonicalize_many,
     contract_edge,
     delta,
     enumerate_graphs,
-    canonicalize_many,
     grade,
     knot_order2_cocycle,
     knot_order2_graphs,

@@ -252,10 +252,9 @@ def test_delta_matrix_order3_pinned(flavor):
 @pytest.mark.parametrize("flavor", [M, K])
 def test_delta_matrix_order3_stays_small_in_memory(flavor):
     """Peak traced memory of ``delta_matrix`` at order 3 with enumeration
-    cached: basis0 is contracted and canonicalized in chunks and blocks.
-    Contracting one graph and canonicalizing one term at a time peaked
-    at 0.2 and 0.5 MiB (manifold, knot), and contracting and
-    canonicalizing every term of a shape at once at 4.5 and 9.1 MiB."""
+    cached: basis0 is contracted and canonicalized in chunks and blocks,
+    about 0.6 and 1.2 MiB (manifold, knot).  Contracting one graph and
+    canonicalizing one term at a time peaked at 0.40 and 1.17 MiB."""
     for degree in (0, 1):
         enumerate_graphs(flavor, 3, degree)
     tracemalloc.start()
