@@ -44,7 +44,9 @@ from .integrals import (
     DEFAULT_SEED,
     MC_MAX_SAMPLES,
     SLN_MIN_GRID,
+    SLN_RULE,
     X_GRID,
+    X_RULE,
     linking_integral,
     resolve_workers,
     sln_integral,
@@ -269,15 +271,16 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
 @click.option("--grid", type=int, default=1024, show_default=True)
 @_cache_options
 def knot_sln(curve_path, grid, cache_dir, no_cache):
-    """Self-linking integral by banded quadrature."""
-    # checked before the cache lookup, so that a hit cannot replay an empty-band result
+    """Self-linking integral by midpoint sums and a Richardson step."""
+    # checked before the cache lookup, so that a hit cannot replay a result below the limit
     if grid < SLN_MIN_GRID:
         _fail(InvalidParams(f"grid must be at least {SLN_MIN_GRID}, got {grid}"))
 
     def evaluate(curve):
         return {**sln_integral(curve, grid=grid).to_json_obj(), "op": "sln"}
 
-    _knot_command("knot sln", evaluate, {"curve": curve_path}, cache_dir, no_cache, grid=grid)
+    curves = {"curve": curve_path}
+    _knot_command("knot sln", evaluate, curves, cache_dir, no_cache, grid=grid, rule=SLN_RULE)
 
 
 @knot.command("lk")
@@ -326,7 +329,7 @@ def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
         omitted = {g: c for g, c in knot_order2_cocycle().items() if g not in evaluated}
         return {**est.to_json_obj(), "op": "v2", "omitted_terms": GraphSum(omitted).to_json_obj()}
 
-    params = {"samples": n_samples, "seed": seed, "x_grid": X_GRID}
+    params = {"samples": n_samples, "seed": seed, "x_grid": X_GRID, "x_rule": X_RULE}
     _knot_command("knot v2", evaluate, {"curve": curve_path}, cache_dir, no_cache, **params)
 
 

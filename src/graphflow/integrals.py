@@ -2,24 +2,23 @@
 
 Deterministic quadrature covers the integrals whose graphs have no
 internal vertex: the two-point integrals (self-linking and Gauss
-linking) by product quadrature, and the crossed-chord term X of v2 by
-an O(N^2) cumulative-sum form of its four-point midpoint sum.  All
-three read the Gauss integrand on an n x n grid of point pairs, which
+linking) by product quadrature, and the crossed-chord term X of v2 by an
+O(N^2) cumulative-sum form of its four-point midpoint sum.  All three
+read the Gauss integrand on an n x n grid of point pairs, which
 ``_gauss_blocks`` fills in row blocks, a few rows per pass, from
-coordinate planes of the knot points and tangents.  v2's
-other term, the tripod Y, runs Monte Carlo with its knot parameters on
-the ordered simplex and its spatial vertex importance-sampled from
-kernels centered on the sampled knot points.
-Each of the 64 batches draws from its own random stream, and
-consecutive batches of m samples are sampled and evaluated together, in
-groups of at most max(m, MC_ROWS) rows.  Each sample's knot points are
-evaluated once, position and tangent together, and shared by the
-sampler and the compiled integrand.
-All estimators are bit-reproducible for a fixed (inputs, seed) pair.
-The O(N^4) product quadrature of chord-only graph integrals that the
-crossed-chord quadrature is checked against, and the einsum form of the
-Gauss integrand whose bits the grid reproduces, live in
-``tests/oracles.py``.
+coordinate planes of the knot points and tangents; ``_richardson``
+extrapolates the sln and X sums over halved grids.  v2's other term, the
+tripod Y, runs Monte Carlo with its knot parameters on the ordered
+simplex and its spatial vertex importance-sampled from kernels centered
+on the sampled knot points.  Each of the 64 batches draws from its own
+random stream, and consecutive batches of m samples are sampled and
+evaluated together, in groups of at most max(m, MC_ROWS) rows.  Each
+sample's knot points are evaluated once, position and tangent together,
+and shared by the sampler and the compiled integrand.  All estimators
+are bit-reproducible for a fixed (inputs, seed) pair.  The O(N^4)
+product quadrature of chord-only graph integrals that the crossed-chord
+quadrature is checked against, and the einsum form of the Gauss
+integrand whose bits the grid reproduces, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -51,13 +50,14 @@ COMPONENT_ORIENT = -1.0
 DEFAULT_SEED = 20259
 #: Finest grid of the crossed-chord quadrature in v2.
 X_GRID = 512
-#: Smallest grid of ``sln_integral``.  Its narrowest band excludes cyclic
-#: distances up to 8 / grid, and no distance exceeds 1/2, so on a grid
-#: of 16 or fewer points every band sum would be empty.
+#: Rules of ``sln_integral`` and ``_x_quadrature``, named in the cache keys.
+SLN_RULE, X_RULE = "midpoint, Richardson in n^-2", "midpoint, Richardson in n^-1 and n^-2"
+#: Smallest grid of ``sln_integral``: its coarsest grid, ceil(grid / 4), then
+#: has 5 points or more, so not only the antipode lies beyond the neighbours.
 SLN_MIN_GRID = 17
-#: Rows of a Gauss integrand grid filled per pass (``_gauss_blocks``,
-#: ``_sln_grid_sum``): at grids 512 and 1024, 16 rows ran fastest of 4
-#: to 64 on a 2-core x86-64 machine with numpy 2.4.
+#: Rows of a Gauss integrand grid filled per pass (``_gauss_blocks``):
+#: at grids 512 and 1024, 16 rows ran fastest of 4 to 64 on a 2-core
+#: x86-64 machine with numpy 2.4.
 GAUSS_PASS_ROWS = 16
 MC_BATCHES = 64
 #: Most samples of one ``a_gamma_mc`` run: a pass peaks near 520 bytes a
@@ -158,49 +158,47 @@ def _gauss_blocks(p1, d1, p2, d2, rows=None):
         yield i0, i1, f
 
 
-def _sln_grid_sum(curve: KnotCurve, n: int, bands: list[float]) -> list[float]:
-    """Banded midpoint sums of the self-linking integrand on an n x n grid:
-    per block, the sum of the entries whose cyclic parameter distance
-    exceeds each band.  The masks of those entries are built in row passes,
-    so no (rows, n) array of distances is formed."""
+def _richardson(total, grid: int, power: int, steps: int) -> tuple[float, float]:
+    """(value, error) of ``total(n)``, a sum whose error is a series in
+    h^power (h = 1 / n), on the grids ceil(grid / 2^k), k = steps + 1..0,
+    by ``steps`` Neville steps weighted by the actual grid ratios.  The
+    error is the distance from the same steps one grid coarser."""
+    grids = [-(-grid // 2**k) for k in range(steps + 1, -1, -1)]
+    col = [total(n) for n in grids]
+    for k in range(1, steps + 1):
+        w = [(grids[i + k] / grids[i]) ** power for i in range(len(col) - 1)]
+        col = [(wi * f - c) / (wi - 1.0) for wi, c, f in zip(w, col, col[1:])]
+    return col[-1], abs(col[-1] - col[-2])
+
+
+def _self_blocks(curve: KnotCurve, n: int):
+    """The curve's Gauss grid at n midpoints in blocks of 64 rows (0.5 MiB
+    at n = 1024), its nan diagonal set to 0."""
     t = (np.arange(n) + 0.5) / n
     pos, tan = curve.eval_with_deriv(t)
-    out = [0.0 for _ in bands]
-    for i0, i1, f in _gauss_blocks(pos, tan, pos, tan):
-        np.nan_to_num(f, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-        outside = np.empty((len(bands), i1 - i0, n), dtype=bool)
-        for r0 in range(i0, i1, GAUSS_PASS_ROWS):
-            r1 = min(r0 + GAUSS_PASS_ROWS, i1)
-            cyc = np.abs(t - t[r0:r1, None])
-            np.minimum(cyc, 1.0 - cyc, out=cyc)
-            for k, band in enumerate(bands):
-                np.greater(cyc, band, out=outside[k, r0 - i0 : r1 - i0])
-        for k in range(len(bands)):
-            out[k] += float(f[outside[k]].sum())
-    return [s / (n * n) for s in out]
+    for i0, i1, w in _gauss_blocks(pos, tan, pos, tan, rows=64):
+        np.fill_diagonal(w[:, i0:], 0.0)
+        yield i0, i1, w
+
+
+def _plain_sum(curve: KnotCurve, n: int) -> float:
+    """Midpoint sum of the self-linking integrand, diagonal set to 0."""
+    return sum(float(w.sum()) for _, _, w in _self_blocks(curve, n)) / (n * n)
 
 
 def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     """Self-linking integral: the Gauss form over the configuration of
     two points on the knot (the flat-space writhe integral).
 
-    Deterministic quadrature with a diagonal-exclusion band; the band is
-    halved twice and Richardson-extrapolated, and the residual between
-    successive extrapolations (plus a coarse-grid comparison) feeds the
-    error estimate.
+    The integrand vanishes on the diagonal like |s - t|, so the midpoint
+    sum S(n) has an error series in n^-2, n^-4, ... (Navot, J. Math. and
+    Phys. 1961); the value is (4 S(grid) - S(grid/2)) / 3 (``_richardson``).
     """
     if grid < SLN_MIN_GRID:
         raise InvalidParams(f"grid must be at least {SLN_MIN_GRID}, got {grid}")
     curve.validate()
-    band0 = 32.0 / grid
-    bands = [band0, band0 / 2, band0 / 4]
-    i0, i1, i2 = _sln_grid_sum(curve, grid, bands)
-    fine = 2.0 * i2 - i1
-    prev = 2.0 * i1 - i0
-    j0, j1, j2 = _sln_grid_sum(curve, grid // 2, bands)
-    coarse = 2.0 * j2 - j1
-    err = abs(fine - prev) + abs(fine - coarse)
-    return IntegralEstimate(fine, err, grid * grid, 0, "quadrature")
+    value, err = _richardson(lambda n: _plain_sum(curve, n), grid, power=2, steps=1)
+    return IntegralEstimate(value, err, grid * grid, 0, "quadrature")
 
 
 def _linking_grid(k1: KnotCurve, k2: KnotCurve, n: int) -> float:
@@ -238,17 +236,13 @@ def _crossed_chord_sum(curve: KnotCurve, n: int) -> float:
     P[j, k] = sum_{i<j} W[i, k]: a cumulative sum down the columns (P,
     carried across row blocks) and one along the rows (A), so O(n^2).
     """
-    t = (np.arange(n) + 0.5) / n
-    pos, tan = curve.eval_with_deriv(t)
-    cols = np.arange(n)
     above = np.zeros((1, n))  # column sums of the rows before the block
     total = 0.0
-    for j0, j1, w in _gauss_blocks(pos, tan, pos, tan, rows=64):
-        np.nan_to_num(w, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+    for j0, j1, w in _self_blocks(curve, n):
         p = np.cumsum(np.concatenate([above, w]), axis=0)
         above = p[-1:]
         p = p[:-1]
-        p[cols[None, :] <= cols[j0:j1, None]] = 0.0  # keep k > j
+        p[np.tri(j1 - j0, n, j0, dtype=bool)] = 0.0  # keep k > j
         a = np.cumsum(p, axis=1)  # a[j, l] = A[j, l + 1]
         total += float((w[:, 1:] * a[:, :-1]).sum())
     return total / n**4
@@ -257,16 +251,14 @@ def _crossed_chord_sum(curve: KnotCurve, n: int) -> float:
 def _x_quadrature(curve: KnotCurve, grid: int = X_GRID) -> IntegralEstimate:
     """Configuration integral of the crossed-chord graph, 4 * S.
 
-    The midpoint sum S has a first-order error in 1/grid, so the value is
-    the Richardson extrapolation 2 S(grid) - S(grid/2), and the error its
-    distance from the same extrapolation one grid coarser.  A product of
-    two Gauss integrands, it needs no orientation constant.
+    The midpoint sum S has an error series in 1/grid, 1/grid^2, ..., so the
+    value is 4 (4 R(grid) - R(grid/2)) / 3 with R(n) = 2 S(n) - S(n/2)
+    (``_richardson``).  A product of two Gauss integrands, it needs no
+    orientation constant.
     """
     curve.validate()
-    s0, s1, s2 = (_crossed_chord_sum(curve, grid // d) for d in (4, 2, 1))
-    fine = 2.0 * s2 - s1
-    prev = 2.0 * s1 - s0
-    return IntegralEstimate(4.0 * fine, 4.0 * abs(fine - prev), grid * grid, 0, "quadrature")
+    value, err = _richardson(lambda n: _crossed_chord_sum(curve, n), grid, power=1, steps=2)
+    return IntegralEstimate(4.0 * value, 4.0 * err, grid * grid, 0, "quadrature")
 
 
 # --- Monte Carlo for the tripod ---

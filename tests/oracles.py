@@ -369,6 +369,27 @@ def gauss_coeff(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return num / (FOUR_PI * r2**1.5)
 
 
+def polygon_writhe(p: np.ndarray) -> float:
+    """Writhe of the closed polygon through the points p, exactly up to
+    rounding: the signed solid angles that ordered pairs of non-adjacent
+    segments subtend, over 4 pi (Klenin and Langowski, "Computation of
+    writhe in modeling of supercoiled DNA", Biopolymers 2000).  Equal and
+    adjacent segments are coplanar and add nothing."""
+    n = len(p)
+    q = np.roll(p, -1, axis=0)
+    total = 0.0
+    for i in range(n):
+        j = (i + np.arange(2, n - 1)) % n
+        r13, r14, r23, r24 = p[j] - p[i], q[j] - p[i], p[j] - q[i], q[j] - q[i]
+        faces = [np.cross(r13, r14), np.cross(r14, r24), np.cross(r24, r23), np.cross(r23, r13)]
+        faces = [f / np.linalg.norm(f, axis=1, keepdims=True) for f in faces]
+        cosines = [np.sum(faces[k] * faces[(k + 1) % 4], axis=1) for k in range(4)]
+        omega = sum(np.arcsin(np.clip(c, -1.0, 1.0)) for c in cosines)
+        sign = np.sign(np.sum(np.cross(q[j] - p[j], q[i] - p[i]) * r13, axis=1))
+        total += float(np.sum(omega * sign))
+    return total / FOUR_PI
+
+
 # --- reference graphs, their text form and the per-edge contraction rule ---
 
 
@@ -516,11 +537,11 @@ def candidate_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def nonadjacent_min_distance(p: np.ndarray) -> float:
+def nonadjacent_min_distance(p: np.ndarray, window: int = 2) -> float:
     """Least distance between points of the closed sequence p at cyclic
-    separation 3 or more, one shift at a time."""
+    separation above ``window``, one shift at a time."""
     least = np.inf
-    for k in range(3, len(p) // 2 + 1):
+    for k in range(window + 1, len(p) // 2 + 1):
         least = min(least, float(np.linalg.norm(p - np.roll(p, -k, axis=0), axis=1).min()))
     return least
 

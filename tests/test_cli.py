@@ -13,7 +13,9 @@ from graphflow.diagrams import a2_of_curve
 from graphflow.graphs import knot_order2_cocycle
 from graphflow.integrals import (
     MC_MAX_SAMPLES,
+    SLN_RULE,
     X_GRID,
+    X_RULE,
     linking_integral,
     sln_integral,
     v2_invariant,
@@ -232,8 +234,8 @@ def test_param_bounds_exit_code(args, code, tmp_path):
 
 
 def test_sln_grid_is_checked_before_the_cache_lookup(tmp_path, monkeypatch):
-    """An entry cached for a grid whose bands are all empty (0.0 +- 0.0)
-    is never replayed."""
+    """An entry cached for a grid below SLN_MIN_GRID, whose coarsest
+    sum has only 4 points, is never replayed."""
     args = ["knot", "sln", "--curve", "circle", "--grid", "16", "--cache-dir", str(tmp_path)]
     with monkeypatch.context() as m:
         m.setattr(cli, "SLN_MIN_GRID", 2)
@@ -363,12 +365,13 @@ def test_cocycles_never_read_the_dense_view(flavor, monkeypatch):
 
 #: sha256 of the stdout of ``knot v2 --curve K --samples 2e4 --seed 11
 #: --no-cache``: the crossed-chord quadrature, the tripod's Monte Carlo
-#: draws, integrand and reduction, byte for byte.
+#: draws, integrand and reduction, byte for byte.  Re-pinned when X took
+#: its second Richardson step (config ``x_rule``).
 V2_SHA256 = {
-    "circle": "748c5d3fdea5fe1bfe10a814d397bd7fe313cf4a7e85f31242e5386613e365d8",
-    "trefoil": "02aef60fe199d25b7206b821d7c17691e7aa4a0ab241445a3af3e9f71a9a387d",
-    "figure_eight": "05ddb5d3d188b4656edabfa1ed483e11c1990548dbfe551857807f97120d0b27",
-    "torus_2_5": "efe6f11d3c09c2d4578f2cf0f4e545368d4c3bc8777938a7be4397f10fcb0ffd",
+    "circle": "dee5e8f01d390fe257da014e50416434a127a5db63a8d51bcff3665bfc8bc99b",
+    "trefoil": "72623c5c66c2cb0ab43147cf779ffad3bafbfbe39acb2f509c2d4f3a3f6351b1",
+    "figure_eight": "c3ff3bfc5c90ee9328edaf917a5f1c6918eb635448fcef5d71566d7a6bab96ba",
+    "torus_2_5": "cc0153167688d9221da3bb2d90ea42f0d57fbc14e1afb5cb1f208ea60f3e3a74",
 }
 
 
@@ -380,12 +383,14 @@ def test_v2_stdout_pinned(curve):
 
 
 #: sha256 of the stdout of ``knot sln --curve K --no-cache`` (grid 1024):
-#: the Gauss grid, its banded sums and the Richardson step, byte for byte.
+#: the Gauss grid, its plain sums on grids 256, 512 and 1024 and the
+#: Richardson step, byte for byte.  Re-pinned when the plain sums replaced
+#: the banded ones (config ``rule``).
 SLN_SHA256 = {
-    "circle": "61e76777ccd3ef836061b9b27b53c8fe7a304b8ed7c8f1ab71460be4d47ef032",
-    "trefoil": "5f47aa5a62723fd088859f033fd3620d230a87ff4bcd69e415ebb2b530090f95",
-    "figure_eight": "dac254d5ca9dcce8a909fda27bcb663d0e587a624dd20e648dc494aa5a388621",
-    "torus_2_5": "9978a617e4fcac446e3231c24622c7feaebfd221c1ef524b4a2f4b58f102c268",
+    "circle": "bb1b5ba1488ec234665a96a68e956bee5c20a4151567ff7271cb6ad867615f4e",
+    "trefoil": "f4526bb6e7d2a0a1fd050c52c1501f84cfe101ee23577e09e272d81dec66b28a",
+    "figure_eight": "23e196260c186e6f01a33efb7e655f1858e65207a2734160b5192dd41d5d1568",
+    "torus_2_5": "8ad9bb999c10b2bf21f80cb1f35c4ce87b17fca295b7836fb02a02f246a73adf",
 }
 #: sha256 of the stdout of ``knot lk --curve hopf_a --curve2 hopf_b --no-cache``.
 LK_SHA256 = "b848da18bb8d2f2c49a9e201f3cdd147c1f35707e0043ee6dbef4f88bef4d20f"
@@ -432,6 +437,32 @@ def test_cache_entry_for_another_config_is_recomputed(tmp_path):
     assert again.exit_code == 0
     assert again.output == first.output
     assert entry.read_text() == first.output
+
+
+@pytest.mark.parametrize(
+    "args, rule_key",
+    [
+        (["sln", "--curve", "circle", "--grid", "64"], "rule"),
+        (["v2", "--curve", "circle", "--samples", "64", "--seed", "1"], "x_rule"),
+    ],
+    ids=["sln", "v2"],
+)
+def test_entry_of_the_previous_rule_is_not_replayed(args, rule_key, tmp_path):
+    """An entry stored under the config that the banded sln rule and
+    X's one-step rule used, which named no rule, is never replayed."""
+    fresh = run("knot", *args, "--no-cache")
+    doc = json.loads(fresh.output)
+    old = {k: v for k, v in doc["config"].items() if k != rule_key}
+    key_src = {"command": doc["command"], "key": old, "version": __version__}
+    key = hashlib.sha256(json.dumps(key_src, sort_keys=True).encode()).hexdigest()
+    path = tmp_path / key[:2] / (key + ".json")
+    path.parent.mkdir()
+    planted = {**doc, "config": old, "result": {**doc["result"], "value": 123.0}}
+    path.write_text(json.dumps(planted, indent=2, sort_keys=True) + "\n")
+    assert cli._read_entry(path, doc["command"], old) is not None  # replayed under the old key
+    res = run("knot", *args, "--cache-dir", str(tmp_path))
+    assert res.stdout_bytes == fresh.stdout_bytes
+    assert len(list(tmp_path.rglob("*.json"))) == 2
 
 
 def _every_error():
@@ -498,7 +529,7 @@ def _a2_doc():
 def _sln_doc():
     curve = load_curve("circle")
     h = curve.content_hash()
-    config = {"curve": "circle", "curve_hash": h, "grid": 256}
+    config = {"curve": "circle", "curve_hash": h, "grid": 256, "rule": SLN_RULE}
     return config, {**sln_integral(curve, grid=256).to_json_obj(), "op": "sln", "curve_hash": h}
 
 
@@ -517,7 +548,8 @@ def _v2_doc():
     [(c, g)] = [(c, g) for g, c in cocycle.items() if len(set(g.edges)) < len(g.edges)]
     omitted = [{"coeff": f"{c.numerator}/{c.denominator}", "graph": g.to_json_obj()}]
     result = v2_invariant(curve, n_samples=20000, seed=11).to_json_obj()
-    config = {"curve": "trefoil", "curve_hash": h, "samples": 20000, "seed": 11, "x_grid": X_GRID}
+    config = {"curve": "trefoil", "curve_hash": h, "samples": 20000, "seed": 11}
+    config |= {"x_grid": X_GRID, "x_rule": X_RULE}
     return config, {**result, "op": "v2", "curve_hash": h, "omitted_terms": omitted}
 
 

@@ -255,15 +255,37 @@ def test_scaled_warped_curve():
 @pytest.mark.parametrize("index", range(len(BUNDLED)))
 def test_distance_blocks_match_norm_forms_bit_for_bit(index):
     """validate's and the linking check's minima and ``diameter`` equal
-    the per-shift, 256-row and full-matrix forms they replace with ==."""
+    the per-shift, 256-row and full-matrix forms they replace with ==;
+    validate's and ``diameter``'s come from the blocks on and above the
+    diagonal only."""
     curve = bundled_curve(BUNDLED[index])
     p = curve.eval(np.arange(2048) / 2048)  # validate's default points
-    assert min_distance(p, p, window=2) == nonadjacent_min_distance(p)
+    for window in (0, 2):
+        assert min_distance(p, p, window=window) == nonadjacent_min_distance(p, window)
     t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
     pa, pb = curve.eval(t), bundled_curve(BUNDLED[(index + 1) % len(BUNDLED)]).eval(t)
     assert min_distance(pa, pb) == cross_min_distance(pa, pb)
     pd = curve.eval(np.arange(DIAMETER_SAMPLES) / DIAMETER_SAMPLES)
     assert curve.diameter() == point_set_diameter(pd)
+
+
+@pytest.mark.parametrize("window", [0, 2])
+@pytest.mark.parametrize("i, j", [(10, 13), (62, 65), (63, 66), (2046, 1), (64, 2047)])
+def test_half_distance_matrix_finds_a_failing_minimum(i, j, window):
+    """On curves that fail validate, the minimum over the blocks on and
+    above the diagonal (q is p) equals the full matrix's (a copy of p) and
+    the per-shift oracle's bit for bit.  The one close approach (i, j)
+    lies inside a 64-row block, across a block boundary, past the last
+    point, or where a band column left of row 64's block would wrap to
+    the row's end."""
+    n = 2048
+    p = bundled_curve("trefoil").eval(np.arange(n) / n)
+    p[j] = p[i] + [0.0, 0.0, 1e-6]
+    least = min_distance(p, p, window=window)
+    assert least == min_distance(p, p.copy(), window) == nonadjacent_min_distance(p, window)
+    assert least < 2e-6
+    with pytest.raises(CurveValidationError):
+        KnotCurve(points=p).validate(samples=n)
 
 
 @pytest.mark.parametrize("anchor", [62, 255])

@@ -23,15 +23,26 @@ from graphflow.integrals import (
     sln_integral,
     v2_invariant,
 )
-from oracles import a_gamma_quadrature, gauss_coeff
+from oracles import a_gamma_quadrature, gauss_coeff, polygon_writhe
 
 G1, G2, _ = knot_order2_graphs()
 CIRCLE = round_circle(1.0)
 TREFOIL = make_torus_knot(2, 3, 2.0, 0.5)
 BUNDLED_KNOTS = ["circle", "trefoil", "figure_eight", "torus_2_5"]
 
-# frozen by an initial grid-1024 run; deterministic quadrature
-SLN_TREFOIL_1024 = -3.1273574679051896
+#: Converged sln and X of the bundled knots, (sln at grid 8192, X at grid
+#: 4096), whose stated errors are at most 1e-12 and 1e-7; made by
+#:   PYTHONPATH=src python -c "from graphflow import curves, integrals as i
+#:   k = curves.bundled_curve('trefoil')
+#:   print(i.sln_integral(k, grid=8192), i._x_quadrature(k, grid=4096))"
+#: ``test_sln_references_match_polygon_writhe`` checks the sln values
+#: against an independent oracle.
+REFERENCE = {
+    "circle": (0.0, 0.0),
+    "trefoil": (-3.126859232824687, 4.198435959414823),
+    "figure_eight": (0.08631611344068953, -3.8004587969237407),
+    "torus_2_5": (-5.70511452399703, 12.176178466074644),
+}
 
 
 def test_sln_circle_vanishes():
@@ -41,7 +52,7 @@ def test_sln_circle_vanishes():
 
 def test_sln_trefoil_regression():
     est = sln_integral(TREFOIL, grid=1024)
-    assert est.value == pytest.approx(SLN_TREFOIL_1024, rel=1e-6)
+    assert abs(est.value - REFERENCE["trefoil"][0]) <= est.std_error
     finer = sln_integral(TREFOIL, grid=2048)
     assert abs(finer.value - est.value) <= 3 * (est.std_error + finer.std_error)
 
@@ -50,6 +61,54 @@ def test_sln_reparametrization_invariant():
     est = sln_integral(TREFOIL, grid=1024)
     rep = sln_integral(reparametrized(TREFOIL, 0.3), grid=1024)
     assert abs(est.value - rep.value) <= 3 * (est.std_error + rep.std_error)
+
+
+@pytest.mark.parametrize("copy", ["plain", "reparametrized", "scaled"])
+@pytest.mark.parametrize("name", BUNDLED_KNOTS)
+def test_stated_errors_cover_the_references(name, copy):
+    """sln at grid 1024 and X at grid 512 are within their stated errors
+    of the converged values, also on a reparametrized copy (the same
+    image at non-uniform speed) and on a copy scaled by 1e-3."""
+    base = bundled_curve(name)
+    copies = {"plain": base, "reparametrized": reparametrized(base), "scaled": scaled(base, 1e-3)}
+    knot = copies[copy]
+    sln_ref, x_ref = REFERENCE[name]
+    sln, x = sln_integral(knot), integrals._x_quadrature(knot)
+    assert abs(sln.value - sln_ref) <= sln.std_error, (sln, sln_ref)
+    assert abs(x.value - x_ref) <= x.std_error, (x, x_ref)
+
+
+@pytest.mark.parametrize("name", BUNDLED_KNOTS)
+def test_sln_references_match_polygon_writhe(name):
+    """The writhe of the polygon through N points of a smooth knot tends
+    to its sln like N^-2, then N^-4; one Richardson step over N = 256
+    and 512 lies within its own step from N = 128 of the stored value."""
+    knot = bundled_curve(name)
+    w128, w256, w512 = (polygon_writhe(knot.eval(np.arange(n) / n)) for n in (128, 256, 512))
+    coarse, fine = (4.0 * w256 - w128) / 3.0, (4.0 * w512 - w256) / 3.0
+    assert abs(fine - REFERENCE[name][0]) <= abs(fine - coarse)
+
+
+@pytest.mark.parametrize("grid", [256, 512, 1024, 2048])
+def test_sln_error_covers_a_polygon(grid):
+    """A polygon's tangent jumps at its vertices, so its midpoint sums
+    do not follow the n^-2 expansion; on the 97-gon through the trefoil
+    the stated error must still cover the distance from its exact
+    writhe."""
+    points = bundled_curve("trefoil").eval(np.arange(97) / 97)
+    est = sln_integral(KnotCurve(points=points), grid=grid)
+    assert abs(est.value - polygon_writhe(points)) <= est.std_error
+
+
+@pytest.mark.parametrize("grid", [17, 1001, 1023, 1024])
+def test_richardson_weights_follow_the_grid_ratio(grid):
+    """A sum that is exactly a series in h^2, or in h to h^2, is
+    extrapolated to its limit also on grids that do not halve exactly;
+    weights of 4 and 2 would leave O(1/grid^3) behind at grid 1023."""
+    value, err = integrals._richardson(lambda n: 1.0 + 3.0 / n**2, grid, power=2, steps=1)
+    assert value == pytest.approx(1.0, abs=1e-12) and err <= 1e-12
+    value, err = integrals._richardson(lambda n: 1.0 - 1.0 / n + 5.0 / n**2, grid, 1, 2)
+    assert value == pytest.approx(1.0, abs=1e-12) and err <= 1e-12
 
 
 def test_linking_hopf_pair():
@@ -93,12 +152,14 @@ def test_x_integral_vanishes_on_round_circle():
 @pytest.mark.parametrize("name", ["trefoil", "figure_eight"])
 @pytest.mark.parametrize("grid", [12, 24])
 def test_x_quadrature_matches_brute_force_oracle(name, grid):
-    """The O(N^2) cumulative sums, Richardson step and +4 scale reproduce
-    the O(N^4) sum over ordered 4-tuples: both extrapolate grids
-    grid and 2 * grid."""
+    """The O(N^2) cumulative sums, Richardson steps and +4 scale reproduce
+    the O(N^4) sum over ordered 4-tuples.  The oracle takes the first
+    step, over grids g and 2 g; the second step, over grid / 2 and grid,
+    is (4 oracle(grid) - oracle(grid / 2)) / 3."""
     knot = bundled_curve(name)
     fast = integrals._x_quadrature(knot, grid=2 * grid)
-    assert fast.value == pytest.approx(a_gamma_quadrature(G1, knot, grid=grid).value, abs=1e-12)
+    coarse, fine = (a_gamma_quadrature(G1, knot, grid=g).value for g in (grid // 2, grid))
+    assert fast.value == pytest.approx((4.0 * fine - coarse) / 3.0, abs=1e-12)
 
 
 def test_x_sum_independent_of_row_blocks(monkeypatch):
@@ -209,24 +270,21 @@ def test_v2_difference_matches_a2(name):
     assert abs(est.value - circle.value - a2_of_curve(knot)) <= 4 * sigma
 
 
-def _oracle_sln_grid_sum(curve, n, bands):
-    """The separate self-linking grid loop that _gauss_blocks replaced."""
+def _oracle_plain_sum(curve, n):
+    """The plain self-linking sum as a separate loop over the einsum form
+    of the Gauss integrand, 64 rows at a time."""
     t = (np.arange(n) + 0.5) / n
-    pos = curve.eval(t)
-    tan = curve.deriv(t)
-    out = [0.0 for _ in bands]
-    chunk = max(1, 4_000_000 // n)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        v = pos[None, :, :] - pos[i0:i1, None, :]
+    pos, tan = curve.eval(t), curve.deriv(t)
+    total = 0.0
+    for i0 in range(0, n, 64):
+        i1 = min(i0 + 64, n)
         with np.errstate(invalid="ignore", divide="ignore"):
-            f = gauss_coeff(v, -tan[i0:i1, None, :], tan[None, :, :])
-        dt = np.abs(t[None, :] - t[i0:i1, None])
-        cyc = np.minimum(dt, 1.0 - dt)
-        f = np.nan_to_num(f, nan=0.0, posinf=0.0, neginf=0.0)
-        for k, band in enumerate(bands):
-            out[k] += float(f[cyc > band].sum())
-    return [s / (n * n) for s in out]
+            f = gauss_coeff(pos[None] - pos[i0:i1, None], -tan[i0:i1, None], tan[None])
+        assert np.isnan(np.diagonal(f, offset=i0)).all()
+        f[np.eye(i1 - i0, n, i0, dtype=bool)] = 0.0
+        assert np.isfinite(f).all()
+        total += float(f.sum())
+    return total / (n * n)
 
 
 def _oracle_linking_grid(k1, k2, n):
@@ -246,9 +304,11 @@ def _oracle_linking_grid(k1, k2, n):
 
 @pytest.mark.parametrize("curve", [CIRCLE, TREFOIL], ids=["circle", "trefoil"])
 def test_sln_quadrature_bit_identical_to_separate_loop(curve, monkeypatch):
-    est = sln_integral(curve, grid=256)
-    monkeypatch.setattr(integrals, "_sln_grid_sum", _oracle_sln_grid_sum)
-    assert est == sln_integral(curve, grid=256)
+    """The plain sums on grids 250, 500 and 1000 (the last block of each
+    partial) and the Richardson step on them equal the oracle loop's."""
+    est = sln_integral(curve, grid=1000)
+    monkeypatch.setattr(integrals, "_plain_sum", _oracle_plain_sum)
+    assert est == sln_integral(curve, grid=1000)
 
 
 def test_linking_quadrature_bit_identical_to_separate_loop(monkeypatch):
@@ -260,14 +320,15 @@ def test_linking_quadrature_bit_identical_to_separate_loop(monkeypatch):
 
 @pytest.mark.parametrize(
     "integral, names, bound_mib",
-    [(sln_integral, ["trefoil"], 24), (linking_integral, ["hopf_a", "hopf_b"], 16)],
+    [(sln_integral, ["trefoil"], 4), (linking_integral, ["hopf_a", "hopf_b"], 16)],
     ids=["sln", "lk"],
 )
 def test_grid_integrals_stay_small_in_memory(integral, names, bound_mib):
     """Peak traced memory at grid 1024 on fresh curves.  The one 1024 x
-    1024 block of the Gauss grid is 8 MiB; broadcasting ``np.cross`` and
-    ``einsum`` over (rows, n, 3) arrays to fill it peaks near 56 MiB for
-    each."""
+    1024 block of the linking grid is 8 MiB; broadcasting ``np.cross``
+    and ``einsum`` over (rows, n, 3) arrays to fill it peaks near 56 MiB.
+    sln sums 64-row blocks of 0.5 MiB; with its 1024 x 1024 blocks and
+    band masks it peaked at 19.7 MiB."""
     curves = [bundled_curve(name) for name in names]
     tracemalloc.start()
     try:
