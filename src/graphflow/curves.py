@@ -1,14 +1,17 @@
-"""Closed parametric curves in R^3: generators, validation, loading.
+"""Closed parametric curves in R^3: evaluation, validation, loading.
 
 A curve is stored either as a truncated Fourier series per coordinate
 (exact for torus knots), as a closed polyline, or as a reparametrized
 warp of another curve.  The parameter runs over [0, 1); Fourier curves
-close exactly and polylines wrap cyclically.
+close exactly and polylines wrap cyclically.  Validation, the linking
+check of ``integrals`` and the crossing search of ``diagrams`` find close
+pairs of points with one uniform cell grid, ``near_pairs``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,9 +29,6 @@ DIAMETER_SAMPLES = 512
 #: Uniform points per curve whose cross distances ``linking_integral``
 #: checks for an intersection.
 SEPARATION_SAMPLES = 2048
-#: Rows per block of ``sq_distance_blocks``; at 2048 columns a block is
-#: 1 MB, small beside a command's peak memory.
-DISTANCE_ROWS = 64
 
 _TWO_PI = 2.0 * np.pi
 
@@ -131,7 +131,14 @@ class KnotCurve:
 
     def diameter(self) -> float:
         p = self.eval(np.arange(DIAMETER_SAMPLES) / DIAMETER_SAMPLES)
-        return math.sqrt(max(float(d2.max()) for _, _, d2 in sq_distance_blocks(p, p)))
+        # row blocks from the diagonal on cover the matrix, which is
+        # symmetric bit for bit; coordinates are summed left to right.  At
+        # 32 rows a block's arrays stay within 128 KiB: 64-row blocks ran
+        # slower and left 0.6-0.9 MB of freed heap resident after the call
+        d2 = (
+            sum((c[i : i + 32, None] - c[i:]) ** 2 for c in p.T).max() for i in range(0, len(p), 32)
+        )
+        return math.sqrt(max(d2))
 
     def validate(self, samples: int = 2048):
         """Raise CurveValidationError unless regular and embedded.
@@ -141,10 +148,10 @@ class KnotCurve:
         not depend on the curve's size: the speed |gamma'| must exceed
         EPS_REG times the extent, and every pair of points at cyclic
         separation 3 or more must be farther apart than EPS_EMB times the
-        extent.  That distance is the minimum over the blocks of
-        ``sq_distance_blocks`` with the cyclic band of separation <= 2 set
-        to inf.  A passing result is remembered per ``samples``, since
-        curves are not mutated.
+        extent.  Only the ``near_pairs`` on a grid of twice that bound are
+        measured; every pair within the bound is among them, so a failing
+        minimum is the minimum over all pairs.  A passing result is
+        remembered per ``samples``, since curves are not mutated.
         """
         if samples in self._validated:
             return self
@@ -158,8 +165,9 @@ class KnotCurve:
                 f"min |gamma'| = {speed.min():.3g} "
                 f"<= eps_reg = {EPS_REG:.3g} times the extent {extent:.3g}",
             )
-        min_d = min_distance(p, p, window=2)
-        if min_d <= EPS_EMB * extent:
+        bound = EPS_EMB * extent
+        min_d = least_distance(p, near_pairs(p, 2 * bound, window=2))
+        if min_d <= bound:
             raise CurveValidationError(
                 "embedded",
                 f"min distance between non-adjacent points = {min_d:.3g} "
@@ -219,46 +227,50 @@ class KnotCurve:
         return hashlib.sha256(payload).hexdigest()
 
 
-def sq_distance_blocks(p: np.ndarray, q: np.ndarray):
-    """Row blocks (i0, i1, d2) of the squared distances
-    d2[i - i0, j - j0] = |p[i] - q[j]|^2, DISTANCE_ROWS rows at a time, with
-    j0 = 0, or j0 = i0 when q is p: that matrix is symmetric bit for bit, so
-    only its blocks on and above the diagonal are formed.
-    The coordinates are summed left to right, as ``np.linalg.norm`` sums
-    them, so the square root of an entry equals that norm bit for bit.
-    Every block is written into the same buffer, so a block is only
-    valid until the next one is drawn; callers may overwrite it.
+def near_pairs(x: np.ndarray, cell: float, window: int = -1) -> np.ndarray:
+    """Pairs (i, j), i < j, of the points x (shape (n, d)) at cyclic
+    separation min(j - i, n - j + i) above ``window`` that fall in the same
+    or neighbouring cells of a grid of side ``cell`` (Bentley, Stanat and
+    Williams, Inf. Process. Lett. 1977): all pairs less than ``cell`` apart
+    along every axis, up to the rounding of x / cell, so callers take twice
+    the distance they look for.  The points must span few enough cells for
+    one int64 key; the callers' span at most about n per axis.  Each cell
+    is one integer key in mixed radix; the keys are sorted once, and each
+    point's 3^d neighbour cells are 3^(d-1) ``searchsorted`` ranges of
+    them, expanded in one ``repeat``.  Pairs come by i, then by neighbour
+    offset in lex order over {-1, 0, 1}^d, then by j; the shape is (k, 2),
+    also for k = 0.
     """
-    pc, qc = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
-    buf = np.empty((2, DISTANCE_ROWS * len(q)))
-    for i0 in range(0, len(p), DISTANCE_ROWS):
-        i1 = min(i0 + DISTANCE_ROWS, len(p))
-        j0 = i0 if q is p else 0
-        # contiguous blocks: strided views of a (rows, n) buffer ran 2x slower
-        d2, sq = buf[:, : (i1 - i0) * (len(q) - j0)].reshape(2, i1 - i0, -1)
-        np.subtract(pc[0, i0:i1, None], qc[0, j0:], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for c in (1, 2):
-            np.subtract(pc[c, i0:i1, None], qc[c, j0:], out=sq)
-            np.multiply(sq, sq, out=sq)
-            d2 += sq
-        yield i0, i1, d2
+    n, d = x.shape
+    if n == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    # the clamp keeps x / cell finite; taking the minimum off after the floor
+    # keeps the grid at 0, and before the cast keeps the keys small
+    cell = max(cell, float(np.abs(x).max()) * 2.0**-1000) or 1.0
+    k = np.floor(x / cell)
+    k = (k - k.min(axis=0)).astype(np.int64) + 1  # a one-cell margin
+    radix = np.cumprod(np.append(1, k.max(axis=0)[:0:-1] + 2))[::-1]
+    key = k @ radix
+    order = np.argsort(key, kind="stable")  # j ascending within a cell
+    sorted_key = key[order]
+    # the three cells along the last axis have consecutive keys: one range
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1))) @ radix[:-1]
+    target = key[:, None] + offsets[None, :]
+    lo = np.searchsorted(sorted_key, target - 1, side="left").ravel()
+    count = np.searchsorted(sorted_key, target + 1, side="right").ravel() - lo
+    ends = np.cumsum(count)
+    pos = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
+    i = np.repeat(np.arange(n, dtype=np.int64), count.reshape(n, -1).sum(axis=1))
+    j = order[pos]
+    keep = (j - i > max(window, 0)) & (j - i < n - window)
+    return np.stack([i[keep], j[keep]], axis=1)
 
 
-def min_distance(p: np.ndarray, q: np.ndarray, window: int = -1) -> float:
-    """Least |p[i] - q[j]| over pairs at cyclic separation
-    min(|i - j|, n - |i - j|) above ``window`` (n = len(q)), inf when
-    there is none; the default takes every pair."""
-    n = len(q)
-    least = math.inf
-    for i0, i1, d2 in sq_distance_blocks(p, q):
-        j0, rows = (i0 if q is p else 0), np.arange(i1 - i0)
-        for k in range(-window, window + 1):
-            # with j0 = i0, a band pair left of the block sits mirrored in an earlier one
-            r = rows[max(0, -k) : n - i0 - k] if j0 else rows
-            d2[r, (r + i0 + k) % n - j0] = np.inf
-        least = min(least, float(d2.min()))
-    return math.sqrt(least)
+def least_distance(x: np.ndarray, pairs: np.ndarray) -> float:
+    """Least |x[i] - x[j]| over the rows (i, j) of ``pairs`` (inf if none),
+    coordinates summed left to right, so bit for bit ``np.linalg.norm``'s."""
+    d2 = sum((x[pairs[:, 0], c] - x[pairs[:, 1], c]) ** 2 for c in range(x.shape[1]))
+    return math.sqrt(np.min(d2, initial=math.inf))
 
 
 def _harmonics(t: np.ndarray, hmax: int) -> np.ndarray:
@@ -277,83 +289,6 @@ def _harmonics(t: np.ndarray, hmax: int) -> np.ndarray:
             np.subtract(c * c1, s * s1, out=out[2 * h - 1])
             np.add(s * c1, c * s1, out=out[2 * h])
     return out
-
-
-# --- generators ---
-
-
-def round_circle(radius: float = 1.0) -> KnotCurve:
-    cos_c = np.zeros((3, 2))
-    sin_c = np.zeros((3, 1))
-    cos_c[0, 1] = radius
-    sin_c[1, 0] = radius
-    return KnotCurve(cos_coeffs=cos_c, sin_coeffs=sin_c, name="circle")
-
-
-def make_torus_knot(p: int, q: int, R: float, r: float) -> KnotCurve:
-    """Torus knot ((R + r cos 2pi q t) cos 2pi p t, ..., r sin 2pi q t).
-
-    Exact Fourier representation; requires coprime p, q >= 1 and R > r > 0.
-    """
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise InvalidParams("p and q must be integers")
-    if p < 1 or q < 1:
-        raise InvalidParams("p and q must be >= 1")
-    if math.gcd(p, q) != 1:
-        raise InvalidParams(f"gcd({p},{q}) != 1")
-    if not (R > r > 0):
-        raise InvalidParams("need R > r > 0")
-    hmax = p + q
-    cos_c = np.zeros((3, hmax + 1))
-    sin_c = np.zeros((3, hmax))
-
-    def add(coord, h, a, b):
-        if h == 0:
-            cos_c[coord, 0] += a
-        else:
-            cos_c[coord, h] += a
-            sin_c[coord, h - 1] += b
-
-    add(0, p, R, 0.0)
-    add(1, p, 0.0, R)
-    add(0, p + q, r / 2, 0.0)
-    add(1, p + q, 0.0, r / 2)
-    d = p - q
-    add(0, abs(d), r / 2, 0.0)
-    if d != 0:
-        add(1, abs(d), 0.0, math.copysign(r / 2, d))
-    add(2, q, 0.0, r)
-    curve = KnotCurve(cos_coeffs=cos_c, sin_coeffs=sin_c, name=f"torus({p},{q})")
-    return curve.validate()
-
-
-def reparametrized(curve: KnotCurve, amplitude: float = 0.3) -> KnotCurve:
-    """Same geometric curve traversed at non-uniform speed.
-
-    Composes with the warp t -> t + amplitude*sin(2 pi t)/(2 pi), which
-    is monotone for |amplitude| < 1; the image is exactly unchanged.
-    """
-    return KnotCurve(
-        warp_base=curve,
-        warp_amplitude=amplitude,
-        name=curve.name and curve.name + "-reparam",
-    )
-
-
-def scaled(curve: KnotCurve, factor: float) -> KnotCurve:
-    if curve.warp_base is not None:
-        return KnotCurve(
-            warp_base=scaled(curve.warp_base, factor),
-            warp_amplitude=curve.warp_amplitude,
-            name=curve.name,
-        )
-    if curve.points is not None:
-        return KnotCurve(points=curve.points * factor, name=curve.name)
-    return KnotCurve(
-        cos_coeffs=curve.cos_coeffs * factor,
-        sin_coeffs=curve.sin_coeffs * factor,
-        name=curve.name,
-    )
 
 
 # --- bundled curve library ---

@@ -4,7 +4,8 @@ The second-coefficient invariant a2 is a signed count of interlaced
 crossing pairs on the Gauss diagram; it is the reference value for the
 configuration-space integrals of ``integrals``.  Its own reference, the
 z^2 coefficient of the Conway polynomial by skein recursion on the same
-diagram, lives in ``tests/oracles.py``.
+diagram, lives in ``tests/oracles.py``.  Crossings are looked for among
+the segment pairs whose midpoints ``curves.near_pairs`` finds.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import KnotCurve
+from .curves import KnotCurve, near_pairs
 from .errors import DegenerateProjection, InconsistentDiagram, InvalidParams
 
 #: Segment counts of the first and the finest projected polyline.
@@ -51,10 +52,6 @@ class GaussDiagram:
             if c.over == c.under:
                 raise InconsistentDiagram("crossing with equal parameters")
 
-    @property
-    def writhe(self) -> int:
-        return sum(c.sign for c in self.crossings)
-
     def to_json_obj(self) -> dict:
         return {
             "crossings": [
@@ -69,12 +66,6 @@ class GaussDiagram:
                 Crossing(float(c["over"]), float(c["under"]), int(c["sign"]))
                 for c in obj["crossings"]
             )
-        )
-
-    def mirror(self) -> "GaussDiagram":
-        """Swap all over/under roles and flip signs."""
-        return GaussDiagram(
-            tuple(Crossing(c.under, c.over, -c.sign) for c in self.crossings)
         )
 
 
@@ -94,42 +85,6 @@ def _plane_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return e1, e2, d
 
 
-def _candidate_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Non-adjacent segment pairs (i, j), i < j, whose projections can
-    intersect: those whose midpoints fall in the same or neighbouring
-    cells of a uniform grid with the longest segment as cell size.
-
-    Each cell is one integer key; the keys are sorted once, and each
-    segment's nine neighbour cells are index ranges of the sorted keys
-    (``searchsorted``), expanded in one ``repeat``.  Pairs come by i
-    ascending, then by neighbour offset (da, db) in lex order over
-    {-1, 0, 1}^2, then by j ascending; the shape is (k, 2), also for k = 0.
-    """
-    nxt = np.concatenate([np.arange(1, n), [0]])
-    mu, mv = (u + u[nxt]) / 2, (v + v[nxt]) / 2
-    seg_len = np.hypot(u[nxt] - u, v[nxt] - v)
-    cell = max(float(seg_len.max()), 1e-12)
-    cu = np.floor(mu / cell).astype(np.int64)
-    cv = np.floor(mv / cell).astype(np.int64)
-    # a one-cell margin on each side keeps neighbour keys distinct
-    cu -= cu.min() - 1
-    cv -= cv.min() - 1
-    width = int(cv.max()) + 2
-    key = cu * width + cv
-    order = np.argsort(key, kind="stable")  # j ascending within a cell
-    sorted_key = key[order]
-    offsets = np.array([da * width + db for da in (-1, 0, 1) for db in (-1, 0, 1)])
-    target = key[:, None] + offsets[None, :]
-    lo = np.searchsorted(sorted_key, target, side="left").ravel()
-    count = np.searchsorted(sorted_key, target, side="right").ravel() - lo
-    ends = np.cumsum(count)
-    pos = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
-    i = np.repeat(np.arange(n, dtype=np.int64), count.reshape(n, 9).sum(axis=1))
-    j = order[pos]
-    keep = (j > i + 1) & ~((i == 0) & (j == n - 1))
-    return np.stack([i[keep], j[keep]], axis=1)
-
-
 def _segment_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:
     """Self-intersections of the projected closed polyline with n segments."""
     e1, e2, d = _plane_basis(direction)
@@ -147,7 +102,10 @@ def _segment_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:
     if (np.hypot(du, dv) * n / tan3).min() < 1e-2:
         raise DegenerateProjection("curve tangent nearly parallel to direction")
 
-    pairs = _candidate_pairs(u, v, n)
+    # two crossing segments have midpoints at most the longest segment
+    # apart along each axis
+    mid = np.stack([u + u[nxt], v + v[nxt]], axis=1) / 2
+    pairs = near_pairs(mid, max(float(np.hypot(du, dv).max()), 1e-12), window=1)
     if pairs.size == 0:
         return []
     i, j = pairs[:, 0], pairs[:, 1]

@@ -49,7 +49,7 @@ class InconsistentDiagram(GraphflowError):
     """Gauss diagram fails internal consistency checks."""
 
 
-class UnsupportedGraph(GraphflowError):
+class SamplingFailed(GraphflowError):
     """The tripod's Monte Carlo gave up: its collision guard kept rejecting samples."""
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SEPARATION_SAMPLES, KnotCurve, min_distance
-from .errors import CurvesIntersect, InvalidParams, ResourceLimit, UnsupportedGraph
+from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_pairs
+from .errors import CurvesIntersect, InvalidParams, ResourceLimit, SamplingFailed
 from .forms import FOUR_PI, CompiledIntegrand
 from .graphs import knot_order2_cocycle, knot_order2_graphs
 
@@ -216,9 +216,16 @@ def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> Integral
     if grid < 2:
         raise InvalidParams(f"grid must be at least 2, got {grid}")
     t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
-    min_d = min_distance(k1.eval(t), k2.eval(t))
-    scale = max(k1.diameter(), k2.diameter())
-    if min_d <= 1e-3 * scale:
+    p, q = k1.eval(t), k2.eval(t)
+    bound = 1e-3 * max(k1.diameter(), k2.diameter())
+    # only points in the other curve's box grown by 2 * bound (the bound, and
+    # room for rounding) can be that close; far-apart curves keep none
+    boxes = [(b.min(axis=0) - 2 * bound, b.max(axis=0) + 2 * bound) for b in (q, p)]
+    p, q = (a[np.all((lo <= a) & (a <= hi), axis=1)] for a, (lo, hi) in zip((p, q), boxes))
+    x = np.concatenate([p, q])
+    pairs = near_pairs(x, 2 * bound)
+    min_d = least_distance(x, pairs[(pairs[:, 0] < len(p)) & (pairs[:, 1] >= len(p))])
+    if min_d <= bound:
         raise CurvesIntersect(f"curves approach within {min_d:.3g}")
     fine = _linking_grid(k1, k2, grid)
     coarse = _linking_grid(k1, k2, grid // 2)
@@ -332,7 +339,7 @@ def _mc_group(
         if todo.size == 0:
             break
     else:
-        raise UnsupportedGraph("collision guard kept rejecting samples")
+        raise SamplingFailed("collision guard kept rejecting samples")
     terms = values * weights
     return [float(np.mean(terms[b * m : (b + 1) * m])) for b in range(len(rngs))]
 

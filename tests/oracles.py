@@ -1,18 +1,20 @@
 """Independent reference implementations that the tests compare production
-code against.  They import only data types, errors and constants from
+code against, and the curve generators and diagram readings that only
+tests use.  They import only data types, errors and constants from
 ``graphflow``, never the code they check (``test_oracles.py``)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from graphflow.curves import KnotCurve
-from graphflow.diagrams import GaussDiagram
-from graphflow.errors import GraphflowError, UnsupportedGraph
+from graphflow.diagrams import Crossing, GaussDiagram
+from graphflow.errors import GraphflowError, InvalidParams
 from graphflow.forms import FOUR_PI
 from graphflow.graphs import DecoratedGraph, Flavor
 from graphflow.integrals import COMPONENT_ORIENT, IntegralEstimate
@@ -28,6 +30,10 @@ class CoincidentPoints(GraphflowError):
 
 class DimensionMismatch(GraphflowError):
     """Wedge evaluation called with incompatible form count / dimension."""
+
+
+class UnsupportedGraph(GraphflowError):
+    """A graph outside the ones an oracle covers."""
 
 
 # --- the Gauss two-form and the top-degree wedge ---
@@ -559,3 +565,92 @@ def point_set_diameter(p: np.ndarray) -> float:
     """Largest |p[i] - p[j]|, from the full matrix of squared distances."""
     d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.max()))
+
+
+# --- curve generators ---
+
+
+def round_circle(radius: float = 1.0) -> KnotCurve:
+    cos_c = np.zeros((3, 2))
+    sin_c = np.zeros((3, 1))
+    cos_c[0, 1] = radius
+    sin_c[1, 0] = radius
+    return KnotCurve(cos_coeffs=cos_c, sin_coeffs=sin_c, name="circle")
+
+
+def make_torus_knot(p: int, q: int, R: float, r: float) -> KnotCurve:
+    """Torus knot ((R + r cos 2pi q t) cos 2pi p t, ..., r sin 2pi q t).
+
+    Exact Fourier representation; requires coprime p, q >= 1 and R > r > 0.
+    """
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise InvalidParams("p and q must be integers")
+    if p < 1 or q < 1:
+        raise InvalidParams("p and q must be >= 1")
+    if math.gcd(p, q) != 1:
+        raise InvalidParams(f"gcd({p},{q}) != 1")
+    if not (R > r > 0):
+        raise InvalidParams("need R > r > 0")
+    hmax = p + q
+    cos_c = np.zeros((3, hmax + 1))
+    sin_c = np.zeros((3, hmax))
+
+    def add(coord, h, a, b):
+        if h == 0:
+            cos_c[coord, 0] += a
+        else:
+            cos_c[coord, h] += a
+            sin_c[coord, h - 1] += b
+
+    add(0, p, R, 0.0)
+    add(1, p, 0.0, R)
+    add(0, p + q, r / 2, 0.0)
+    add(1, p + q, 0.0, r / 2)
+    d = p - q
+    add(0, abs(d), r / 2, 0.0)
+    if d != 0:
+        add(1, abs(d), 0.0, math.copysign(r / 2, d))
+    add(2, q, 0.0, r)
+    curve = KnotCurve(cos_coeffs=cos_c, sin_coeffs=sin_c, name=f"torus({p},{q})")
+    return curve.validate()
+
+
+def reparametrized(curve: KnotCurve, amplitude: float = 0.3) -> KnotCurve:
+    """Same geometric curve traversed at non-uniform speed.
+
+    Composes with the warp t -> t + amplitude*sin(2 pi t)/(2 pi), which
+    is monotone for |amplitude| < 1; the image is exactly unchanged.
+    """
+    return KnotCurve(
+        warp_base=curve,
+        warp_amplitude=amplitude,
+        name=curve.name and curve.name + "-reparam",
+    )
+
+
+def scaled(curve: KnotCurve, factor: float) -> KnotCurve:
+    if curve.warp_base is not None:
+        return KnotCurve(
+            warp_base=scaled(curve.warp_base, factor),
+            warp_amplitude=curve.warp_amplitude,
+            name=curve.name,
+        )
+    if curve.points is not None:
+        return KnotCurve(points=curve.points * factor, name=curve.name)
+    return KnotCurve(
+        cos_coeffs=curve.cos_coeffs * factor,
+        sin_coeffs=curve.sin_coeffs * factor,
+        name=curve.name,
+    )
+
+
+# --- readings of a Gauss diagram ---
+
+
+def writhe(d: GaussDiagram) -> int:
+    return sum(c.sign for c in d.crossings)
+
+
+def mirror(d: GaussDiagram) -> GaussDiagram:
+    """Swap all over/under roles and flip signs."""
+    return GaussDiagram(tuple(Crossing(c.under, c.over, -c.sign) for c in d.crossings))

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from graphflow import __version__, cli, errors, integrals
 from graphflow.cli import main
-from graphflow.curves import load_curve, round_circle
+from graphflow.curves import load_curve
 from graphflow.diagrams import a2_of_curve
 from graphflow.graphs import knot_order2_cocycle
 from graphflow.integrals import (
@@ -22,7 +22,7 @@ from graphflow.integrals import (
 )
 from graphflow.solver import RationalMatrix
 import oracles
-from oracles import theta_graph, to_text
+from oracles import round_circle, theta_graph, to_text
 
 
 def run(*args):
@@ -470,7 +470,8 @@ def _every_error():
     JSON parse error a bad curve file raises and the oracles' errors,
     which no row of the table names, for its GraphflowError row."""
     out = [json.JSONDecodeError("bad", "{", 1)]
-    for cls in [*vars(errors).values(), oracles.CoincidentPoints, oracles.DimensionMismatch]:
+    oracle_errors = [oracles.CoincidentPoints, oracles.DimensionMismatch, oracles.UnsupportedGraph]
+    for cls in [*vars(errors).values(), *oracle_errors]:
         if isinstance(cls, type) and issubclass(cls, errors.GraphflowError):
             if cls is errors.CurveValidationError:
                 out.append(cls("embedded", "boom"))
@@ -493,6 +494,7 @@ EXIT_CODES = {
     "InconsistentDiagram": 4,
     "CoincidentPoints": 1,
     "DimensionMismatch": 1,
+    "SamplingFailed": 1,
     "UnsupportedGraph": 1,
     "CurvesIntersect": 4,
 }

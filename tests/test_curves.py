@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,18 +8,26 @@ import pytest
 from graphflow.curves import (
     BUNDLED,
     DIAMETER_SAMPLES,
+    EPS_EMB,
     SEPARATION_SAMPLES,
     KnotCurve,
     bundled_curve,
+    least_distance,
     load_curve,
+    near_pairs,
+)
+from graphflow import curves, integrals
+from graphflow.errors import CurvesIntersect, CurveValidationError, InvalidParams
+from graphflow.integrals import linking_integral
+from oracles import (
+    cross_min_distance,
     make_torus_knot,
-    min_distance,
+    nonadjacent_min_distance,
+    point_set_diameter,
     reparametrized,
     round_circle,
     scaled,
 )
-from graphflow.errors import CurveValidationError, InvalidParams
-from oracles import cross_min_distance, nonadjacent_min_distance, point_set_diameter
 
 
 def test_torus_knot_param_validation():
@@ -252,40 +261,85 @@ def test_scaled_warped_curve():
     assert np.array_equal(big.eval(EVAL_T), 2.0 * rep.eval(EVAL_T))
 
 
+def _recorded_minima(monkeypatch, module):
+    """Every least distance that ``module``'s checks compute, in order."""
+    seen = []
+
+    def recorded(x, pairs):
+        seen.append(least_distance(x, pairs))
+        return seen[-1]
+
+    monkeypatch.setattr(module, "least_distance", recorded)
+    return seen
+
+
+def _linking_check(monkeypatch, a, b):
+    """The linking check's least distance for curves a and b, and the
+    message it raised (None when it passed)."""
+    seen = _recorded_minima(monkeypatch, integrals)
+    try:
+        linking_integral(a, b, grid=2)
+        message = None
+    except CurvesIntersect as exc:
+        message = str(exc)
+    return seen[-1], message
+
+
 @pytest.mark.parametrize("index", range(len(BUNDLED)))
-def test_distance_blocks_match_norm_forms_bit_for_bit(index):
-    """validate's and the linking check's minima and ``diameter`` equal
-    the per-shift, 256-row and full-matrix forms they replace with ==;
-    validate's and ``diameter``'s come from the blocks on and above the
-    diagonal only."""
+def test_distance_blocks_match_norm_forms_bit_for_bit(index, monkeypatch):
+    """validate's and the linking check's minima over their near pairs
+    decide as the per-shift and 256-row norm forms do, and equal them with
+    == whenever they are at or below the bound; ``diameter``'s 64-row
+    blocks on and above the diagonal equal the full matrix's maximum."""
     curve = bundled_curve(BUNDLED[index])
     p = curve.eval(np.arange(2048) / 2048)  # validate's default points
+    bound = EPS_EMB * float(np.ptp(p, axis=0).max())
     for window in (0, 2):
-        assert min_distance(p, p, window=window) == nonadjacent_min_distance(p, window)
+        least = least_distance(p, near_pairs(p, 2 * bound, window))
+        oracle = nonadjacent_min_distance(p, window)
+        assert (least <= bound) == (oracle <= bound)
+        assert least == oracle or least > bound
+    other = bundled_curve(BUNDLED[(index + 1) % len(BUNDLED)])
     t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
-    pa, pb = curve.eval(t), bundled_curve(BUNDLED[(index + 1) % len(BUNDLED)]).eval(t)
-    assert min_distance(pa, pb) == cross_min_distance(pa, pb)
+    oracle = cross_min_distance(curve.eval(t), other.eval(t))
+    least, message = _linking_check(monkeypatch, curve, other)
+    bound = 1e-3 * max(curve.diameter(), other.diameter())
+    assert (message is not None) == (oracle <= bound)
+    assert least == oracle or least > bound
     pd = curve.eval(np.arange(DIAMETER_SAMPLES) / DIAMETER_SAMPLES)
     assert curve.diameter() == point_set_diameter(pd)
 
 
 @pytest.mark.parametrize("window", [0, 2])
 @pytest.mark.parametrize("i, j", [(10, 13), (62, 65), (63, 66), (2046, 1), (64, 2047)])
-def test_half_distance_matrix_finds_a_failing_minimum(i, j, window):
-    """On curves that fail validate, the minimum over the blocks on and
-    above the diagonal (q is p) equals the full matrix's (a copy of p) and
-    the per-shift oracle's bit for bit.  The one close approach (i, j)
-    lies inside a 64-row block, across a block boundary, past the last
-    point, or where a band column left of row 64's block would wrap to
-    the row's end."""
+def test_half_distance_matrix_finds_a_failing_minimum(i, j, window, monkeypatch):
+    """On curves that fail validate, and on curve pairs that fail the
+    linking check, the least distance over the near pairs equals the
+    per-shift and 256-row oracles' bit for bit, and so do the messages.
+    The one close approach (i, j) keeps the placements that tested the
+    64-row distance blocks this search replaced: inside a block, across a
+    block boundary, past the last point, and 65 points from the wrap."""
     n = 2048
     p = bundled_curve("trefoil").eval(np.arange(n) / n)
     p[j] = p[i] + [0.0, 0.0, 1e-6]
-    least = min_distance(p, p, window=window)
-    assert least == min_distance(p, p.copy(), window) == nonadjacent_min_distance(p, window)
-    assert least < 2e-6
-    with pytest.raises(CurveValidationError):
+    oracle = nonadjacent_min_distance(p, window)
+    extent = float(np.ptp(p, axis=0).max())
+    bound = EPS_EMB * extent
+    assert least_distance(p, near_pairs(p, 2 * bound, window)) == oracle < 2e-6
+    seen = _recorded_minima(monkeypatch, curves)
+    with pytest.raises(CurveValidationError) as err:
         KnotCurve(points=p).validate(samples=n)
+    assert seen == [nonadjacent_min_distance(p, 2)]
+    assert str(err.value) == (
+        f"min distance between non-adjacent points = {seen[0]:.3g} "
+        f"<= eps_emb = 0.001 times the extent {extent:.3g}"
+    )
+    # the same approach between two curves, the second shifted away
+    q = p + [10.0, 0.0, 0.0]
+    q[j] = p[i] + [0.0, 0.0, 1e-6 * (window + 1)]
+    least, message = _linking_check(monkeypatch, KnotCurve(points=p), KnotCurve(points=q))
+    assert least == cross_min_distance(p, q) < 4e-6
+    assert message == f"curves approach within {least:.3g}"
 
 
 @pytest.mark.parametrize("anchor", [62, 255])
@@ -308,16 +362,88 @@ def test_validate_band_boundary(anchor, separation, embedded):
 
 
 def test_geometry_checks_stay_small_in_memory():
-    """Peak traced memory of validate and diameter on a fresh trefoil
-    stays below 8 MB, so a larger distance block shows here before it
-    shows in a command's peak RSS; the 512 x 512 x 3 difference array of
-    a one-block ``diameter`` alone is 6.3 MB."""
-    for check in (KnotCurve.validate, KnotCurve.diameter):
-        curve = bundled_curve("trefoil")
-        tracemalloc.start()
-        try:
-            check(curve)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, (check.__name__, peak)
+    """Peak traced memory of validate and diameter on a fresh trefoil, and
+    on a trefoil warped at amplitude 0.99, whose bunched points give
+    validate some 16,000 near pairs (it fails ``embedded``), stays below
+    8 MB, so that a larger search shows here before it shows in a
+    command's peak RSS; a one-block ``diameter``'s 512 x 512 x 3
+    difference array alone is 6.3 MB."""
+    for amplitude in (0.0, 0.99):
+        for check in (KnotCurve.validate, KnotCurve.diameter):
+            curve = bundled_curve("trefoil")
+            curve = reparametrized(curve, amplitude) if amplitude else curve
+            tracemalloc.start()
+            try:
+                check(curve)
+            except CurveValidationError as exc:
+                assert check is KnotCurve.validate and amplitude and exc.invariant == "embedded"
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (check.__name__, curve.name, peak)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6, 1e12, 1e15, 1e17])
+def test_validate_far_from_the_origin(shift):
+    """The trefoil translated by ``shift`` along (1, 1, 1) is decided as
+    the full distance matrix decided it, with the same message and no
+    warning: up to 1e12 it passes, at 1e15 and 1e17 its points round to
+    coinciding floats."""
+    tref = bundled_curve("trefoil")
+    cos_c = tref.cos_coeffs.copy()
+    cos_c[:, 0] += shift
+    curve = KnotCurve(cos_coeffs=cos_c, sin_coeffs=tref.sin_coeffs)
+    expected = {
+        1e15: "min distance between non-adjacent points = 0 <= eps_emb = 0.001 times the extent 5",
+        1e17: "min distance between non-adjacent points = 0 <= eps_emb = 0.001 times the extent 0",
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if shift in expected:
+            with pytest.raises(CurveValidationError) as err:
+                curve.validate()
+            assert err.value.invariant == "embedded" and str(err.value) == expected[shift]
+        else:
+            curve.validate()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_near_pairs_find_every_pair_within_a_cell(dim, seed):
+    """Against a brute-force pass over all pairs: on a dyadic lattice,
+    where x / cell is exact, every pair at most ``cell`` apart along each
+    axis is found, pairs planted at exactly ``cell`` per axis included; on
+    plain floats with a cell that is no power of two, every pair within
+    half a cell is; no pair is found 2 * cell or more apart along an axis;
+    and ``window`` drops exactly the pairs at cyclic separation up to it."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    lattice = rng.integers(-(2**9), 2**9, size=(n, dim)) * 2.0**-10
+    lattice[1::8] = lattice[::8][: len(lattice[1::8])] + 2.0**-4 * rng.choice([-1.0, 1.0], size=dim)
+    floats = rng.random((n, dim)) * 0.8 - 0.3
+    for x, cell, reach in ((lattice, 2.0**-4, 2.0**-4), (floats, 0.07, 0.035)):
+        i, j = np.triu_indices(n, 1)
+        gap = np.abs(x[i] - x[j]).max(axis=1)
+        close = {(a, b) for a, b, g in zip(i.tolist(), j.tolist(), gap) if g <= reach}
+        found = near_pairs(x, cell)
+        assert found.dtype == np.int64 and np.all(found[:, 0] < found[:, 1])
+        pairs = set(map(tuple, found.tolist()))
+        assert len(close) > 10 and len(pairs) == len(found) and close <= pairs
+        assert np.abs(x[found[:, 0]] - x[found[:, 1]]).max() < 2 * cell
+        for window in (0, 2):
+            sep = found[:, 1] - found[:, 0]
+            kept = found[np.minimum(sep, n - sep) > window]
+            assert np.array_equal(near_pairs(x, cell, window), kept)
+
+
+def test_near_pairs_of_no_points_and_of_a_zero_or_tiny_cell():
+    """No points give no pairs; a zero cell (coinciding points) and a cell
+    so small beside the coordinates that x / cell would overflow are
+    clamped, with no warning."""
+    assert near_pairs(np.empty((0, 3)), 1.0).shape == (0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same = np.full((4, 3), 1e17)
+        assert near_pairs(same, 0.0).tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        tiny = np.array([[0.0, 0.0, 1e20], [1e-300, 0.0, 1e20], [5e-300, 0.0, 1e20]])
+        assert near_pairs(tiny, 1e-300).tolist() == [[0, 1], [0, 2], [1, 2]]

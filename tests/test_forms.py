@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from graphflow.curves import make_torus_knot
 from graphflow.forms import CompiledIntegrand
 from graphflow.graphs import knot_order2_graphs
 from oracles import (
@@ -12,6 +11,8 @@ from oracles import (
     DimensionMismatch,
     TwoForm,
     gauss_two_form,
+    make_torus_knot,
+    round_circle,
     wedge_top,
 )
 
@@ -73,8 +74,6 @@ def test_gauss_form_swap_negates_exactly():
 
 
 def test_gauss_form_planar_chord_degenerate():
-    from graphflow.curves import round_circle
-
     conf = Configuration(round_circle(1.0), [0.1, 0.4], np.zeros((0, 3)))
     f = gauss_two_form(conf, 1, 2)
     assert abs(f.matrix[0, 1]) < 1e-15

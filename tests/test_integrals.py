@@ -1,20 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from graphflow.curves import (
-    KnotCurve,
-    bundled_curve,
-    make_torus_knot,
-    reparametrized,
-    round_circle,
-    scaled,
-)
+from graphflow.curves import KnotCurve, bundled_curve
 from graphflow import integrals
-from graphflow.errors import CurvesIntersect, ResourceLimit, UnsupportedGraph
+from graphflow.errors import CurvesIntersect, ResourceLimit, SamplingFailed
 from graphflow.forms import CompiledIntegrand
 from graphflow.graphs import knot_order2_graphs
 from graphflow.integrals import (
@@ -23,7 +17,16 @@ from graphflow.integrals import (
     sln_integral,
     v2_invariant,
 )
-from oracles import a_gamma_quadrature, gauss_coeff, polygon_writhe
+from oracles import (
+    UnsupportedGraph,
+    a_gamma_quadrature,
+    gauss_coeff,
+    make_torus_knot,
+    polygon_writhe,
+    reparametrized,
+    round_circle,
+    scaled,
+)
 
 G1, G2, _ = knot_order2_graphs()
 CIRCLE = round_circle(1.0)
@@ -136,6 +139,30 @@ def test_linking_near_integer_on_bundled_links():
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
     est = linking_integral(a, b, grid=1024)
     assert abs(est.value - round(est.value)) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "shift, value, error",
+    [
+        (1e6, "-0x1.d000000000000p-102", "0x1.8800000000000p-101"),
+        (1e12, "-0x1.4800000000000p-141", "0x1.c000000000000p-140"),
+        (1e17, "-0x1.c800000000000p-175", "0x1.4000000000000p-178"),
+    ],
+    ids=["1e6", "1e12", "1e17"],
+)
+def test_linking_of_a_far_pair(shift, value, error):
+    """hopf_b translated by ``shift`` along (1, 1, 1) gives, with no
+    warning, the estimate the full cross-distance matrix let through
+    (the values were read off it): the separation check keeps only the
+    points near the other curve's bounding box, here none."""
+    a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
+    cos_c = b.cos_coeffs.copy()
+    cos_c[:, 0] += shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = linking_integral(a, KnotCurve(cos_coeffs=cos_c, sin_coeffs=b.sin_coeffs))
+    assert (est.value, est.std_error) == (float.fromhex(value), float.fromhex(error))
+    assert (est.n_samples, est.seed, est.method) == (1024 * 1024, 0, "quadrature")
 
 
 def test_linking_rejects_intersecting():
@@ -404,7 +431,7 @@ def _oracle_mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll):
         if todo.size == 0:
             break
     else:
-        raise UnsupportedGraph("collision guard kept rejecting samples")
+        raise SamplingFailed("collision guard kept rejecting samples")
     return float(np.mean(values * weights))
 
 
@@ -472,11 +499,11 @@ def test_group_pass_redraws_collisions_like_the_oracle(monkeypatch):
 
 def test_group_pass_gives_up_after_64_draws_per_sample(monkeypatch):
     rows = _rows_with_eps_coll(monkeypatch, math.inf)
-    with pytest.raises(UnsupportedGraph, match="^collision guard kept rejecting samples$"):
+    with pytest.raises(SamplingFailed, match="^collision guard kept rejecting samples$"):
         a_gamma_mc(TREFOIL, n_samples=100, seed=31)
     assert rows == [64] * 64  # one group of 64 one-sample batches, each drawn 64 times
     del rows[:]
-    with pytest.raises(UnsupportedGraph, match="^collision guard kept rejecting samples$"):
+    with pytest.raises(SamplingFailed, match="^collision guard kept rejecting samples$"):
         _oracle_a_gamma_mc(G2, TREFOIL, 100, seed=31)
     assert rows == [1] * 64
 

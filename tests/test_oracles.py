@@ -6,11 +6,11 @@ from pathlib import Path
 ORACLES = Path(__file__).with_name("oracles.py")
 
 #: What ``oracles.py`` may take from graphflow: data types, errors and constants.
-ALLOWED = {"DecoratedGraph", "Flavor", "GaussDiagram", "IntegralEstimate", "KnotCurve"}
-ALLOWED |= {"GraphflowError", "UnsupportedGraph", "COMPONENT_ORIENT", "FOUR_PI"}
+ALLOWED = {"Crossing", "DecoratedGraph", "Flavor", "GaussDiagram", "IntegralEstimate"}
+ALLOWED |= {"KnotCurve", "GraphflowError", "InvalidParams", "COMPONENT_ORIENT", "FOUR_PI"}
 #: Production code that the oracles are compared against.
 CHECKED = {"CompiledIntegrand", "a2_oracle", "a_gamma_mc", "kernel_basis", "delta"}
-CHECKED |= {"_candidate_pairs", "sq_distance_blocks", "min_distance", "diameter"}
+CHECKED |= {"near_pairs", "least_distance", "diameter"}
 CHECKED |= {"sparse_rows", "delta_matrix", "_rref", "_gauss_blocks"}
 CHECKED |= {"canonicalize", "canonicalize_many", "contract_edge", "_chunks", "_classes"}
 CHECKED |= {"_graph", "_slots", "_contract", "delta_columns"}
