@@ -15,10 +15,10 @@ import itertools
 import json
 import math
 import os
+from functools import cached_property
 from importlib import resources
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import CurveValidationError, InvalidParams
 
 #: Bounds of ``validate``, as fractions of the curve's extent.
@@ -30,7 +30,7 @@ DIAMETER_SAMPLES = 512
 #: checks for an intersection.
 SEPARATION_SAMPLES = 2048
 
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * math.pi
 
 
 class KnotCurve:
@@ -38,7 +38,9 @@ class KnotCurve:
 
     Exactly one of (cos_coeffs, sin_coeffs) / points is set.  For the
     Fourier form, cos_coeffs has shape (3, H+1) and sin_coeffs (3, H)
-    starting at harmonic 1.
+    starting at harmonic 1.  Both forms are kept as rows of Python floats
+    and become arrays on first use, so that loading and hashing a curve
+    never needs numpy.
     """
 
     def __init__(
@@ -56,44 +58,59 @@ class KnotCurve:
         self.name = name
         self.warp_base = warp_base
         self.warp_amplitude = float(warp_amplitude)
+        self._point_rows = self._cos_rows = self._sin_rows = None
         if warp_base is not None:
             if not abs(self.warp_amplitude) < 1:
                 raise InvalidParams("|warp amplitude| must be < 1 for a regular warp")
-            self.points = None
-            self.cos_coeffs = self.sin_coeffs = None
         elif points is not None:
-            pts = np.asarray(points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
+            pts = _float_rows(points)
+            if len(pts) < 3 or len(pts[0]) != 3:
                 raise InvalidParams("polyline needs at least 3 points of dimension 3")
-            if not np.isfinite(pts).all():
+            if not all(map(math.isfinite, itertools.chain(*pts))):
                 raise InvalidParams("polyline points must be finite")
-            scale = np.max(np.abs(pts)) or 1.0
-            if np.linalg.norm(pts[0] - pts[-1]) < 1e-12 * scale:
+            scale = max(abs(x) for p in pts for x in p) or 1.0
+            if math.dist(pts[0], pts[-1]) < 1e-12 * scale:
                 pts = pts[:-1]
-            self.points = pts
-            self.cos_coeffs = self.sin_coeffs = None
+            self._point_rows = pts
         else:
-            self.points = None
-            self.cos_coeffs = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
-            sin_coeffs = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
-            if self.cos_coeffs.shape[0] != 3:
+            cos_c, sin_c = _float_rows(cos_coeffs), _float_rows(sin_coeffs)
+            if len(cos_c) != 3:
                 raise InvalidParams("need cosine coefficients for 3 coordinates")
-            if sin_coeffs.shape != (3, self.cos_coeffs.shape[1] - 1):
+            if len(sin_c) != 3 or len(sin_c[0]) != len(cos_c[0]) - 1:
                 raise InvalidParams("sine coefficients must cover harmonics 1..H")
-            if not (np.isfinite(self.cos_coeffs).all() and np.isfinite(sin_coeffs).all()):
+            if not all(map(math.isfinite, itertools.chain(*cos_c, *sin_c))):
                 raise InvalidParams("Fourier coefficients must be finite")
-            self.sin_coeffs = sin_coeffs
-            # rows match the basis of _harmonics: 1, cos 2pi t, sin 2pi t, cos 4pi t, ...
-            # built here rather than lazily because threads share the curve
-            fac = _TWO_PI * np.arange(1, sin_coeffs.shape[1] + 1)
-            self._pos_matrix = np.empty((2 * fac.size + 1, 3))
-            self._pos_matrix[0] = self.cos_coeffs[:, 0]
-            self._pos_matrix[1::2] = self.cos_coeffs[:, 1:].T
-            self._pos_matrix[2::2] = sin_coeffs.T
-            self._tan_matrix = np.zeros_like(self._pos_matrix)
-            self._tan_matrix[1::2] = sin_coeffs.T * fac[:, None]
-            self._tan_matrix[2::2] = -self.cos_coeffs[:, 1:].T * fac[:, None]
+            self._cos_rows, self._sin_rows = cos_c, sin_c
         self._validated: set[int] = set()
+
+    @cached_property
+    def points(self) -> np.ndarray | None:
+        return None if self._point_rows is None else np.array(self._point_rows)
+
+    @cached_property
+    def cos_coeffs(self) -> np.ndarray | None:
+        return None if self._cos_rows is None else np.array(self._cos_rows)
+
+    @cached_property
+    def sin_coeffs(self) -> np.ndarray | None:
+        return None if self._sin_rows is None else np.array(self._sin_rows)
+
+    @cached_property
+    def _harmonic_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        # rows match the basis of _harmonics: 1, cos 2pi t, sin 2pi t, cos 4pi t, ...
+        # built on first use although threads share the curve: the first evaluation
+        # is in validate, before a_gamma_mc starts any worker, and a race would
+        # build identical arrays anyway
+        cos_c, sin_c = self.cos_coeffs, self.sin_coeffs
+        fac = _TWO_PI * np.arange(1, sin_c.shape[1] + 1)
+        pos = np.empty((2 * fac.size + 1, 3))
+        pos[0] = cos_c[:, 0]
+        pos[1::2] = cos_c[:, 1:].T
+        pos[2::2] = sin_c.T
+        tan = np.zeros_like(pos)
+        tan[1::2] = sin_c.T * fac[:, None]
+        tan[2::2] = -cos_c[:, 1:].T * fac[:, None]
+        return pos, tan
 
     # --- evaluation ---
 
@@ -117,9 +134,10 @@ class KnotCurve:
             idx = np.minimum(s.astype(int), n - 1)
             seg = pts[(idx + 1) % n] - pts[idx]
             return pts[idx] + (s - idx)[..., None] * seg, seg * n
+        pos, tan = self._harmonic_matrices
         basis = _harmonics(t.reshape(-1), self.sin_coeffs.shape[1]).T
         shape = t.shape + (3,)
-        return (basis @ self._pos_matrix).reshape(shape), (basis @ self._tan_matrix).reshape(shape)
+        return (basis @ pos).reshape(shape), (basis @ tan).reshape(shape)
 
     def eval(self, t) -> np.ndarray:
         return self.eval_with_deriv(t)[0]
@@ -185,19 +203,11 @@ class KnotCurve:
                 "amplitude": self.warp_amplitude,
                 "base": self.warp_base.to_json_obj(),
             }
-        elif self.points is not None:
-            obj = {"type": "polyline", "points": [[float(x) for x in p] for p in self.points]}
+        elif self._point_rows is not None:
+            obj = {"type": "polyline", "points": [p[:] for p in self._point_rows]}
         else:
-            obj = {
-                "type": "fourier",
-                "harmonics": [
-                    [
-                        [float(x) for x in self.cos_coeffs[c]],
-                        [float(x) for x in self.sin_coeffs[c]],
-                    ]
-                    for c in range(3)
-                ],
-            }
+            harmonics = [[c[:], s[:]] for c, s in zip(self._cos_rows, self._sin_rows)]
+            obj = {"type": "fourier", "harmonics": harmonics}
         if self.name:
             obj["name"] = self.name
         return obj
@@ -219,7 +229,7 @@ class KnotCurve:
                     name=obj.get("name"),
                 )
             raise InvalidParams(f"unknown curve type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParams(f"bad curve object: {exc}") from exc
 
     def content_hash(self) -> str:
@@ -271,6 +281,18 @@ def least_distance(x: np.ndarray, pairs: np.ndarray) -> float:
     coordinates summed left to right, so bit for bit ``np.linalg.norm``'s."""
     d2 = sum((x[pairs[:, 0], c] - x[pairs[:, 1], c]) ** 2 for c in range(x.shape[1]))
     return math.sqrt(np.min(d2, initial=math.inf))
+
+
+def _float_rows(x) -> list[list[float]]:
+    """x as rows of Python floats.  A rectangular list of lists of plain
+    ints and floats is read without numpy; anything else goes through
+    ``np.asarray``, so that numpy's own errors (ragged rows, say) stand,
+    and reads as no rows when it has more than two dimensions."""
+    if type(x) is list and x and all(type(r) is list and len(r) == len(x[0]) for r in x):
+        if all(type(v) in (int, float) for r in x for v in r):
+            return [[float(v) for v in r] for r in x]
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    return a.tolist() if a.ndim == 2 else []
 
 
 def _harmonics(t: np.ndarray, hmax: int) -> np.ndarray:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .curves import KnotCurve, near_pairs
 from .errors import DegenerateProjection, InconsistentDiagram, InvalidParams
 
@@ -243,6 +242,7 @@ def a2_of_curve(curve: KnotCurve, directions: int = 3, seed: int = 7) -> int:
         raise InvalidParams(f"need at least one direction, got {directions}")
     if seed < 0:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
+    curve.validate()
     values = []
     for direction in generic_directions(seed=seed, count=directions + 13):
         try:

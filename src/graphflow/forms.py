@@ -16,10 +16,11 @@ two-form, is in ``tests/oracles.py``.
 from __future__ import annotations
 
 import itertools
+import math
 
-import numpy as np
+from . import _numpy as np
 
-FOUR_PI = 4.0 * np.pi
+FOUR_PI = 4.0 * math.pi
 
 
 class CompiledIntegrand:

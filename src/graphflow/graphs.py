@@ -33,8 +33,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     GradeMismatch,
     InvalidGraph,

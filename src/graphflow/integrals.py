@@ -29,8 +29,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_pairs
 from .errors import CurvesIntersect, InvalidParams, ResourceLimit, SamplingFailed
 from .forms import FOUR_PI, CompiledIntegrand

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,17 +270,84 @@ def _nonfinite_curve(kind: str, bad: float) -> dict:
     return {"type": "polyline", "points": circle}
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**400, id="int-1e400")])
 @pytest.mark.parametrize("kind", ["fourier", "polyline"])
 def test_nonfinite_curve_exit_2(kind, bad, tmp_path):
     path = tmp_path / "curve.json"
-    path.write_text(json.dumps(_nonfinite_curve(kind, bad)))  # writes NaN / Infinity
+    # writes NaN / Infinity, or an integer beyond float range
+    path.write_text(json.dumps(_nonfinite_curve(kind, bad)))
     result = CliRunner().invoke(
         main, ["knot", "sln", "--curve", str(path), "--cache-dir", str(tmp_path / "c")]
     )
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
     assert not (tmp_path / "c").exists()  # nothing cached
+
+
+def test_a2_validates_its_curve_exit_4(tmp_path):
+    """a2 rejects the self-crossing curves that sln and v2 reject."""
+    t = np.arange(256) / 256
+    pts = np.stack([np.sin(4 * np.pi * t), np.sin(2 * np.pi * t), 0 * t], axis=1)
+    path = tmp_path / "figure_eight.json"
+    path.write_text(json.dumps({"type": "polyline", "points": pts.tolist()}))
+    result = CliRunner().invoke(main, ["knot", "a2", "--curve", str(path), "--no-cache"])
+    assert result.exit_code == 4 and result.stdout == ""
+    err = json.loads(result.stderr)["error"]
+    assert (err["type"], err["invariant"]) == ("CurveValidationError", "embedded")
+
+
+#: Runs the CLI like ``python -m graphflow.cli`` and reports, as the last
+#: line of stderr, whether numpy was loaded by the time the process ended.
+_PROBE = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print('numpy loaded:', 'numpy._core' in sys.modules, file=sys.stderr))\n"
+    "from graphflow.cli import main\n"
+    "main(prog_name='graphflow')\n"
+)
+
+
+def _probe(args, cache_dir) -> tuple[int, bytes, bool]:
+    """(exit code, stdout, whether numpy was loaded) of a fresh process,
+    the only place where the lazy import shows: this one has numpy."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "GRAPHFLOW_CACHE_DIR": str(cache_dir)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True, env=env, timeout=120)
+    last = proc.stderr.decode().splitlines()[-1]
+    assert last in ("numpy loaded: True", "numpy loaded: False")
+    return proc.returncode, proc.stdout, last == "numpy loaded: True"
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["--version"], 0), (["--help"], 0), (["knot", "sln"], 2), (["knot", "sln", "--curve", "nope"], 2)],
+    ids=["version", "help", "missing-option", "unknown-curve"],
+)
+def test_start_up_never_loads_numpy(args, code, tmp_path):
+    exit_code, out, loaded = _probe(args, tmp_path)
+    assert exit_code == code and not loaded
+    if args == ["--version"]:
+        assert out.decode() == f"graphflow, version {__version__}\n"
+
+
+KNOT_ARGS = {
+    "a2": ["knot", "a2", "--curve", "trefoil"],
+    "sln": ["knot", "sln", "--curve", "trefoil", "--grid", "64"],
+    "lk": ["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "64"],
+    "v2": ["knot", "v2", "--curve", "circle", "--samples", "64"],
+}
+
+
+@pytest.mark.parametrize("command", list(KNOT_ARGS))
+def test_cache_hit_never_loads_numpy(command, tmp_path):
+    """A miss computes with numpy; the hit after it only hashes the curves
+    and reads the entry, prints the miss's stdout byte for byte and never
+    loads numpy."""
+    code, miss, loaded = _probe(KNOT_ARGS[command], tmp_path)
+    assert code == 0 and loaded and json.loads(miss)["command"] == f"knot {command}"
+    code, hit, loaded = _probe(KNOT_ARGS[command], tmp_path)
+    assert code == 0 and not loaded
+    assert hit == miss
 
 
 def test_v2_repeat_runs_byte_identical(tmp_path, monkeypatch):

@@ -153,6 +153,52 @@ def test_content_hash_stable_and_distinct():
     assert a.content_hash() != bundled_curve("circle").content_hash()
 
 
+#: A closed polyline of ints and floats; its last point repeats the first
+#: and is dropped.
+BENT_SQUARE = {
+    "type": "polyline",
+    "name": "bent_square",
+    "points": [[0, 0, 0], [1, 0, 0.25], [1, 1, 0], [0, 1, -0.25], [0.1, 0.2, 1e-7], [0, 0, 0]],
+}
+
+#: content_hash() of each curve, read off the numpy-backed curves of
+#: version 0.1.0 before curves kept their rows as Python floats.  Every
+#: cache key holds these, so a stored result is replayed only while they
+#: stay as they are.
+CONTENT_HASH = {
+    "circle": "36f460ea47c08b5d5545f85257a304b32245daf4dbcde94338476b36d6b56987",
+    "trefoil": "c726e674d6d44f94af81dda16eb4de60b53cef0bd4d6fa620256dec7aeb21904",
+    "torus_2_5": "800524af919a5b633ecb9f4c089b254359009a4b94e92d3f3aa1395c21cb302c",
+    "figure_eight": "f640b95ef8cf1348ef20af2455e6f31783d7e6f6f309cce3c11cba4ebb6c49f4",
+    "hopf_a": "37ca73c1e11449906e0fcb476a2299ab47452b55144dd23545e422a71b635a91",
+    "hopf_b": "d5306f0a42052488c72d517f0307ee1f518c7cd28276a734fddbe041fa06b2c5",
+    "bent_square": "96f661d841cb5fe08799430466e6e54eca4ea2d5f97adbfc70c1c92bfdfb17dc",
+    "bent_square from an array": "96f661d841cb5fe08799430466e6e54eca4ea2d5f97adbfc70c1c92bfdfb17dc",
+    "warped_trefoil": "39f7f9516e75fdcf0c4f323bd0bb2810597fe8f81e20a4b795a706c0f2808325",
+}
+
+
+def _hashed_curve(name: str) -> KnotCurve:
+    if name == "bent_square":
+        return KnotCurve.from_json_obj(BENT_SQUARE)
+    if name == "bent_square from an array":
+        return KnotCurve(points=np.array(BENT_SQUARE["points"], dtype=float), name="bent_square")
+    if name == "warped_trefoil":
+        return KnotCurve(warp_base=load_curve("trefoil"), warp_amplitude=0.5, name=name)
+    return load_curve(name)
+
+
+@pytest.mark.parametrize("name", list(CONTENT_HASH))
+def test_content_hash_pinned(name):
+    curve = _hashed_curve(name)
+    assert curve.content_hash() == CONTENT_HASH[name]
+    # the arrays built on first use hold the rows the hash was taken from
+    again = KnotCurve.from_json_obj(curve.to_json_obj())
+    for attr in ("points", "cos_coeffs", "sin_coeffs"):
+        a, b = getattr(curve, attr), getattr(again, attr)
+        assert (a is None and b is None) or (a.dtype == float and np.array_equal(a, b))
+
+
 def _fourier_reference(k, t):
     """Position and tangent from the cos/sin sums written out term by term."""
     pos = np.zeros(t.shape + (3,))

@@ -87,3 +87,57 @@ def test_every_public_name_and_method_is_read():
         if reads[name] == Counter(_references(node))[name]
     ]
     assert unread == []
+
+
+def _import_time_nodes(node: ast.AST, postponed: bool):
+    """The nodes evaluated when the module is imported: all but the bodies
+    of functions and lambdas and, under ``from __future__ import
+    annotations``, the annotations."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field == "body" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if postponed and field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _import_time_nodes(child, postponed)
+
+
+def _numpy_at_import(tree: ast.Module) -> list[str]:
+    """Imports of numpy by name anywhere, and reads of ``np.`` when the
+    module is imported; each would load numpy in every process."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found += [node.module] if (node.module or "").split(".")[0] == "numpy" else []
+    postponed = any(
+        isinstance(n, ast.ImportFrom) and n.module == "__future__" and "annotations" in {a.name for a in n.names}
+        for n in tree.body
+    )
+    for node in _import_time_nodes(tree, postponed):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np":
+            found.append(f"np.{node.attr} at line {node.lineno}")
+    return found
+
+
+def test_numpy_loads_on_first_use_only():
+    """Only ``__init__.py`` names numpy, to make it load on first use, and
+    nothing reads ``np.`` at import, so that start-up and the knot cache
+    hits never load it."""
+    sample = ast.parse(
+        "from __future__ import annotations\nimport numpy.linalg\nfrom numpy import pi\n"
+        "X = np.e\nclass C:\n    Y = np.pi\n    def f(self, a=np.inf, b: np.ndarray = 0) -> np.ndarray:\n"
+        "        return np.pi\nZ = lambda: np.pi\n"
+    )
+    assert _numpy_at_import(sample) == [
+        "numpy.linalg", "numpy", "np.e at line 4", "np.pi at line 6", "np.inf at line 7"
+    ]
+    found = {
+        p.name: _numpy_at_import(ast.parse(p.read_text()))
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    assert len(found) > 1 and all(v == [] for v in found.values()), found
