@@ -168,15 +168,21 @@ class KnotCurve:
         separation 3 or more must be farther apart than EPS_EMB times the
         extent.  Only the ``near_pairs`` on a grid of twice that bound are
         measured; every pair within the bound is among them, so a failing
-        minimum is the minimum over all pairs.  A passing result is
-        remembered per ``samples``, since curves are not mutated.
+        minimum is the minimum over all pairs.  Points or speeds beyond
+        float range, which finite input near its limit can give, raise
+        InvalidParams instead.  A passing result is remembered per
+        ``samples``, since curves are not mutated.
         """
         if samples in self._validated:
             return self
         t = np.arange(samples) / samples
-        p = self.eval(t)
-        extent = float(np.ptp(p, axis=0).max())
-        speed = np.linalg.norm(self.deriv(t), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+            p = self.eval(t)
+            extent = float(np.ptp(p, axis=0).max())
+            speed = np.linalg.norm(self.deriv(t), axis=1)
+        # a non-finite point makes the extent nan or inf, and a speed its maximum
+        if not (math.isfinite(extent) and math.isfinite(speed.max())):
+            raise InvalidParams(f"curve points or speeds beyond float range: extent {extent:.3g}")
         if speed.min() <= EPS_REG * extent:
             raise CurveValidationError(
                 "regular",

@@ -51,22 +51,6 @@ class GaussDiagram:
             if c.over == c.under:
                 raise InconsistentDiagram("crossing with equal parameters")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "crossings": [
-                {"over": c.over, "under": c.under, "sign": c.sign} for c in self.crossings
-            ]
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "GaussDiagram":
-        return cls(
-            tuple(
-                Crossing(float(c["over"]), float(c["under"]), int(c["sign"]))
-                for c in obj["crossings"]
-            )
-        )
-
 
 # --- projection ---
 

@@ -131,18 +131,6 @@ class DecoratedGraph:
             "edges": [list(e) for e in self.edges],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "DecoratedGraph":
-        try:
-            return cls(
-                Flavor(obj["flavor"]),
-                int(obj["ext"]),
-                int(obj["int"]),
-                tuple((int(i), int(j)) for i, j in obj["edges"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidGraph(f"bad graph object: {exc}") from exc
-
 
 def grade(g: DecoratedGraph) -> tuple[int, int]:
     """(order, degree) of a decorated graph.
@@ -430,22 +418,6 @@ class GraphSum:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __rmul__(self, c) -> "GraphSum":
-        c = Fraction(c)
-        return GraphSum({g: c * v for g, v in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GraphSum) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "GraphSum(0)"
-        bits = [f"{c}*{g.edges}" for g, c in self.items()]
-        return "GraphSum(" + " + ".join(bits) + ")"
 
     def to_json_obj(self) -> list:
         return [

@@ -27,7 +27,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import _numpy as np
 from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_pairs
@@ -86,13 +86,7 @@ class IntegralEstimate:
             raise ValueError("negative standard error")
 
     def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -214,6 +208,8 @@ def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> Integral
     """Gauss linking number of two disjoint curves by torus quadrature."""
     if grid < 2:
         raise InvalidParams(f"grid must be at least 2, got {grid}")
+    k1.validate()
+    k2.validate()
     t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
     p, q = k1.eval(t), k2.eval(t)
     bound = 1e-3 * max(k1.diameter(), k2.diameter())

@@ -284,16 +284,49 @@ def test_nonfinite_curve_exit_2(kind, bad, tmp_path):
     assert not (tmp_path / "c").exists()  # nothing cached
 
 
-def test_a2_validates_its_curve_exit_4(tmp_path):
-    """a2 rejects the self-crossing curves that sln and v2 reject."""
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["a2", "--curve", "CURVE"],
+        ["sln", "--curve", "CURVE"],
+        ["v2", "--curve", "CURVE"],
+        ["lk", "--curve", "CURVE", "--curve2", "hopf_b"],
+        ["lk", "--curve", "hopf_b", "--curve2", "CURVE"],
+    ],
+    ids=["a2", "sln", "v2", "lk-curve", "lk-curve2"],
+)
+def test_knot_commands_validate_each_curve_exit_4(args, tmp_path):
+    """Every knot command rejects a self-crossing curve, lk in either
+    position: the figure-eight polyline at z = 10 lies far from hopf_b,
+    so lk's separation check alone passes it."""
     t = np.arange(256) / 256
-    pts = np.stack([np.sin(4 * np.pi * t), np.sin(2 * np.pi * t), 0 * t], axis=1)
+    pts = np.stack([np.sin(4 * np.pi * t), np.sin(2 * np.pi * t), 10 + 0 * t], axis=1)
     path = tmp_path / "figure_eight.json"
     path.write_text(json.dumps({"type": "polyline", "points": pts.tolist()}))
-    result = CliRunner().invoke(main, ["knot", "a2", "--curve", str(path), "--no-cache"])
+    args = [str(path) if a == "CURVE" else a for a in args]
+    result = CliRunner().invoke(main, ["knot", *args, "--no-cache"])
     assert result.exit_code == 4 and result.stdout == ""
     err = json.loads(result.stderr)["error"]
     assert (err["type"], err["invariant"]) == ("CurveValidationError", "embedded")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["a2"], ["sln"], ["v2"], ["lk", "--curve2", "hopf_b"]],
+    ids=["a2", "sln", "v2", "lk"],
+)
+def test_curve_beyond_float_range_exit_2(args, tmp_path):
+    """Finite points whose differences overflow: the sampled points are not
+    finite, which validate refuses, without a RuntimeWarning, before any
+    command computes on them."""
+    path = tmp_path / "triangle.json"
+    points = [[1e308, 0, 0], [-1e308, 0, 0], [0, 1e308, 0]]
+    path.write_text(json.dumps({"type": "polyline", "points": points}))
+    cache = tmp_path / "c"
+    result = CliRunner().invoke(main, ["knot", *args, "--curve", str(path), "--cache-dir", str(cache)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+    assert not cache.exists()  # nothing cached
 
 
 #: Runs the CLI like ``python -m graphflow.cli`` and reports, as the last

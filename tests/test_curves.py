@@ -380,7 +380,9 @@ def test_half_distance_matrix_finds_a_failing_minimum(i, j, window, monkeypatch)
         f"min distance between non-adjacent points = {seen[0]:.3g} "
         f"<= eps_emb = 0.001 times the extent {extent:.3g}"
     )
-    # the same approach between two curves, the second shifted away
+    # the same approach between two curves, the second shifted away; the
+    # first without its own approach, since lk validates both curves first
+    p = bundled_curve("trefoil").eval(np.arange(n) / n)
     q = p + [10.0, 0.0, 0.0]
     q[j] = p[i] + [0.0, 0.0, 1e-6 * (window + 1)]
     least, message = _linking_check(monkeypatch, KnotCurve(points=p), KnotCurve(points=q))

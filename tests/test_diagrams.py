@@ -125,12 +125,6 @@ def test_diagram_validation():
         GaussDiagram((Crossing(1.2, 0.5, 1),))
 
 
-def test_diagram_json_round_trip():
-    d = project_to_diagram(bundled_curve("trefoil"), DIR)
-    d2 = GaussDiagram.from_json_obj(d.to_json_obj())
-    assert d2 == d
-
-
 def test_projection_direction_independence():
     values = []
     for direction in generic_directions(seed=11, count=4):

@@ -1,19 +1,35 @@
-"""The package holds no private module-level name that nothing uses, and
-no public name or method that neither the package nor the benchmark reads."""
+"""The package holds no private module-level name that nothing uses, no
+public class or variable that neither the package nor the benchmark
+reads, and no function or method that neither a command nor the
+benchmark's in-process calls run."""
 
 import ast
+import json
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from oracles import theta_graph, to_text
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "graphflow"
 
-#: Public names that nothing in src/ or bench/ reads, kept on purpose.
+#: Functions and methods that no command and no in-process call of the
+#: benchmark runs, kept on purpose.  The name check reads it too, for any
+#: class or variable that nothing reads.
 KEPT = {
     # its tests pin the contraction rule, one edge at a time
     "contract_edge",
-    # stays while bench/spans.py patches solver.delta, which only it reads
+    # stay while bench/spans.py patches solver.delta, which only
+    # verify_cocycle reads; the other three run only under it, and all
+    # four go together
     "verify_cocycle",
+    "graph_grade",
+    "grade",
+    "GraphSum.is_zero",
 }
 
 
@@ -52,21 +68,11 @@ def test_every_private_module_level_name_is_used():
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, node) of the public functions, classes, variables and
-    methods a module defines, the CLI's click commands left out."""
+    """(name, node) of the public classes and module-level variables a
+    module defines; its functions and methods are checked by what runs."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            command = any(
-                isinstance(d, ast.Call)
-                and isinstance(d.func, ast.Attribute)
-                and d.func.attr == "command"
-                for d in node.decorator_list
-            )
-            if not command:
-                yield node.name, node
-            for method in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield method.name, method
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
@@ -74,8 +80,10 @@ def _public_definitions(tree: ast.Module):
 
 
 def test_every_public_name_and_method_is_read():
-    """Each is read in src/ or bench/ outside its own definition, or kept
-    on purpose (KEPT); the tests alone are no reader."""
+    """Each public class and variable is read in src/ or bench/ outside its
+    own definition, or kept on purpose (KEPT); the tests alone are no
+    reader.  Functions and methods are checked by
+    ``test_every_function_runs_from_a_command_or_the_benchmark``."""
     bench = [p for p in (ROOT / "bench").rglob("*.py") if "tests" not in p.parts]
     paths = sorted(PACKAGE.glob("*.py")) + sorted(bench)
     reads = Counter(name for p in paths for name in _references(ast.parse(p.read_text())))
@@ -87,6 +95,109 @@ def test_every_public_name_and_method_is_read():
         if reads[name] == Counter(_references(node))[name]
     ]
     assert unread == []
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, first line) of every function, method and lambda
+    under ``node``; the first line is that of the first decorator, as in
+    the function's code object."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            lines = [d.lineno for d in getattr(child, "decorator_list", [])]
+            yield name, min(lines + [child.lineno])
+            yield from _functions(child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+#: Runs each command of argv[1] in process, then the benchmark's own
+#: in-process calls (``bench/run.py``'s kernel reference, ``bench/spans.py``'s
+#: counts), under a profile hook, and writes each command's exit code and
+#: stdout, and the (file, first line) of every code object that ran, to
+#: argv[2].
+_REACH = """
+import contextlib, io, json, sys, threading
+ran = set()
+def hook(frame, event, arg):
+    if event == "call":
+        ran.add(frame.f_code)
+sys.setprofile(hook)
+threading.setprofile(hook)
+from graphflow.cli import main
+from graphflow.graphs import Flavor, knot_order2_cocycle, manifold_order2_cocycle
+from graphflow.solver import delta_matrix
+runs = []
+for args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main.main(args=args, prog_name="graphflow", standalone_mode=False) or 0
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue()])
+for flavor in Flavor:
+    m = delta_matrix(flavor, 2)[2]
+    m.entries, m.rows
+manifold_order2_cocycle().to_json_obj(), knot_order2_cocycle().to_json_obj()
+sys.setprofile(None)
+ran = sorted({(c.co_filename, c.co_firstlineno) for c in ran})
+with open(sys.argv[2], "w") as fh:
+    json.dump({"runs": runs, "ran": ran}, fh)
+"""
+
+
+def test_every_function_runs_from_a_command_or_the_benchmark(tmp_path):
+    """One fresh interpreter runs every command path, cache miss and hit
+    and a validation failure included, and the benchmark's in-process
+    calls; every function and method in src/ runs there or is in KEPT."""
+    trefoil = json.loads((PACKAGE / "data" / "trefoil.json").read_text())
+    warped = tmp_path / "warped.json"
+    warped.write_text(json.dumps({"type": "warped", "amplitude": 0.3, "base": trefoil}))
+    t = [k / 256 for k in range(256)]
+    eight = [[math.sin(4 * math.pi * s), math.sin(2 * math.pi * s), 0.0] for s in t]
+    crossing = tmp_path / "figure_eight.json"
+    crossing.write_text(json.dumps({"type": "polyline", "points": eight}))
+    theta = tmp_path / "theta.txt"
+    theta.write_text(to_text(theta_graph()))
+    commands = [
+        ["--version"],
+        ["graphs", "enumerate", "--flavor", "knot", "--order", "2"],
+        ["graphs", "enumerate", "--flavor", "manifold", "--order", "2", "--disconnected"],
+        ["graphs", "delta", "--input", str(theta)],
+        ["graphs", "cocycles", "--flavor", "manifold", "--order", "2"],
+        ["graphs", "cocycles", "--flavor", "knot", "--order", "2"],
+        ["knot", "a2", "--curve", "trefoil"],
+        ["knot", "a2", "--curve", "trefoil"],
+        ["knot", "sln", "--curve", str(warped), "--grid", "64"],
+        ["knot", "sln", "--curve", str(crossing)],
+        ["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "64"],
+        ["knot", "v2", "--curve", "circle", "--samples", "6400", "--no-cache"],
+    ]
+    env = {**os.environ, "GRAPHFLOW_CACHE_DIR": str(tmp_path / "cache")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    subprocess.run(
+        [sys.executable, "-c", _REACH, json.dumps(commands), str(report)], env=env, check=True, timeout=120
+    )
+    doc = json.loads(report.read_text())
+    codes = [code for code, _ in doc["runs"]]
+    assert codes == [0] * 9 + [4, 0, 0]
+    (_, miss), (_, hit) = doc["runs"][6:8]
+    assert hit == miss and len(list((tmp_path / "cache").rglob("*.json"))) == 3
+    ran = {(Path(f).resolve(), line) for f, line in doc["ran"]}
+    defined = [
+        (f"{p.name}:{name}", name, (p.resolve(), line) in ran)
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name, line in _functions(ast.parse(p.read_text()))
+    ]
+    assert len(defined) > 100
+    assert {name for _, name, _ in defined} >= KEPT
+    assert [where for where, name, run in defined if run and name in KEPT] == []
+    unrun = [where for where, name, run in defined if not run and name not in KEPT]
+    assert unrun == [], ", ".join(unrun)
 
 
 def _import_time_nodes(node: ast.AST, postponed: bool):
