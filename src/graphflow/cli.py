@@ -6,6 +6,12 @@ v2).  Stdout carries a single JSON document per invocation; every
 result embeds the resolved run configuration and the library version.
 Knot results are cached under a content-addressed path; repeated runs
 with identical configuration are byte-identical.
+
+Each command is a fresh process that imports only the modules it runs:
+``graphs``, ``solver`` and ``diagrams`` load inside the commands that
+call them, never for ``--version``, ``--help`` or a knot cache hit.  The
+benchmark wraps ``delta_matrix``, ``kernel_basis`` and ``a2_of_curve``
+by name in this module, so they stay here as forwarders.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import click
 
 from . import __version__
 from .curves import load_curve
-from .diagrams import a2_of_curve
 from .errors import (
     CurvesIntersect,
     CurveValidationError,
@@ -30,15 +35,6 @@ from .errors import (
     InvalidGraph,
     InvalidParams,
     ResourceLimit,
-)
-from .graphs import (
-    DecoratedGraph,
-    Flavor,
-    GraphSum,
-    delta,
-    enumerate_graphs,
-    knot_order2_cocycle,
-    knot_order2_graphs,
 )
 from .integrals import (
     DEFAULT_SEED,
@@ -52,7 +48,6 @@ from .integrals import (
     sln_integral,
     v2_invariant,
 )
-from .solver import delta_matrix, kernel_basis
 
 #: Exit code of each handled error; the first matching row wins.
 _EXIT_CODES = (
@@ -62,6 +57,21 @@ _EXIT_CODES = (
     (GraphflowError, 1),
 )
 _HANDLED = (GraphflowError, json.JSONDecodeError)
+
+
+def delta_matrix(flavor, order):
+    from . import solver
+    return solver.delta_matrix(flavor, order)
+
+
+def kernel_basis(m):
+    from . import solver
+    return solver.kernel_basis(m)
+
+
+def a2_of_curve(curve, directions, seed):
+    from . import diagrams
+    return diagrams.a2_of_curve(curve, directions=directions, seed=seed)
 
 
 def _fail(exc: Exception):
@@ -75,8 +85,13 @@ def _fail(exc: Exception):
 
 
 def _emit(command: str, config: dict, result) -> str:
+    """Print the result document; one holding a NaN or an infinity, which
+    JSON cannot carry, is refused before anything is printed or cached."""
     doc = {"command": command, "config": config, "version": __version__, "result": result}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        _fail(InvalidParams(f"result is not finite: {exc}"))
     click.echo(text)
     return text
 
@@ -137,15 +152,20 @@ def _read_entry(path: Path, command: str, config: dict) -> str | None:
 
 def _write_entry(path: Path, text: str) -> None:
     """Write a temp file beside the entry and move it into place, so a
-    reader sees the whole entry or none of it."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    reader sees the whole entry or none of it.  The result is printed
+    already, so a cache that cannot be written costs only the entry and
+    one line on stderr."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        click.echo(json.dumps({"warning": f"result not cached: {exc}"}), err=True)
 
 
 @click.group()
@@ -169,6 +189,7 @@ _FLAVOR = click.Choice(["manifold", "knot"])
 @click.option("--disconnected", is_flag=True, help="Include disconnected graphs.")
 def graphs_enumerate(flavor, order, degree, disconnected):
     """List canonical graphs of the given grade."""
+    from .graphs import Flavor, enumerate_graphs
     config = {"flavor": flavor, "order": order, "degree": degree, "connected": not disconnected}
     _run(
         "graphs enumerate",
@@ -184,6 +205,7 @@ def graphs_enumerate(flavor, order, degree, disconnected):
 @click.option("--input", "path", type=click.Path(exists=True, dir_okay=False), required=True)
 def graphs_delta(path):
     """Coboundary of the graph in a text-format file."""
+    from .graphs import DecoratedGraph, delta
     config = {"input": str(path)}
 
     def compute():
@@ -201,6 +223,7 @@ def graphs_delta(path):
 @click.option("--order", type=int, required=True)
 def graphs_cocycles(flavor, order):
     """Kernel basis of the coboundary matrix at the given order."""
+    from .graphs import Flavor, GraphSum
     config = {"flavor": flavor, "order": order}
 
     def compute():
@@ -324,6 +347,7 @@ def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
     n_samples = int(samples)
 
     def evaluate(curve):
+        from .graphs import GraphSum, knot_order2_cocycle, knot_order2_graphs
         est = v2_invariant(curve, n_samples=n_samples, seed=seed, workers=n_workers)
         evaluated = knot_order2_graphs()[:2]  # the crossed chords and the tripod
         omitted = {g: c for g, c in knot_order2_cocycle().items() if g not in evaluated}

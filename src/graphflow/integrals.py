@@ -19,6 +19,9 @@ are bit-reproducible for a fixed (inputs, seed) pair.  The O(N^4)
 product quadrature of chord-only graph integrals that the crossed-chord
 quadrature is checked against, and the einsum form of the Gauss
 integrand whose bits the grid reproduces, live in ``tests/oracles.py``.
+Every knot command imports this module, so it imports ``graphs`` only
+in ``v2_invariant`` and ``concurrent.futures`` only for more than one
+worker: ``sln`` and ``lk`` load neither, one-worker ``v2`` no thread pool.
 """
 
 from __future__ import annotations
@@ -26,14 +29,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import _numpy as np
 from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_pairs
 from .errors import CurvesIntersect, InvalidParams, ResourceLimit, SamplingFailed
 from .forms import FOUR_PI, CompiledIntegrand
-from .graphs import knot_order2_cocycle, knot_order2_graphs
 
 #: Orientation of the component of cyclically ordered knot points,
 #: relative to the coordinate order (t_1..t_n, x, y, z, ...).  Like the
@@ -378,6 +379,7 @@ def a_gamma_mc(
 
     nworkers = resolve_workers(workers)
     if nworkers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             means = list(pool.map(run, groups))
     else:
@@ -414,6 +416,7 @@ def v2_invariant(
     quantity between knots therefore match the order-2 combinatorial
     invariant.
     """
+    from .graphs import knot_order2_cocycle, knot_order2_graphs
     cocycle = knot_order2_cocycle()
     crossed, tripod, _ = knot_order2_graphs()
     y = a_gamma_mc(curve, n_samples=n_samples, seed=seed, workers=workers)

@@ -329,26 +329,32 @@ def test_curve_beyond_float_range_exit_2(args, tmp_path):
     assert not cache.exists()  # nothing cached
 
 
+#: Modules that a command loads only when it runs them: numpy (its core,
+#: as the package makes ``numpy`` itself a lazy module), the graph complex,
+#: its solver, the planar projections and the thread pool of --workers.
+WATCHED = ("numpy._core", "graphflow.graphs", "graphflow.solver", "graphflow.diagrams", "concurrent.futures")
+
 #: Runs the CLI like ``python -m graphflow.cli`` and reports, as the last
-#: line of stderr, whether numpy was loaded by the time the process ended.
+#: line of stderr, which WATCHED modules were loaded when the process ended.
 _PROBE = (
     "import atexit, sys\n"
-    "atexit.register(lambda: print('numpy loaded:', 'numpy._core' in sys.modules, file=sys.stderr))\n"
+    f"atexit.register(lambda: print('loaded:', *[m for m in {WATCHED!r} if m in sys.modules], file=sys.stderr))\n"
     "from graphflow.cli import main\n"
     "main(prog_name='graphflow')\n"
 )
 
 
-def _probe(args, cache_dir) -> tuple[int, bytes, bool]:
-    """(exit code, stdout, whether numpy was loaded) of a fresh process,
-    the only place where the lazy import shows: this one has numpy."""
+def _probe(args, cache_dir) -> tuple[int, bytes, set[str], list[str]]:
+    """(exit code, stdout, the WATCHED modules loaded, the other stderr
+    lines) of a fresh process, the only place where the lazy imports
+    show: this one has loaded them all."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "GRAPHFLOW_CACHE_DIR": str(cache_dir)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True, env=env, timeout=120)
-    last = proc.stderr.decode().splitlines()[-1]
-    assert last in ("numpy loaded: True", "numpy loaded: False")
-    return proc.returncode, proc.stdout, last == "numpy loaded: True"
+    *rest, last = proc.stderr.decode().splitlines()
+    assert last.startswith("loaded:")
+    return proc.returncode, proc.stdout, set(last.split()[1:]), rest
 
 
 @pytest.mark.parametrize(
@@ -357,8 +363,9 @@ def _probe(args, cache_dir) -> tuple[int, bytes, bool]:
     ids=["version", "help", "missing-option", "unknown-curve"],
 )
 def test_start_up_never_loads_numpy(args, code, tmp_path):
-    exit_code, out, loaded = _probe(args, tmp_path)
-    assert exit_code == code and not loaded
+    """Start-up loads neither numpy nor any other WATCHED module."""
+    exit_code, out, loaded, _ = _probe(args, tmp_path)
+    assert exit_code == code and loaded == set()
     if args == ["--version"]:
         assert out.decode() == f"graphflow, version {__version__}\n"
 
@@ -367,20 +374,79 @@ KNOT_ARGS = {
     "a2": ["knot", "a2", "--curve", "trefoil"],
     "sln": ["knot", "sln", "--curve", "trefoil", "--grid", "64"],
     "lk": ["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "64"],
-    "v2": ["knot", "v2", "--curve", "circle", "--samples", "64"],
+    "v2": ["knot", "v2", "--curve", "circle", "--samples", "64", "--workers", "1"],
+}
+
+#: The WATCHED modules that a cache miss of each knot command loads.
+MISS_LOADS = {
+    "a2": {"numpy._core", "graphflow.diagrams"},
+    "sln": {"numpy._core"},
+    "lk": {"numpy._core"},
+    "v2": {"numpy._core", "graphflow.graphs"},
 }
 
 
 @pytest.mark.parametrize("command", list(KNOT_ARGS))
 def test_cache_hit_never_loads_numpy(command, tmp_path):
-    """A miss computes with numpy; the hit after it only hashes the curves
-    and reads the entry, prints the miss's stdout byte for byte and never
-    loads numpy."""
-    code, miss, loaded = _probe(KNOT_ARGS[command], tmp_path)
-    assert code == 0 and loaded and json.loads(miss)["command"] == f"knot {command}"
-    code, hit, loaded = _probe(KNOT_ARGS[command], tmp_path)
-    assert code == 0 and not loaded
+    """A miss computes with numpy and loads only the modules its command
+    runs; the hit after it only hashes the curves and reads the entry,
+    prints the miss's stdout byte for byte and loads no WATCHED module."""
+    code, miss, loaded, _ = _probe(KNOT_ARGS[command], tmp_path)
+    assert code == 0 and loaded == MISS_LOADS[command]
+    assert json.loads(miss)["command"] == f"knot {command}"
+    code, hit, loaded, _ = _probe(KNOT_ARGS[command], tmp_path)
+    assert code == 0 and loaded == set()
     assert hit == miss
+
+
+def test_v2_thread_pool_loads_only_for_more_workers(tmp_path):
+    """One worker never loads concurrent.futures; two use its pool and
+    print the same bytes."""
+    args = ["knot", "v2", "--curve", "circle", "--samples", "6400", "--no-cache", "--workers"]
+    code1, out1, loaded1, _ = _probe([*args, "1"], tmp_path)
+    code2, out2, loaded2, _ = _probe([*args, "2"], tmp_path)
+    assert code1 == code2 == 0 and out1 == out2
+    assert "concurrent.futures" not in loaded1 and "concurrent.futures" in loaded2
+
+
+def test_result_beyond_float_range_exit_2(tmp_path):
+    """The trefoil with every coefficient times 1e120 passes validate, but
+    its sln overflows to NaN, which JSON cannot carry: the command exits
+    2 before it prints or caches anything.  It runs in a fresh process,
+    where the overflow is a warning, as for a user, and not the error the
+    test configuration makes of it."""
+    big = oracles.scaled(load_curve("trefoil"), 1e120)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big.to_json_obj()))
+    cache = tmp_path / "cache"
+    code, out, _, err = _probe(["knot", "sln", "--curve", str(path), "--grid", "64"], cache)
+    assert code == 2 and out == b""
+    assert json.loads(err[-1])["error"]["type"] == "InvalidParams"
+    assert not cache.exists()  # nothing cached
+
+
+@pytest.mark.parametrize("blocked", ["cache-dir", "subdir"])
+def test_cache_that_cannot_be_written_costs_only_the_entry(blocked, tmp_path, monkeypatch):
+    """A regular file where the cache directory, or the key[:2]
+    subdirectory of the entry, should be: the command prints its result,
+    exits 0 and says on one stderr line that it was not cached, and it
+    leaves no temp file behind."""
+    args = ["knot", "sln", "--curve", "circle", "--grid", "64"]
+    first = tmp_path / "first"
+    expected = run(*args, "--cache-dir", str(first)).stdout
+    cache = tmp_path / "cache"
+    if blocked == "cache-dir":
+        cache.write_text("")
+    else:
+        (entry,) = first.rglob("*.json")
+        cache.mkdir()
+        (cache / entry.parent.name).write_text("")
+    monkeypatch.setenv("GRAPHFLOW_CACHE_DIR", str(cache))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0 and result.stdout == expected
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["warning"].startswith("result not cached: ")
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_v2_repeat_runs_byte_identical(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from graphflow.integrals import (
 )
 from oracles import (
     UnsupportedGraph,
+    a2_from_conway,
     a_gamma_quadrature,
     gauss_coeff,
     make_torus_knot,
@@ -306,6 +307,43 @@ def test_v2_difference_matches_a2(name):
     est = v2_invariant(knot, n_samples=200_000, seed=1997)
     sigma = math.hypot(est.std_error, circle.std_error)
     assert abs(est.value - circle.value - a2_of_curve(knot)) <= 4 * sigma
+
+
+#: (p, q) of the torus knots in the headline family; T(p, q) has
+#: a2 = (p^2 - 1)(q^2 - 1) / 24.
+TORUS_FAMILY = [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5)]
+
+
+def test_v2_difference_is_a2_along_a_family_of_knots():
+    """The paper's claim on twelve knots: six torus knots and their
+    mirrors, made by negating the z coefficients.  a2 from the Conway
+    polynomial agrees with ``a2_of_curve`` and the closed form, and the
+    slope of v2(K) - v2(unknot) against a2(K) is 1 within 4 sigma.  The
+    fit weights by the inverse covariance of the differences, which all
+    carry the unknot's error."""
+    from graphflow.diagrams import a2_of_curve, project_to_diagram
+
+    # near the torus axis a projection is the closed p-braid, whose few
+    # crossings keep the skein recursion of a2_from_conway fast
+    axis = np.array([0.05, 0.03, 1.0]) / np.linalg.norm([0.05, 0.03, 1.0])
+    flip = np.array([[1.0], [1.0], [-1.0]])
+    unknot = v2_invariant(CIRCLE, n_samples=200_000, seed=1997)
+    a2, diff, err = [], [], []
+    for p, q in TORUS_FAMILY:
+        knot = make_torus_knot(p, q, 2.0, 0.5)
+        mirror = KnotCurve(cos_coeffs=flip * knot.cos_coeffs, sin_coeffs=flip * knot.sin_coeffs)
+        for curve in (knot, mirror):
+            a = a2_from_conway(project_to_diagram(curve, axis))
+            assert a == a2_of_curve(curve) == (p * p - 1) * (q * q - 1) // 24
+            est = v2_invariant(curve, n_samples=200_000, seed=1997)
+            a2.append(a)
+            diff.append(est.value - unknot.value)
+            err.append(est.std_error)
+    x = np.array(a2, dtype=float)
+    cov = np.diag(np.square(err)) + unknot.std_error**2
+    cx, cy = np.linalg.solve(cov, x), np.linalg.solve(cov, diff)
+    slope, sigma = (cy @ x) / (cx @ x), (cx @ x) ** -0.5
+    assert abs(slope - 1) <= 4 * sigma, (slope, sigma)
 
 
 def _oracle_plain_sum(curve, n):
