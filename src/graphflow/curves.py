@@ -122,22 +122,30 @@ class KnotCurve:
 
         Both arrays have shape ``t.shape + (3,)`` and are C-contiguous.
         """
-        t = np.mod(np.asarray(t, dtype=float), 1.0)
+        t = np.asarray(t, dtype=float)
+        planes = self.eval_planes(t.reshape(-1))
+        return tuple(np.ascontiguousarray(a.T).reshape(t.shape + (3,)) for a in planes)
+
+    def eval_planes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``eval_with_deriv`` at the flat parameters t as (3, t.size) planes;
+        t is wrapped into [0, 1) unless it lies there (-0.0 becomes 0.0)."""
+        if t.size and (np.signbit(t).any() or not t.max() < 1.0):
+            t = np.mod(t, 1.0)
         if self.warp_base is not None:
-            pos, tan = self.warp_base.eval_with_deriv(self._warp(t))
-            speed = 1.0 + self.warp_amplitude * np.cos(_TWO_PI * t)
-            return pos, tan * speed[..., None]
+            pos, tan = self.warp_base.eval_planes(self._warp(t))
+            tan *= 1.0 + self.warp_amplitude * np.cos(_TWO_PI * t)
+            return pos, tan
         if self.points is not None:
-            pts = self.points
-            n = len(pts)
+            pts = self.points.T
+            n = pts.shape[1]
             s = t * n
             idx = np.minimum(s.astype(int), n - 1)
-            seg = pts[(idx + 1) % n] - pts[idx]
-            return pts[idx] + (s - idx)[..., None] * seg, seg * n
+            seg = pts[:, (idx + 1) % n] - (start := pts[:, idx])
+            return start + (s - idx) * seg, seg * n
         pos, tan = self._harmonic_matrices
-        basis = _harmonics(t.reshape(-1), self.sin_coeffs.shape[1]).T
-        shape = t.shape + (3,)
-        return (basis @ pos).reshape(shape), (basis @ tan).reshape(shape)
+        basis = _harmonics(t, self.sin_coeffs.shape[1])
+        # (3, N) planes straight from the product, summed as basis.T @ pos sums
+        return pos.T @ basis, tan.T @ basis
 
     def eval(self, t) -> np.ndarray:
         return self.eval_with_deriv(t)[0]
@@ -307,16 +315,17 @@ def _harmonics(t: np.ndarray, hmax: int) -> np.ndarray:
     Harmonics 2..H come from the angle-addition recurrence, so cos and
     sin are evaluated once per parameter.
     """
-    out = np.empty((2 * hmax + 1, t.size))
+    out = np.empty((2 * hmax + 2, t.size))  # the last row is scratch
     out[0] = 1.0
     if hmax:
-        c1, s1 = np.cos(_TWO_PI * t), np.sin(_TWO_PI * t)
-        out[1], out[2] = c1, s1
+        c1, s1, tmp = np.cos(_TWO_PI * t, out=out[1]), np.sin(_TWO_PI * t, out=out[2]), out[-1]
         for h in range(2, hmax + 1):
-            c, s = out[2 * h - 3], out[2 * h - 2]
-            np.subtract(c * c1, s * s1, out=out[2 * h - 1])
-            np.add(s * c1, c * s1, out=out[2 * h])
-    return out
+            c, s, ch, sh = out[2 * h - 3 : 2 * h + 1]
+            np.multiply(c, c1, out=ch)
+            ch -= np.multiply(s, s1, out=tmp)
+            np.multiply(s, c1, out=sh)
+            sh += np.multiply(c, s1, out=tmp)
+    return out[:-1]
 
 
 # --- bundled curve library ---

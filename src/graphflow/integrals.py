@@ -14,11 +14,13 @@ on the sampled knot points.  Each of the 64 batches draws from its own
 random stream, and consecutive batches of m samples are sampled and
 evaluated together, in groups of at most max(m, MC_ROWS) rows.  Each
 sample's knot points are evaluated once, position and tangent together,
-and shared by the sampler and the compiled integrand.  All estimators
-are bit-reproducible for a fixed (inputs, seed) pair.  The O(N^4)
-product quadrature of chord-only graph integrals that the crossed-chord
-quadrature is checked against, and the einsum form of the Gauss
-integrand whose bits the grid reproduces, live in ``tests/oracles.py``.
+and shared by the sampler and the compiled integrand; the pass runs on
+contiguous (3, B) coordinate planes and sums in the order of the
+row-layout pass in ``tests/test_integrals.py``, whose bits it keeps.  All
+estimators are bit-reproducible for a fixed (inputs, seed) pair.  The
+O(N^4) product quadrature of chord-only graph integrals that the
+crossed-chord quadrature is checked against, and the einsum form of the
+Gauss integrand whose bits the grid reproduces, live in ``tests/oracles.py``.
 Every knot command imports this module, so it imports ``graphs`` only
 in ``v2_invariant`` and ``concurrent.futures`` only for more than one
 worker: ``sln`` and ``lk`` load neither, one-worker ``v2`` no thread pool.
@@ -60,8 +62,9 @@ SLN_MIN_GRID = 17
 #: x86-64 machine with numpy 2.4.
 GAUSS_PASS_ROWS = 16
 MC_BATCHES = 64
-#: Most samples of one ``a_gamma_mc`` run: a pass peaks near 520 bytes a
-#: row, so 2**22 rows per batch keep a group near 2.2 GB per worker.
+#: Most samples of one ``a_gamma_mc`` run: a traced 4096-row group peaked
+#: at 522 bytes a row on the trefoil and 618 on torus_2_5, 48 (H + 1) for H
+#: harmonics, so 2**22 rows per batch keep a group near 2.2-2.6 GB per worker.
 MC_MAX_SAMPLES = 2**28
 #: Most rows of one sampling pass: consecutive batches of m samples are
 #: drawn and evaluated together, max(1, MC_ROWS // m) at a time.
@@ -267,43 +270,56 @@ def _x_quadrature(curve: KnotCurve, grid: int = X_GRID) -> IntegralEstimate:
 # --- Monte Carlo for the tripod ---
 
 
-def _draw(rng: np.random.Generator, mm: int, n: int, t: int) -> tuple[np.ndarray, ...]:
-    """One batch's draws for mm samples, in stream order: the sorted knot
-    parameters, then per spatial vertex its center, its kernel choice,
-    its radius variate and its direction."""
-    tv = np.sort(rng.random((mm, n)), axis=1)
-    centers = rng.integers(0, n, size=(mm, t))
-    use_near = rng.random((mm, t)) < NEAR_WEIGHT
-    u = rng.random((mm, t))
-    direction = rng.normal(size=(mm, t, 3))
+def _draw(rng: np.random.Generator, mm: int) -> tuple[np.ndarray, ...]:
+    """One batch's draws for mm samples on their last axis, in stream
+    order: the knot parameters, sorted into (3, mm) planes by a min/max
+    network, then the spatial vertex's center, its kernel choice, its
+    radius variate and its direction."""
+    a, b, c = rng.random((mm, 3)).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid = np.minimum(hi, c)
+    tv = np.array([np.minimum(lo, mid), np.maximum(lo, mid), np.maximum(hi, c)])
+    centers = rng.integers(0, 3, size=mm)
+    use_near = rng.random(mm) < NEAR_WEIGHT
+    u = rng.random(mm)
+    direction = rng.normal(size=(mm, 3)).T
     return tv, centers, use_near, u, direction
 
 
 def _sample(
-    curve: KnotCurve, draws: list[tuple[np.ndarray, ...]], n_fact: int, r0: float, r_near: float
+    curve: KnotCurve, draws: list[tuple[np.ndarray, ...]], r0: float, r_near: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Knot positions and tangents, spatial points and importance weights
-    of the samples that ``_draw`` drew for each batch, concatenated.  The
-    sampler's temporaries are freed on return, before the integrand runs."""
-    tv, centers, use_near, u, direction = (np.concatenate(parts) for parts in zip(*draws))
+    of the B samples that ``_draw`` drew for each batch, concatenated.  The
+    knot points are evaluated once into (coordinate, knot, sample) planes,
+    whose (B, 3, 3) transposes the integrand reads.  For the row-layout
+    bits, |d| is sqrt((d0^2 + d1^2) + d2^2), as ``np.linalg.norm`` sums,
+    the density q the mean ((q0 + q1) + q2) / 3 over the knot points and
+    the weight 1 / (3! q).  The temporaries are freed on return, before
+    the integrand runs."""
+    tv, centers, use_near, u, direction = (np.concatenate(parts, axis=-1) for parts in zip(*draws))
     del draws  # the caller keeps no reference: the per-batch copies go here
-    # knot points are evaluated once; the sampler and integrand share them
-    knot_pts, knot_tan = curve.eval_with_deriv(tv)
+    rows = u.size
+    pos, tan = curve.eval_planes(tv.reshape(-1))
+    anchor = np.take(pos, centers * rows + np.arange(rows), axis=1)
     c = np.cbrt(u)
     radius = np.where(use_near, r_near * u, r0 * c / np.maximum(1.0 - c, 1e-15))
-    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-    anchor = np.take_along_axis(knot_pts, centers[..., None], axis=1)
-    xv = anchor + radius[..., None] * direction
+    direction /= _norm(direction)
+    xv = anchor + radius * direction
     # mixture density over the sampled knot points
-    diff = xv[:, :, None, :] - knot_pts[:, None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
+    knots = pos.reshape(3, 3, rows)
+    dist = _norm(xv[:, None] - knots)
     tail = 3.0 * r0 / (FOUR_PI * (r0 + dist) ** 4)
     with np.errstate(divide="ignore"):
         near = np.where(
             dist < r_near, 1.0 / (FOUR_PI * np.maximum(dist, 1e-300) ** 2 * r_near), 0.0
         )
-    q = ((1.0 - NEAR_WEIGHT) * tail + NEAR_WEIGHT * near).mean(axis=2)
-    return knot_pts, knot_tan, xv, 1.0 / (n_fact * np.prod(q, axis=1))
+    q = (1.0 - NEAR_WEIGHT) * tail + NEAR_WEIGHT * near
+    return knots.T, tan.reshape(3, 3, rows).T, xv.T[:, None], 1.0 / (6 * ((q[0] + q[1] + q[2]) / 3))
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
 
 
 def _mc_group(
@@ -319,15 +335,13 @@ def _mc_group(
     stream each.  Their draws are concatenated, then weighed and
     evaluated in one pass; a sample inside the collision guard is drawn
     again from its own batch's stream, at most 64 times."""
-    n, t = integrand.n, integrand.t
-    n_fact = math.factorial(n)
     todo = np.arange(len(rngs) * m)  # rows b * m + i, ascending, so grouped by batch
     weights = np.empty(todo.size)
     values = np.empty(todo.size)
     for _ in range(64):
         counts = np.bincount(todo // m, minlength=len(rngs))
         knot_pts, knot_tan, xv, w = _sample(
-            curve, [_draw(rng, k, n, t) for rng, k in zip(rngs, counts) if k], n_fact, r0, r_near
+            curve, [_draw(rng, k) for rng, k in zip(rngs, counts) if k], r0, r_near
         )
         vals, bad = integrand.evaluate_batch(knot_pts, knot_tan, xv, eps_coll)
         weights[todo], values[todo] = w, vals

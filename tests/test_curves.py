@@ -266,6 +266,31 @@ def test_eval_with_deriv_shapes_and_layout(curve):
     assert pos.flags.c_contiguous and tan.flags.c_contiguous
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [
+        bundled_curve("trefoil"),
+        reparametrized(bundled_curve("trefoil"), 0.3),
+        KnotCurve(points=bundled_curve("trefoil").eval(np.arange(64) / 64)),
+    ],
+    ids=["fourier", "warped", "polyline"],
+)
+def test_eval_planes_are_eval_with_deriv_bit_for_bit(curve):
+    """The planes are the transposes of ``eval_with_deriv``'s rows, and
+    parameters in [0, 1), which skip the wrap, give the bits of the same
+    parameters shifted by whole turns or written as -0.0, which take it."""
+    t = np.concatenate([EVAL_T, [-0.0, 0.0, -2.75, 3.5, -1e-300]])
+    pos, tan = curve.eval_with_deriv(t.reshape(-1, 5))
+    planes = curve.eval_planes(t)
+    assert all(a.shape == (3, t.size) for a in planes)
+    assert np.array_equal(planes[0], pos.reshape(-1, 3).T)
+    assert np.array_equal(planes[1], tan.reshape(-1, 3).T)
+    inside = np.arange(256) / 256
+    bits = [a.view(np.int64) for a in curve.eval_planes(inside)]
+    for shifted in (inside - 2.0, inside + 1.0, np.where(inside == 0.0, -0.0, inside)):
+        assert all(np.array_equal(a.view(np.int64), b) for a, b in zip(curve.eval_planes(shifted), bits))
+
+
 def test_validate_accepts_small_round_circle():
     # at 8192 samples its separation-2 chord is 0.00077 of its extent,
     # below eps_emb, but separation 2 is adjacent: only separations >= 3

@@ -527,13 +527,30 @@ def _rows_with_eps_coll(monkeypatch, eps_coll):
     return rows
 
 
+#: Curves of the group-pass oracle test beyond the bundled ones: every
+#: kind of curve the pass evaluates, polyline and warp included.
+ORACLE_CURVES = {
+    "trefoil_97gon": lambda: KnotCurve(points=bundled_curve("trefoil").eval(np.arange(97) / 97)),
+    "warped_trefoil": lambda: reparametrized(TREFOIL, 0.3),
+}
+
+
 # 100 samples: one group of all 64 batches; 25,000: groups of 10, the last
 # of 4; 200,000: one batch per group
-@pytest.mark.parametrize("n_samples", [100, 25_000, 200_000])
-@pytest.mark.parametrize("graph", [G2], ids=["tripod"])
-@pytest.mark.parametrize("name", ["trefoil", "torus_2_5"])
+@pytest.mark.parametrize(
+    "name, graph, n_samples",
+    [
+        pytest.param(name, G2, n_samples, id=f"{name}-tripod-{n_samples}")
+        for n_samples, names in [
+            (100, ["trefoil", "torus_2_5", *ORACLE_CURVES, "circle", "figure_eight"]),
+            (25_000, ["trefoil", "torus_2_5", *ORACLE_CURVES, "circle", "figure_eight"]),
+            (200_000, ["trefoil", "torus_2_5"]),
+        ]
+        for name in names
+    ],
+)
 def test_group_pass_matches_batch_by_batch_oracle(name, graph, n_samples):
-    curve = bundled_curve(name)
+    curve = ORACLE_CURVES[name]() if name in ORACLE_CURVES else bundled_curve(name)
     est = a_gamma_mc(curve, n_samples=n_samples, seed=31)
     assert est == _oracle_a_gamma_mc(graph, curve, n_samples, seed=31)
 
@@ -563,7 +580,9 @@ def test_sample_count_above_the_limit_raises_before_sampling(monkeypatch):
         a_gamma_mc(TREFOIL, n_samples=integrals.MC_MAX_SAMPLES + 1)
 
 
-@pytest.mark.parametrize("n_samples", [100, 25_000])
+# 200,000 samples: 64 one-batch groups over three threads, which share
+# the curve and the integrand but no buffer
+@pytest.mark.parametrize("n_samples", [100, 25_000, 200_000])
 def test_worker_count_does_not_change_grouped_result(n_samples):
     a = a_gamma_mc(TREFOIL, n_samples=n_samples, seed=9, workers=1)
     b = a_gamma_mc(TREFOIL, n_samples=n_samples, seed=9, workers=3)
