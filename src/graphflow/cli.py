@@ -38,6 +38,7 @@ from .errors import (
 )
 from .integrals import (
     DEFAULT_SEED,
+    LK_RULE,
     MC_MAX_SAMPLES,
     SLN_MIN_GRID,
     SLN_RULE,
@@ -318,7 +319,7 @@ def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
         return {**linking_integral(k1, k2, grid=grid).to_json_obj(), "op": "lk"}
 
     curves = {"curve": curve_path, "curve2": curve2_path}
-    _knot_command("knot lk", evaluate, curves, cache_dir, no_cache, grid=grid)
+    _knot_command("knot lk", evaluate, curves, cache_dir, no_cache, grid=grid, rule=LK_RULE)
 
 
 @knot.command("v2")

@@ -548,8 +548,8 @@ def _enumerate_cached(
     return tuple(result)
 
 
-#: Entries of the (candidates, |G|, W) packed words of one batch of
-#: extensions, the ~4e6 of ``integrals._gauss_blocks``.
+#: Entries (32 MB of int64) of the (candidates, |G|, W) packed words of
+#: one batch of extensions.
 _BATCH = 4_000_000
 
 #: Words (512 MiB) of the largest relabeling table: 9 vertices fit, 10 only as knots.

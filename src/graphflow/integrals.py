@@ -4,10 +4,10 @@ Deterministic quadrature covers the integrals whose graphs have no
 internal vertex: the two-point integrals (self-linking and Gauss
 linking) by product quadrature, and the crossed-chord term X of v2 by an
 O(N^2) cumulative-sum form of its four-point midpoint sum.  All three
-read the Gauss integrand on an n x n grid of point pairs, which
-``_gauss_blocks`` fills in row blocks, a few rows per pass, from
-coordinate planes of the knot points and tangents; ``_richardson``
-extrapolates the sln and X sums over halved grids.  v2's other term, the
+read the Gauss integrand on the n x n grid of midpoint pairs, which
+``_gauss_blocks`` streams in 64-row blocks from coordinate planes of
+the curves' points and tangents; ``_richardson`` extrapolates their
+sums over halved grids, by no step for lk.  v2's other term, the
 tripod Y, runs Monte Carlo with its knot parameters on the ordered
 simplex and its spatial vertex importance-sampled from kernels centered
 on the sampled knot points.  Each of the 64 batches draws from its own
@@ -52,8 +52,10 @@ COMPONENT_ORIENT = -1.0
 DEFAULT_SEED = 20259
 #: Finest grid of the crossed-chord quadrature in v2.
 X_GRID = 512
-#: Rules of ``sln_integral`` and ``_x_quadrature``, named in the cache keys.
+#: Rules of ``sln_integral``, ``_x_quadrature`` and ``linking_integral``,
+#: named in the cache keys.
 SLN_RULE, X_RULE = "midpoint, Richardson in n^-2", "midpoint, Richardson in n^-1 and n^-2"
+LK_RULE = "midpoint, error from ceil(n / 2)"
 #: Smallest grid of ``sln_integral``: its coarsest grid, ceil(grid / 4), then
 #: has 5 points or more, so not only the antipode lies beyond the neighbours.
 SLN_MIN_GRID = 17
@@ -110,28 +112,28 @@ def resolve_workers(workers: int | None) -> int:
 # --- two-point quadratures ---
 
 
-def _gauss_blocks(p1, d1, p2, d2, rows=None):
+def _gauss_blocks(k1: KnotCurve, k2: KnotCurve, n: int):
     """Row blocks (i0, i1, f) of the n x n Gauss integrand grid
-    f[i, j] = det(v, -d1[i], d2[j]) / (4 pi |v|^3), v = p2[j] - p1[i], for
-    positions and tangents of two curves at the same n parameters,
-    ``rows`` rows at a time (by default about 4e6 entries).  Coincident
-    points give nan or inf entries.
+    f[i, j] = det(v, -d1[i], d2[j]) / (4 pi |v|^3), v = p2[j] - p1[i], of
+    points p and tangents d of k1 and k2 at the midpoints (i + 1/2) / n, 64
+    rows (0.5 MiB at n = 1024) at a time; on one curve (``k2 is k1``) the
+    nan diagonal of coincident points is set to 0.
 
-    A block is filled GAUSS_PASS_ROWS rows at a time from (3, n)
-    coordinate planes, so that a pass's temporaries stay in cache.  The
-    cross product is formed component by component as ``np.cross`` forms
-    it, and each dot product is summed from 0.0 in the order (0, 2, 1),
-    as numpy's ``einsum`` sums three products; the entries are then bit
-    for bit those of the einsum form in ``tests/oracles.py``, signed
-    zeros included.
+    Each block is filled GAUSS_PASS_ROWS rows at a time from (3, n)
+    coordinate planes (``KnotCurve.eval_planes``), so that a pass's
+    temporaries stay in cache.  The cross product is formed component by
+    component as ``np.cross`` forms it, and each dot product is summed
+    from 0.0 in the order (0, 2, 1), as numpy's ``einsum`` sums three
+    products; the entries are then bit for bit those of the einsum form
+    in ``tests/oracles.py``, signed zeros included.
     """
-    n = len(p1)
-    chunk = rows or max(1, 4_000_000 // n)
-    x1, a = p1.T, -d1.T  # row planes: positions and negated tangents
-    x2, b = np.ascontiguousarray(p2.T), np.ascontiguousarray(d2.T)
+    t = (np.arange(n) + 0.5) / n
+    x1, d1 = k1.eval_planes(t)
+    x2, b = (x1, d1) if k2 is k1 else k2.eval_planes(t)
+    a = -d1
     buf = np.empty((5, GAUSS_PASS_ROWS, n))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
+    for i0 in range(0, n, 64):
+        i1 = min(i0 + 64, n)
         f = np.empty((i1 - i0, n))
         for r0 in range(i0, i1, GAUSS_PASS_ROWS):
             r1 = min(r0 + GAUSS_PASS_ROWS, i1)
@@ -139,10 +141,10 @@ def _gauss_blocks(p1, d1, p2, d2, rows=None):
             num.fill(0.0)
             r2.fill(0.0)
             for k in (0, 2, 1):
-                k1, k2 = (k + 1) % 3, (k + 2) % 3
+                j1, j2 = (k + 1) % 3, (k + 2) % 3
                 np.subtract(x2[k], x1[k, r0:r1, None], out=v)
-                np.multiply(a[k1, r0:r1, None], b[k2], out=c)
-                np.multiply(a[k2, r0:r1, None], b[k1], out=s)
+                np.multiply(a[j1, r0:r1, None], b[j2], out=c)
+                np.multiply(a[j2, r0:r1, None], b[j1], out=s)
                 c -= s  # (a x b)[k], as np.cross forms it
                 c *= v
                 num += c
@@ -152,7 +154,15 @@ def _gauss_blocks(p1, d1, p2, d2, rows=None):
             r2 *= FOUR_PI
             with np.errstate(invalid="ignore", divide="ignore"):
                 np.divide(num, r2, out=f[r0 - i0 : r1 - i0])
+        if k2 is k1:
+            np.fill_diagonal(f[:, i0:], 0.0)
         yield i0, i1, f
+
+
+def _gauss_sum(k1: KnotCurve, k2: KnotCurve, n: int) -> float:
+    """Midpoint sum of the Gauss integrand over the n x n grid, its block
+    sums added left to right (on one curve, the diagonal set to 0)."""
+    return sum(float(f.sum()) for _, _, f in _gauss_blocks(k1, k2, n)) / (n * n)
 
 
 def _richardson(total, grid: int, power: int, steps: int) -> tuple[float, float]:
@@ -168,21 +178,6 @@ def _richardson(total, grid: int, power: int, steps: int) -> tuple[float, float]
     return col[-1], abs(col[-1] - col[-2])
 
 
-def _self_blocks(curve: KnotCurve, n: int):
-    """The curve's Gauss grid at n midpoints in blocks of 64 rows (0.5 MiB
-    at n = 1024), its nan diagonal set to 0."""
-    t = (np.arange(n) + 0.5) / n
-    pos, tan = curve.eval_with_deriv(t)
-    for i0, i1, w in _gauss_blocks(pos, tan, pos, tan, rows=64):
-        np.fill_diagonal(w[:, i0:], 0.0)
-        yield i0, i1, w
-
-
-def _plain_sum(curve: KnotCurve, n: int) -> float:
-    """Midpoint sum of the self-linking integrand, diagonal set to 0."""
-    return sum(float(w.sum()) for _, _, w in _self_blocks(curve, n)) / (n * n)
-
-
 def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     """Self-linking integral: the Gauss form over the configuration of
     two points on the knot (the flat-space writhe integral).
@@ -194,22 +189,13 @@ def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     if grid < SLN_MIN_GRID:
         raise InvalidParams(f"grid must be at least {SLN_MIN_GRID}, got {grid}")
     curve.validate()
-    value, err = _richardson(lambda n: _plain_sum(curve, n), grid, power=2, steps=1)
+    value, err = _richardson(lambda n: _gauss_sum(curve, curve, n), grid, power=2, steps=1)
     return IntegralEstimate(value, err, grid * grid, 0, "quadrature")
 
 
-def _linking_grid(k1: KnotCurve, k2: KnotCurve, n: int) -> float:
-    t = (np.arange(n) + 0.5) / n
-    p1, d1 = k1.eval_with_deriv(t)
-    p2, d2 = k2.eval_with_deriv(t)
-    total = 0.0
-    for _, _, f in _gauss_blocks(p1, d1, p2, d2):
-        total += float(f.sum())
-    return total / (n * n)
-
-
 def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> IntegralEstimate:
-    """Gauss linking number of two disjoint curves by torus quadrature."""
+    """Gauss linking number of two disjoint curves by torus quadrature,
+    with the distance from the sum one grid coarser as its error."""
     if grid < 2:
         raise InvalidParams(f"grid must be at least 2, got {grid}")
     k1.validate()
@@ -226,9 +212,8 @@ def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> Integral
     min_d = least_distance(x, pairs[(pairs[:, 0] < len(p)) & (pairs[:, 1] >= len(p))])
     if min_d <= bound:
         raise CurvesIntersect(f"curves approach within {min_d:.3g}")
-    fine = _linking_grid(k1, k2, grid)
-    coarse = _linking_grid(k1, k2, grid // 2)
-    return IntegralEstimate(fine, abs(fine - coarse), grid * grid, 0, "quadrature")
+    value, err = _richardson(lambda n: _gauss_sum(k1, k2, n), grid, power=2, steps=0)
+    return IntegralEstimate(value, err, grid * grid, 0, "quadrature")
 
 
 # --- the crossed-chord integral ---
@@ -244,7 +229,7 @@ def _crossed_chord_sum(curve: KnotCurve, n: int) -> float:
     """
     above = np.zeros((1, n))  # column sums of the rows before the block
     total = 0.0
-    for j0, j1, w in _self_blocks(curve, n):
+    for j0, j1, w in _gauss_blocks(curve, curve, n):
         p = np.cumsum(np.concatenate([above, w]), axis=0)
         above = p[-1:]
         p = p[:-1]

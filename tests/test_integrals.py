@@ -203,10 +203,12 @@ def test_x_quadrature_matches_brute_force_oracle(name, grid):
 
 def test_x_sum_independent_of_row_blocks(monkeypatch):
     """The oracle's grids fit in one row block; n = 200 streams four, the
-    last one partial, and must give the one-block sum."""
+    last one partial, and must give the sum over the einsum form's grid
+    in one block."""
     streamed = integrals._crossed_chord_sum(TREFOIL, 200)
-    blocks = integrals._gauss_blocks
-    monkeypatch.setattr(integrals, "_gauss_blocks", lambda *args, rows: blocks(*args, rows=200))
+    monkeypatch.setattr(
+        integrals, "_gauss_blocks", lambda k1, k2, n: _oracle_gauss_blocks(k1, k2, n, rows=n)
+    )
     assert streamed == pytest.approx(integrals._crossed_chord_sum(TREFOIL, 200), rel=1e-12)
 
 
@@ -346,36 +348,27 @@ def test_v2_difference_is_a2_along_a_family_of_knots():
     assert abs(slope - 1) <= 4 * sigma, (slope, sigma)
 
 
-def _oracle_plain_sum(curve, n):
-    """The plain self-linking sum as a separate loop over the einsum form
-    of the Gauss integrand, 64 rows at a time."""
-    t = (np.arange(n) + 0.5) / n
-    pos, tan = curve.eval(t), curve.deriv(t)
-    total = 0.0
-    for i0 in range(0, n, 64):
-        i1 = min(i0 + 64, n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f = gauss_coeff(pos[None] - pos[i0:i1, None], -tan[i0:i1, None], tan[None])
-        assert np.isnan(np.diagonal(f, offset=i0)).all()
-        f[np.eye(i1 - i0, n, i0, dtype=bool)] = 0.0
-        assert np.isfinite(f).all()
-        total += float(f.sum())
-    return total / (n * n)
-
-
-def _oracle_linking_grid(k1, k2, n):
-    """The separate linking grid loop that _gauss_blocks replaced."""
+def _oracle_gauss_blocks(k1, k2, n, rows=64):
+    """Row blocks of the Gauss grid of k1 and k2 at n midpoints, by the
+    einsum form on (n, 3) rows; on one curve its nan diagonal is set to 0."""
     t = (np.arange(n) + 0.5) / n
     p1, d1 = k1.eval(t), k1.deriv(t)
     p2, d2 = k2.eval(t), k2.deriv(t)
-    total = 0.0
-    chunk = max(1, 4_000_000 // n)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        v = p2[None, :, :] - p1[i0:i1, None, :]
-        f = gauss_coeff(v, -d1[i0:i1, None, :], d2[None, :, :])
-        total += float(f.sum())
-    return total / (n * n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            f = gauss_coeff(p2[None] - p1[i0:i1, None], -d1[i0:i1, None], d2[None])
+        if k2 is k1:
+            assert np.isnan(np.diagonal(f, offset=i0)).all()
+            f[np.eye(i1 - i0, n, i0, dtype=bool)] = 0.0
+        assert np.isfinite(f).all()
+        yield i0, i1, f
+
+
+def _oracle_gauss_sum(k1, k2, n):
+    """The grid sum as a separate loop: the einsum form's 64-row block
+    sums, added left to right."""
+    return sum(float(f.sum()) for _, _, f in _oracle_gauss_blocks(k1, k2, n)) / (n * n)
 
 
 @pytest.mark.parametrize("curve", [CIRCLE, TREFOIL], ids=["circle", "trefoil"])
@@ -383,28 +376,34 @@ def test_sln_quadrature_bit_identical_to_separate_loop(curve, monkeypatch):
     """The plain sums on grids 250, 500 and 1000 (the last block of each
     partial) and the Richardson step on them equal the oracle loop's."""
     est = sln_integral(curve, grid=1000)
-    monkeypatch.setattr(integrals, "_plain_sum", _oracle_plain_sum)
+    monkeypatch.setattr(integrals, "_gauss_sum", _oracle_gauss_sum)
     assert est == sln_integral(curve, grid=1000)
 
 
 def test_linking_quadrature_bit_identical_to_separate_loop(monkeypatch):
+    """At grid 1024 and at the odd grid 999, whose coarse grid is 500 and
+    whose last blocks are partial, the value is the oracle's sum on the
+    grid and the error its distance from the sum on ceil(grid / 2)."""
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
-    est = linking_integral(a, b)
-    monkeypatch.setattr(integrals, "_linking_grid", _oracle_linking_grid)
-    assert est == linking_integral(a, b)
+    for grid in (1024, 999):
+        est = linking_integral(a, b, grid=grid)
+        fine, coarse = (_oracle_gauss_sum(a, b, n) for n in (grid, -(-grid // 2)))
+        assert (est.value, est.std_error) == (fine, abs(fine - coarse))
+        with monkeypatch.context() as m:
+            m.setattr(integrals, "_gauss_sum", _oracle_gauss_sum)
+            assert est == linking_integral(a, b, grid=grid)
 
 
 @pytest.mark.parametrize(
-    "integral, names, bound_mib",
-    [(sln_integral, ["trefoil"], 4), (linking_integral, ["hopf_a", "hopf_b"], 16)],
+    "integral, names",
+    [(sln_integral, ["trefoil"]), (linking_integral, ["hopf_a", "hopf_b"])],
     ids=["sln", "lk"],
 )
-def test_grid_integrals_stay_small_in_memory(integral, names, bound_mib):
-    """Peak traced memory at grid 1024 on fresh curves.  The one 1024 x
-    1024 block of the linking grid is 8 MiB; broadcasting ``np.cross``
-    and ``einsum`` over (rows, n, 3) arrays to fill it peaks near 56 MiB.
-    sln sums 64-row blocks of 0.5 MiB; with its 1024 x 1024 blocks and
-    band masks it peaked at 19.7 MiB."""
+def test_grid_integrals_stay_small_in_memory(integral, names):
+    """Peak traced memory at grid 1024 on fresh curves.  Both grids are
+    summed in 64-row blocks of 0.5 MiB; sln with its 1024 x 1024 blocks
+    and band masks peaked at 19.7 MiB, and lk with its one 1024 x 1024
+    block at 8.9 MiB."""
     curves = [bundled_curve(name) for name in names]
     tracemalloc.start()
     try:
@@ -412,33 +411,26 @@ def test_grid_integrals_stay_small_in_memory(integral, names, bound_mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound_mib * 2**20, peak
+    assert peak < 4 * 2**20, peak
 
 
 def test_gauss_blocks_cross_chunks():
-    """Every block of the grid, filled from coordinate planes in row
-    passes, has the bits of the einsum form: the four knots' self grids
-    (a nan diagonal on each, +0.0 entries on the planar circle), the Hopf
-    pair at n = 2048 (row chunks of 1953 and 95) and rows=64 at n = 200
-    (the last block partial)."""
+    """Every 64-row block of the grid, filled from coordinate planes in
+    row passes, has the bits of the einsum form: the four knots' self
+    grids (a nan diagonal on each, set to 0, and +0.0 entries off it on
+    the planar circle), the Hopf pair at n = 2048 (32 blocks) and the
+    trefoil at n = 200 (the last block partial)."""
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
-    assert integrals._linking_grid(a, b, 2048) == _oracle_linking_grid(a, b, 2048)
-    cases = [(bundled_curve(name), None, 1024, None) for name in BUNDLED_KNOTS]
-    cases += [(a, b, 2048, None), (TREFOIL, None, 200, 64)]
-    for k1, k2, n, rows in cases:
-        t = (np.arange(n) + 0.5) / n
-        p1, d1 = k1.eval_with_deriv(t)
-        p2, d2 = (p1, d1) if k2 is None else k2.eval_with_deriv(t)
-        bounds = []
-        for i0, i1, f in integrals._gauss_blocks(p1, d1, p2, d2, rows=rows):
-            bounds.append((i0, i1))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                want = gauss_coeff(p2[None] - p1[i0:i1, None], -d1[i0:i1, None], d2[None])
+    assert integrals._gauss_sum(a, b, 2048) == _oracle_gauss_sum(a, b, 2048)
+    cases = [(k, k, 1024) for k in map(bundled_curve, BUNDLED_KNOTS)]
+    cases += [(a, b, 2048), (TREFOIL, TREFOIL, 200)]
+    for k1, k2, n in cases:
+        blocks = integrals._gauss_blocks(k1, k2, n)
+        for (i0, i1, f), (j0, j1, want) in zip(blocks, _oracle_gauss_blocks(k1, k2, n), strict=True):
+            assert (i0, i1) == (j0, j1)
             assert np.array_equal(f.view(np.int64), want.view(np.int64)), (n, i0)
-            assert k2 is not None or np.isnan(np.diagonal(f, offset=i0)).all()
-            assert k1.name != "circle" or (f.view(np.int64) == 0).any()
-        chunk = rows or 4_000_000 // n
-        assert bounds == [(i0, min(i0 + chunk, n)) for i0 in range(0, n, chunk)]
+            off = ~np.eye(i1 - i0, n, i0, dtype=bool)
+            assert k1.name != "circle" or (f.view(np.int64)[off] == 0).any()
 
 
 def _oracle_mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll):
