@@ -44,6 +44,7 @@ from .integrals import (
     SLN_RULE,
     X_GRID,
     X_RULE,
+    check_grid,
     linking_integral,
     resolve_workers,
     sln_integral,
@@ -97,13 +98,17 @@ def _emit(command: str, config: dict, result) -> str:
     return text
 
 
-def _run(command: str, config: dict, compute):
+def _checked(fn, *args):
+    """``fn(*args)``, or a handled error that it raises reported by ``_fail``."""
     try:
-        result = compute()
+        return fn(*args)
     except _HANDLED as exc:
         _fail(exc)
-    else:
-        _emit(command, config, result)
+
+
+def _run(command: str, config: dict, compute) -> str:
+    """Compute the result and emit it; the one path from compute to stdout."""
+    return _emit(command, config, _checked(compute))
 
 
 def _default_cache_dir() -> Path:
@@ -114,26 +119,21 @@ def _default_cache_dir() -> Path:
 
 
 def _cached(command: str, config_fn, cache_dir: str | None, no_cache: bool, compute):
-    """Replay a stored result or compute, emit and store."""
-    try:
-        config = config_fn()
-        base = Path(cache_dir) if cache_dir else _default_cache_dir()
-        key_src = json.dumps(
-            {"command": command, "key": config, "version": __version__}, sort_keys=True
-        )
-        key = hashlib.sha256(key_src.encode()).hexdigest()
-        path = base / key[:2] / (key + ".json")
-        stored = None if no_cache else _read_entry(path, command, config)
-        if stored is not None:
-            sys.stdout.write(stored)
-            return
-        result = compute()
-    except _HANDLED as exc:
-        _fail(exc)
-    else:
-        text = _emit(command, config, result) + "\n"
-        if not no_cache:
-            _write_entry(path, text)
+    """Replay a stored result, or ``_run`` the command and store its output."""
+    config = _checked(config_fn)
+    base = Path(cache_dir) if cache_dir else _default_cache_dir()
+    key_src = json.dumps(
+        {"command": command, "key": config, "version": __version__}, sort_keys=True
+    )
+    key = hashlib.sha256(key_src.encode()).hexdigest()
+    path = base / key[:2] / (key + ".json")
+    stored = None if no_cache else _read_entry(path, command, config)
+    if stored is not None:
+        sys.stdout.write(stored)
+        return
+    text = _run(command, config, compute) + "\n"
+    if not no_cache:
+        _write_entry(path, text)
 
 
 def _read_entry(path: Path, command: str, config: dict) -> str | None:
@@ -296,9 +296,8 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
 @_cache_options
 def knot_sln(curve_path, grid, cache_dir, no_cache):
     """Self-linking integral by midpoint sums and a Richardson step."""
-    # checked before the cache lookup, so that a hit cannot replay a result below the limit
-    if grid < SLN_MIN_GRID:
-        _fail(InvalidParams(f"grid must be at least {SLN_MIN_GRID}, got {grid}"))
+    # checked before the cache lookup, so that a hit cannot replay a result beyond the limits
+    _checked(check_grid, grid, SLN_MIN_GRID)
 
     def evaluate(curve):
         return {**sln_integral(curve, grid=grid).to_json_obj(), "op": "sln"}
@@ -314,6 +313,7 @@ def knot_sln(curve_path, grid, cache_dir, no_cache):
 @_cache_options
 def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
     """Gauss linking number of two disjoint curves."""
+    _checked(check_grid, grid, 2)  # before the cache lookup, as for sln
 
     def evaluate(k1, k2):
         return {**linking_integral(k1, k2, grid=grid).to_json_obj(), "op": "lk"}
@@ -339,13 +339,9 @@ def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
     """Order-2 cocycle configuration integral (crossed chords by
     quadrature, tripod by Monte Carlo)."""
     # checked before the cache lookup, so that a hit cannot hide a bad value
-    try:
-        if not math.isfinite(samples):
-            raise InvalidParams(f"samples must be finite, got {samples}")
-        n_workers = resolve_workers(workers)
-    except InvalidParams as exc:
-        _fail(exc)
-    n_samples = int(samples)
+    if not math.isfinite(samples):
+        _fail(InvalidParams(f"samples must be finite, got {samples}"))
+    n_workers, n_samples = _checked(resolve_workers, workers), int(samples)
 
     def evaluate(curve):
         from .graphs import GraphSum, knot_order2_cocycle, knot_order2_graphs

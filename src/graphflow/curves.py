@@ -3,9 +3,11 @@
 A curve is stored either as a truncated Fourier series per coordinate
 (exact for torus knots), as a closed polyline, or as a reparametrized
 warp of another curve.  The parameter runs over [0, 1); Fourier curves
-close exactly and polylines wrap cyclically.  Validation, the linking
-check of ``integrals`` and the crossing search of ``diagrams`` find close
-pairs of points with one uniform cell grid, ``near_pairs``.
+close exactly and polylines wrap cyclically.  Curves are evaluated by one
+routine, ``eval_planes``, into (3, N) coordinate planes; ``eval`` and
+``deriv`` give its planes as rows.  Validation, the linking check of
+``integrals`` and the crossing search of ``diagrams`` find close pairs of
+points with one uniform cell grid, ``near_pairs``.
 """
 
 from __future__ import annotations
@@ -117,18 +119,10 @@ class KnotCurve:
     def _warp(self, t):
         return t + self.warp_amplitude * np.sin(_TWO_PI * t) / _TWO_PI
 
-    def eval_with_deriv(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Position and tangent at t, from one pass over the parameters.
-
-        Both arrays have shape ``t.shape + (3,)`` and are C-contiguous.
-        """
-        t = np.asarray(t, dtype=float)
-        planes = self.eval_planes(t.reshape(-1))
-        return tuple(np.ascontiguousarray(a.T).reshape(t.shape + (3,)) for a in planes)
-
     def eval_planes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``eval_with_deriv`` at the flat parameters t as (3, t.size) planes;
-        t is wrapped into [0, 1) unless it lies there (-0.0 becomes 0.0)."""
+        """Points and tangents at the flat parameters t as (3, t.size) planes,
+        from one pass; t is wrapped into [0, 1) unless it lies there (-0.0
+        becomes 0.0)."""
         if t.size and (np.signbit(t).any() or not t.max() < 1.0):
             t = np.mod(t, 1.0)
         if self.warp_base is not None:
@@ -148,22 +142,25 @@ class KnotCurve:
         return pos.T @ basis, tan.T @ basis
 
     def eval(self, t) -> np.ndarray:
-        return self.eval_with_deriv(t)[0]
+        """Points at the parameters t as C-contiguous ``t.shape + (3,)`` rows."""
+        t = np.asarray(t, dtype=float)
+        return np.ascontiguousarray(self.eval_planes(t.reshape(-1))[0].T).reshape(t.shape + (3,))
 
     def deriv(self, t) -> np.ndarray:
-        return self.eval_with_deriv(t)[1]
+        """Tangents at t, laid out as ``eval`` lays out points."""
+        t = np.asarray(t, dtype=float)
+        return np.ascontiguousarray(self.eval_planes(t.reshape(-1))[1].T).reshape(t.shape + (3,))
 
     # --- geometry ---
 
     def diameter(self) -> float:
-        p = self.eval(np.arange(DIAMETER_SAMPLES) / DIAMETER_SAMPLES)
+        n = DIAMETER_SAMPLES
+        p = self.eval_planes(np.arange(n) / n)[0]  # (3, n)
         # row blocks from the diagonal on cover the matrix, which is
         # symmetric bit for bit; coordinates are summed left to right.  At
         # 32 rows a block's arrays stay within 128 KiB: 64-row blocks ran
         # slower and left 0.6-0.9 MB of freed heap resident after the call
-        d2 = (
-            sum((c[i : i + 32, None] - c[i:]) ** 2 for c in p.T).max() for i in range(0, len(p), 32)
-        )
+        d2 = (sum((c[i : i + 32, None] - c[i:]) ** 2 for c in p).max() for i in range(0, n, 32))
         return math.sqrt(max(d2))
 
     def validate(self, samples: int = 2048):
@@ -243,7 +240,7 @@ class KnotCurve:
                     name=obj.get("name"),
                 )
             raise InvalidParams(f"unknown curve type {kind!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParams(f"bad curve object: {exc}") from exc
 
     def content_hash(self) -> str:

@@ -75,16 +75,14 @@ def _segment_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:
     """Self-intersections of the projected closed polyline with n segments."""
     e1, e2, d = _plane_basis(direction)
     t = np.arange(n) / n
-    pts, tan = curve.eval_with_deriv(t)
-    u = pts @ e1
-    v = pts @ e2
-    depth = pts @ d
+    pts, tan = curve.eval_planes(t)
+    u, v, depth = e1 @ pts, e2 @ pts, d @ pts
     scale = max(np.ptp(u), np.ptp(v))
     nxt = np.concatenate([np.arange(1, n), [0]])
     du, dv = u[nxt] - u, v[nxt] - v
 
     # tangency with the viewing direction collapses the projected speed
-    tan3 = np.linalg.norm(tan, axis=1)
+    tan3 = np.linalg.norm(tan, axis=0)
     if (np.hypot(du, dv) * n / tan3).min() < 1e-2:
         raise DegenerateProjection("curve tangent nearly parallel to direction")
 

@@ -48,6 +48,9 @@ Edge = tuple[int, int]
 #: Largest graphs ``enumerate_graphs`` builds.
 MAX_VERTICES = 10
 MAX_EDGES = 15
+#: Most entries of a shape's (|G|, V + 1) relabeling images (``_group``) and (S, S) slot pairs
+#: (``_slots``): the images of 9 vertices, the largest that ``enumerate_graphs`` builds.
+_SHAPE_ENTRIES = factorial(MAX_VERTICES)
 
 
 class Flavor(str, Enum):
@@ -172,11 +175,12 @@ def _group(n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
     Manifold: all permutations of 1..V.  Knot: cyclic rotations of the
     external labels composed with all internal permutations.  Row k maps
     label v to ``images[k, v]``; column 0 is unused, and row 0 is the
-    identity.  ResourceLimit past MAX_VERTICES! relabelings.
+    identity.  ResourceLimit past _SHAPE_ENTRIES image entries.
     """
-    size = factorial(n_int) * max(n_ext, 1)
-    if size > factorial(MAX_VERTICES):
-        raise ResourceLimit(f"{size} relabelings exceed the bound {MAX_VERTICES}!")
+    # n_int! is not taken past MAX_VERTICES, where the images pass the bound anyway
+    size = factorial(min(n_int, MAX_VERTICES)) * max(n_ext, 1) * (n_ext + n_int + 1)
+    if size > _SHAPE_ENTRIES:
+        raise ResourceLimit(f"V={n_ext + n_int} needs over {_SHAPE_ENTRIES} relabeling entries")
     rotations = [tuple((i + k) % n_ext + 1 for i in range(n_ext)) for k in range(n_ext)] or [()]
     perms = list(itertools.permutations(range(n_ext + 1, n_ext + n_int + 1)))
     images = np.array([(0,) + rot + p for rot in rotations for p in perms], dtype=np.intp)
@@ -216,12 +220,15 @@ _BLOCK = 2**16
 def _chunks(graphs: list[DecoratedGraph]) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
     """The graphs of each (flavor, n_ext, n_int, E) shape among ``graphs``, as (shape, positions,
     (n, E, 2) edge array) chunks of at most _BLOCK // 16 (graph, slot, edge) entries (``_slots``),
-    or one graph."""
+    or one graph.  ResourceLimit for a shape whose S x S slot pairs pass _SHAPE_ENTRIES."""
     at: dict[tuple, list[int]] = {}
     for k, g in enumerate(graphs):
         at.setdefault((g.flavor, g.n_ext, g.n_int, g.n_edges), []).append(k)
     for shape, ks in at.items():
-        step = max(1, _BLOCK // 16 // max(1, (shape[1] + shape[3]) * shape[3]))
+        slots = shape[3] + shape[1]  # stored edges, then knot arcs (a manifold has no externals)
+        if slots * slots > _SHAPE_ENTRIES:
+            raise ResourceLimit(f"{slots} edges and arcs pass {_SHAPE_ENTRIES} slot-pair entries")
+        step = max(1, _BLOCK // 16 // max(1, slots * shape[3]))
         for chunk in (ks[s : s + step] for s in range(0, len(ks), step)):
             edges = np.fromiter((e for k in chunk for e in graphs[k].edges), (np.intp, 2))
             yield shape, np.array(chunk), edges.reshape(len(chunk), shape[3], 2)
@@ -492,24 +499,16 @@ def _merges(parent: list[int], undirected: Iterable[Edge]) -> Iterator[bool]:
         yield ra != rb
 
 
-def _is_connected(n_vertices: int, undirected: Iterable[Edge]) -> bool:
-    return n_vertices - sum(_merges(list(range(n_vertices + 1)), undirected)) == 1
-
-
-def _knot_connected(n_ext: int, n_int: int, edges: tuple[Edge, ...]) -> bool:
-    """Connected after removing any pair of knot arcs.
-
-    The edges are merged once; each pair of dropped arcs starts from a
-    copy of that forest and merges the arcs kept."""
+def _connected(n_ext: int, n_int: int, edges: tuple[Edge, ...]) -> bool:
+    """Connected after removing any two of the knot arcs (i, i % n_ext + 1), or, with no arcs
+    (manifold), as it stands.  The edges are merged once; each choice of kept arcs starts
+    from a copy of that forest and merges them."""
     n = n_ext + n_int
     base = list(range(n + 1))
     components = n - sum(_merges(base, edges))
     arcs = [(i, i % n_ext + 1) for i in range(1, n_ext + 1)]
-    for drop in itertools.combinations(range(len(arcs)), 2):
-        kept = [a for k, a in enumerate(arcs) if k not in drop]
-        if components - sum(_merges(base.copy(), kept)) != 1:
-            return False
-    return True
+    kept_sets = itertools.combinations(arcs, max(0, len(arcs) - 2))
+    return all(components - sum(_merges(base.copy(), kept)) == 1 for kept in kept_sets)
 
 
 def enumerate_graphs(
@@ -613,10 +612,7 @@ def _enumerate_combo(
             for r in np.flatnonzero(minimal & ~zero).tolist():
                 edges = tuple(map(tuple, pairs[prefix + [int(batch[r])]].tolist()))
                 # connectivity is orbit-invariant: checked once per orbit
-                if connected and not (
-                    _is_connected(nv, edges) if flavor is Flavor.MANIFOLD
-                    else _knot_connected(n_ext, n_int, edges)
-                ):
+                if connected and not _connected(n_ext, n_int, edges):
                     continue
                 found.append(DecoratedGraph(flavor, n_ext, n_int, edges))
 

@@ -59,6 +59,8 @@ LK_RULE = "midpoint, error from ceil(n / 2)"
 #: Smallest grid of ``sln_integral``: its coarsest grid, ceil(grid / 4), then
 #: has 5 points or more, so not only the antipode lies beyond the neighbours.
 SLN_MIN_GRID = 17
+#: Largest grid of sln and lk, whose O(grid^2) Gauss grid took 8.3-9.3 s at 16,384 for sln.
+MAX_GRID = 16384
 #: Rows of a Gauss integrand grid filled per pass (``_gauss_blocks``):
 #: at grids 512 and 1024, 16 rows ran fastest of 4 to 64 on a 2-core
 #: x86-64 machine with numpy 2.4.
@@ -178,6 +180,14 @@ def _richardson(total, grid: int, power: int, steps: int) -> tuple[float, float]
     return col[-1], abs(col[-1] - col[-2])
 
 
+def check_grid(grid: int, least: int) -> None:
+    """InvalidParams for a grid below ``least``, ResourceLimit above MAX_GRID."""
+    if grid < least:
+        raise InvalidParams(f"grid must be at least {least}, got {grid}")
+    if grid > MAX_GRID:
+        raise ResourceLimit(f"grid must be at most {MAX_GRID}, got {grid}")
+
+
 def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     """Self-linking integral: the Gauss form over the configuration of
     two points on the knot (the flat-space writhe integral).
@@ -186,8 +196,7 @@ def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     sum S(n) has an error series in n^-2, n^-4, ... (Navot, J. Math. and
     Phys. 1961); the value is (4 S(grid) - S(grid/2)) / 3 (``_richardson``).
     """
-    if grid < SLN_MIN_GRID:
-        raise InvalidParams(f"grid must be at least {SLN_MIN_GRID}, got {grid}")
+    check_grid(grid, SLN_MIN_GRID)
     curve.validate()
     value, err = _richardson(lambda n: _gauss_sum(curve, curve, n), grid, power=2, steps=1)
     return IntegralEstimate(value, err, grid * grid, 0, "quadrature")
@@ -196,12 +205,11 @@ def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
 def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     """Gauss linking number of two disjoint curves by torus quadrature,
     with the distance from the sum one grid coarser as its error."""
-    if grid < 2:
-        raise InvalidParams(f"grid must be at least 2, got {grid}")
+    check_grid(grid, 2)
     k1.validate()
     k2.validate()
     t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
-    p, q = k1.eval(t), k2.eval(t)
+    p, q = k1.eval_planes(t)[0].T, k2.eval_planes(t)[0].T
     bound = 1e-3 * max(k1.diameter(), k2.diameter())
     # only points in the other curve's box grown by 2 * bound (the bound, and
     # room for rounding) can be that close; far-apart curves keep none

@@ -339,7 +339,7 @@ def a_gamma_quadrature(
     matching = wedge_top(units, n)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        pos, tan = curve.eval_with_deriv(t)
+        pos, tan = curve.eval(t), curve.deriv(t)
         values = np.full(len(t), matching)
         for i, j in graph.edges:
             v = pos[:, j - 1] - pos[:, i - 1]
@@ -434,6 +434,25 @@ def knot_arcs(g: DecoratedGraph) -> tuple[tuple[int, int], ...]:
         return ()
     n = g.n_ext
     return tuple((i, i % n + 1) for i in range(1, n + 1))
+
+
+def connected_after_two_arc_cuts(g: DecoratedGraph) -> bool:
+    """Whether every vertex stays reachable from vertex 1, by depth-first
+    search over the edges and the arcs left, once any two knot arcs are
+    cut; a manifold graph, which has no arcs, as it stands."""
+    arcs = knot_arcs(g)
+    for cut in itertools.combinations(range(len(arcs)), 2) if arcs else [()]:
+        links = list(g.edges) + [arc for k, arc in enumerate(arcs) if k not in cut]
+        reached, stack = {1}, [1]
+        while stack:
+            v = stack.pop()
+            for w in [b for a, b in links if a == v] + [a for a, b in links if b == v]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != g.n_vertices:
+            return False
+    return True
 
 
 def connection_count(g: DecoratedGraph, a: int, b: int) -> int:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from graphflow.diagrams import a2_of_curve
 from graphflow.graphs import knot_order2_cocycle
 from graphflow.integrals import (
     LK_RULE,
+    MAX_GRID,
     MC_MAX_SAMPLES,
     SLN_RULE,
     X_GRID,
@@ -126,6 +128,55 @@ def test_delta_beyond_largest_group_exit_3(tmp_path):
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
 
+#: Runs the CLI like ``python -m graphflow.cli`` in an address space capped
+#: at 2 GiB, so that an allocation past the cap fails in that process only.
+_CAPPED = (
+    "import resource\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from graphflow.cli import main\n"
+    "main(prog_name='graphflow')\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # n_int! is never taken: it would not finish
+        "flavor manifold\nint 99999999999\nedge 1 2\n",
+        "flavor knot\next 2\nint 99999999999\nedge 1 3\n",
+        # 100,001 edges and arcs: _slots's (1, S, S) pair array would take 9.3 GiB
+        "flavor knot\next 100000\nint 0\nedge 1 50001\n",
+        # the contraction's 10! relabelings took 11.5 s and 3.5 GB
+        "flavor manifold\nint 11\nedge 1 2\n",
+    ],
+    ids=["manifold-int-1e11", "knot-int-1e11", "knot-ext-1e5", "manifold-int-11"],
+)
+def test_delta_past_the_shape_bound_exit_3_before_allocating(text, tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    _assert_capped_run_exits_3("graphs", "delta", "--input", str(path))
+
+
+@pytest.mark.parametrize("command", ["sln --curve circle", "lk --curve hopf_a --curve2 hopf_b"])
+def test_huge_grid_exit_3_before_allocating(command):
+    # a (2e9,) parameter array alone would take 16 GB
+    _assert_capped_run_exits_3("knot", *command.split(), "--grid", "2000000000", "--no-cache")
+
+
+def _assert_capped_run_exits_3(*args):
+    """The command, run under _CAPPED, exits 3 with a ResourceLimit and no
+    output, in far less time than the work it refuses would take."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env["OPENBLAS_NUM_THREADS"] = "1"  # OpenBLAS reserves address space per thread at import
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, *args], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["error"]["type"] == "ResourceLimit"
+    assert time.perf_counter() - start < 20  # a fresh process; the check itself is immediate
+
+
 def _v2_after_a_cached_run(tmp_path, *extra, env=None):
     """A v2 run whose result is already cached, with ``extra`` options."""
     args = ["knot", "v2", "--curve", "circle", "--samples", "64", "--cache-dir", str(tmp_path)]
@@ -215,8 +266,10 @@ def test_unknown_curve_exit_2(tmp_path):
         ("sln --curve circle --grid 1", 2),
         ("sln --curve circle --grid 16", 2),
         ("sln --curve circle --grid 17", 0),
+        ("sln --curve circle --grid 16385", 3),
         ("lk --curve hopf_a --curve2 hopf_b --grid 1", 2),
         ("lk --curve hopf_a --curve2 hopf_b --grid 2", 0),
+        ("lk --curve hopf_a --curve2 hopf_b --grid 16385", 3),
         ("v2 --curve circle --samples nan", 2),
         ("v2 --curve circle --samples inf", 2),
         ("v2 --curve circle --samples 0", 2),
@@ -229,10 +282,15 @@ def test_unknown_curve_exit_2(tmp_path):
         ("a2 --curve trefoil --seed -1", 2),
         ("a2 --curve {dir}", 2),
         ("a2 --curve {dir}/latin1.json", 2),
+        ("sln --curve {dir}/empty-harmonics.json", 2),
+        ("sln --curve {dir}/no-sine-harmonics.json", 2),
     ],
 )
 def test_param_bounds_exit_code(args, code, tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')  # not UTF-8
+    # Fourier harmonic entries too short to hold cosine and sine rows
+    for name, harmonics in [("empty", [[], [], []]), ("no-sine", [[[1, 0]], [[0, 1]]])]:
+        (tmp_path / f"{name}-harmonics.json").write_text(json.dumps({"type": "fourier", "harmonics": harmonics}))
     args = ["knot", *args.format(dir=tmp_path).split(), "--no-cache"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == code
@@ -253,6 +311,21 @@ def test_sln_grid_is_checked_before_the_cache_lookup(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("command", ["sln --curve circle", "lk --curve hopf_a --curve2 hopf_b"])
+def test_grid_above_the_limit_is_checked_before_the_cache_lookup(command, tmp_path, monkeypatch):
+    """An entry cached at a grid that a lower MAX_GRID refuses is never
+    replayed: the bound holds before the lookup, as SLN_MIN_GRID does."""
+    assert MAX_GRID == 16384
+    args = ["knot", *command.split(), "--grid", "64", "--cache-dir", str(tmp_path)]
+    assert run(*args).exit_code == 0
+    assert len(list(tmp_path.rglob("*.json"))) == 1
+    monkeypatch.setattr(integrals, "MAX_GRID", 32)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
 
 @pytest.mark.parametrize("samples", ["1e15", "1e30"])

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphflow.curves import (
     BUNDLED,
@@ -132,6 +133,38 @@ def test_json_round_trips(tmp_path):
     assert np.allclose(k3.points, poly.points)
 
 
+#: Any JSON value: numbers of every size, NaN and infinity included, as
+#: ``json.load`` gives them.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=24,
+)
+#: JSON values and curve objects, nested as warped bases, with any JSON in each field.
+_CURVE_JSON = st.recursive(
+    _JSON,
+    lambda inner: st.fixed_dictionaries(
+        {"type": st.sampled_from(["fourier", "polyline", "warped", "spline"])},
+        optional={"harmonics": _JSON, "points": _JSON, "base": inner, "amplitude": _JSON, "name": _JSON},
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CURVE_JSON)
+@example({"type": "fourier", "harmonics": [[], [], []]})
+@example({"type": "fourier", "harmonics": [[[1, 0]], [[0, 1]]]})
+def test_any_json_value_loads_or_raises_invalid_params(obj):
+    """A curve file is a curve or InvalidParams (exit 2), never another
+    error; short harmonic entries once raised IndexError."""
+    try:
+        curve = KnotCurve.from_json_obj(obj)
+    except InvalidParams:
+        return
+    assert isinstance(curve, KnotCurve)
+
+
 def test_load_curve_from_path_and_bundled(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(round_circle(2.0).to_json_obj()))
@@ -219,7 +252,7 @@ EVAL_T = np.concatenate([np.linspace(0, 1, 257), [-0.3, 1.7, 0.999999999]])
 @pytest.mark.parametrize("name", ["circle", "trefoil", "torus_2_5", "figure_eight", "hopf_a", "hopf_b"])
 def test_eval_with_deriv_matches_cos_sin_sums(name):
     k = bundled_curve(name)
-    pos, tan = k.eval_with_deriv(EVAL_T)
+    pos, tan = k.eval(EVAL_T), k.deriv(EVAL_T)
     ref_pos, ref_tan = _fourier_reference(k, np.mod(EVAL_T, 1.0))
     assert np.abs(pos - ref_pos).max() <= 1e-12
     assert np.abs(tan - ref_tan).max() <= 1e-12
@@ -232,7 +265,7 @@ def test_eval_with_deriv_reparametrized():
     warped = t + 0.3 * np.sin(2 * np.pi * t) / (2 * np.pi)
     ref_pos, ref_tan = _fourier_reference(tref, warped)
     ref_tan *= (1.0 + 0.3 * np.cos(2 * np.pi * t))[:, None]
-    pos, tan = rep.eval_with_deriv(EVAL_T)
+    pos, tan = rep.eval(EVAL_T), rep.deriv(EVAL_T)
     assert np.abs(pos - ref_pos).max() <= 1e-12
     assert np.abs(tan - ref_tan).max() <= 1e-12
 
@@ -240,7 +273,7 @@ def test_eval_with_deriv_reparametrized():
 def test_eval_with_deriv_polyline():
     poly = KnotCurve(points=bundled_curve("trefoil").eval(np.arange(64) / 64))
     pts, n = poly.points, len(poly.points)
-    pos, tan = poly.eval_with_deriv(EVAL_T)
+    pos, tan = poly.eval(EVAL_T), poly.deriv(EVAL_T)
     for row, t in enumerate(np.mod(EVAL_T, 1.0)):
         i = min(int(t * n), n - 1)
         seg = pts[(i + 1) % n] - pts[i]
@@ -258,10 +291,14 @@ def test_eval_with_deriv_polyline():
     ids=["fourier", "warped", "polyline"],
 )
 def test_eval_with_deriv_shapes_and_layout(curve):
-    pos, tan = curve.eval_with_deriv(0.37)
+    """``eval`` and ``deriv`` give ``eval_planes``'s columns as C-contiguous
+    ``t.shape + (3,)`` rows, for a scalar too."""
+    pos, tan = curve.eval(0.37), curve.deriv(0.37)
     assert pos.shape == tan.shape == (3,)
-    assert np.array_equal(pos, curve.eval(0.37)) and np.array_equal(tan, curve.deriv(0.37))
-    pos, tan = curve.eval_with_deriv(np.random.default_rng(1).random((5, 4)))
+    planes = curve.eval_planes(np.array([0.37]))
+    assert np.array_equal(pos, planes[0][:, 0]) and np.array_equal(tan, planes[1][:, 0])
+    t = np.random.default_rng(1).random((5, 4))
+    pos, tan = curve.eval(t), curve.deriv(t)
     assert pos.shape == tan.shape == (5, 4, 3)
     assert pos.flags.c_contiguous and tan.flags.c_contiguous
 
@@ -276,11 +313,11 @@ def test_eval_with_deriv_shapes_and_layout(curve):
     ids=["fourier", "warped", "polyline"],
 )
 def test_eval_planes_are_eval_with_deriv_bit_for_bit(curve):
-    """The planes are the transposes of ``eval_with_deriv``'s rows, and
-    parameters in [0, 1), which skip the wrap, give the bits of the same
+    """The planes are the transposes of the rows of ``eval`` and ``deriv``,
+    and parameters in [0, 1), which skip the wrap, give the bits of the same
     parameters shifted by whole turns or written as -0.0, which take it."""
     t = np.concatenate([EVAL_T, [-0.0, 0.0, -2.75, 3.5, -1e-300]])
-    pos, tan = curve.eval_with_deriv(t.reshape(-1, 5))
+    pos, tan = curve.eval(t.reshape(-1, 5)), curve.deriv(t.reshape(-1, 5))
     planes = curve.eval_planes(t)
     assert all(a.shape == (3, t.size) for a in planes)
     assert np.array_equal(planes[0], pos.reshape(-1, 3).T)
@@ -302,13 +339,13 @@ def test_validate_remembers_success_only(monkeypatch):
     tref = bundled_curve("trefoil")
     tref.validate()
     calls = []
-    original = KnotCurve.eval_with_deriv
+    original = KnotCurve.eval_planes
 
     def counted(self, t):
         calls.append(np.size(t))
         return original(self, t)
 
-    monkeypatch.setattr(KnotCurve, "eval_with_deriv", counted)
+    monkeypatch.setattr(KnotCurve, "eval_planes", counted)
     assert tref.validate() is tref
     assert calls == []
     tref.validate(samples=1024)  # another sample count is checked afresh

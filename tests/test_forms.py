@@ -120,7 +120,7 @@ def test_compiled_matches_scalar_wedge():
     ci = CompiledIntegrand()
     tvals = np.sort(rng.random((12, 3)), axis=1)
     xvals = rng.normal(scale=2.0, size=(12, 1, 3))
-    pos, tan = tref.eval_with_deriv(tvals)
+    pos, tan = tref.eval(tvals), tref.deriv(tvals)
     fast, bad = ci.evaluate_batch(pos, tan, xvals, 1e-12)
     assert not bad.any()
     for row in range(12):
@@ -134,7 +134,7 @@ def test_exact_collision_is_flagged_without_a_warning():
     """A spatial vertex on a knot point is flagged, with no 0/0."""
     tref = make_torus_knot(2, 3, 2.0, 0.5)
     tvals = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.8]])
-    pos, tan = tref.eval_with_deriv(tvals)
+    pos, tan = tref.eval(tvals), tref.deriv(tvals)
     xvals = np.array([pos[0, 1], [0.3, -0.2, 0.9]])[:, None, :]
     ci = CompiledIntegrand()
     with warnings.catch_warnings():

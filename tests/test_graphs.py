@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,8 +23,7 @@ from graphflow.graphs import (
     Flavor,
     GraphSum,
     _grading_combos,
-    _is_connected,
-    _knot_connected,
+    _connected,
     canonicalize,
     canonicalize_many,
     contract_edge,
@@ -35,7 +35,15 @@ from graphflow.graphs import (
     manifold_order2_cocycle,
     manifold_order2_graphs,
 )
-from oracles import connection_count, contract, is_trivalent, knot_arcs, theta_graph, to_text
+from oracles import (
+    connected_after_two_arc_cuts,
+    connection_count,
+    contract,
+    is_trivalent,
+    knot_arcs,
+    theta_graph,
+    to_text,
+)
 
 M, K = Flavor.MANIFOLD, Flavor.KNOT
 
@@ -314,6 +322,21 @@ def test_relabeling_table_past_its_cap_raises(monkeypatch):
     assert len(graphs_module._enumerate_combo(M, 0, 6, 9, True)) == 670
 
 
+def test_shape_bound_refuses_past_the_largest_enumerated_relabelings():
+    """_SHAPE_ENTRIES is the (9!, 10) relabeling image array of 9 vertices,
+    the largest that enumerate_graphs builds: one vertex or external more
+    is refused before anything is built, whatever n_int, and so are more
+    than 1,904 edges and knot arcs."""
+    assert graphs_module._SHAPE_ENTRIES == math.factorial(9) * 10
+    for n_ext, n_int in [(0, 10), (2, 9), (1905, 0), (0, 10**11), (2, 10**11)]:
+        with pytest.raises(ResourceLimit):
+            graphs_module._group(n_ext, n_int)
+    assert len(list(graphs_module._chunks([mg(2, [(1, 2)] * 1904)]))) == 1
+    for g in (mg(2, [(1, 2)] * 1905), kg(1904, 0, [(1, 2)]), kg(10**5, 0, [(1, 2)])):
+        with pytest.raises(ResourceLimit):
+            list(graphs_module._chunks([g]))
+
+
 def test_grade_past_the_bounds_raises_before_any_combo_is_enumerated():
     # V = 10 fits, but E = 8 + Vi passes MAX_EDGES = 15 at Vi = 8, after
     # eight combos that would each take a full orderly generation
@@ -327,6 +350,16 @@ def test_knot_connectedness_rule():
     bad = kg(4, 0, [(1, 2), (3, 4)])
     res = canonicalize(bad)
     assert res.is_zero or res.graph not in graphs
+
+
+@pytest.mark.parametrize("flavor", [M, K])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_connected_matches_search_oracle(flavor, data):
+    """One rule for both flavors: a manifold graph is connected as it
+    stands, a knot graph once any two knot arcs are cut."""
+    g = data.draw(st.composite(_flavored_graph)(flavor))
+    assert _connected(g.n_ext, g.n_int, g.edges) == connected_after_two_arc_cuts(g)
 
 
 # --- GraphSum ---
@@ -519,11 +552,9 @@ def _oracle_enumerate(flavor, order, degree, connected):
         for combo in itertools.combinations_with_replacement(pairs, n_edges):
             if combo in seen:
                 continue
-            if connected:
-                if flavor is M and not _is_connected(nv, combo):
-                    continue
-                if flavor is K and not _knot_connected(n_ext, n_int, combo):
-                    continue
+            g = DecoratedGraph(flavor, n_ext, n_int, combo)
+            if connected and not connected_after_two_arc_cuts(g):
+                continue
             orbit = {}
             is_zero = False
             for images, parity in sym:
@@ -532,7 +563,7 @@ def _oracle_enumerate(flavor, order, degree, connected):
                 is_zero |= orbit.setdefault(enc, sign) != sign
             seen.update(orbit)
             if not is_zero:
-                found.append(DecoratedGraph(flavor, n_ext, n_int, combo))
+                found.append(g)
     return sorted(found, key=lambda g: (g.n_ext, g.n_int, g.edges))
 
 

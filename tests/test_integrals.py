@@ -444,7 +444,7 @@ def _oracle_mc_batch(integrand, curve, m, rng, r0, r_near, eps_coll):
     for _ in range(64):
         mm = todo.size
         tv = np.sort(rng.random((mm, n)), axis=1)
-        knot_pts, knot_tan = curve.eval_with_deriv(tv)
+        knot_pts, knot_tan = curve.eval(tv), curve.deriv(tv)
         centers = rng.integers(0, n, size=(mm, t))
         use_near = rng.random((mm, t)) < integrals.NEAR_WEIGHT
         u = rng.random((mm, t))

@@ -13,7 +13,7 @@ CHECKED = {"CompiledIntegrand", "a2_oracle", "a_gamma_mc", "kernel_basis", "delt
 CHECKED |= {"near_pairs", "least_distance", "diameter"}
 CHECKED |= {"sparse_rows", "delta_matrix", "_rref", "_gauss_blocks"}
 CHECKED |= {"canonicalize", "canonicalize_many", "contract_edge", "_chunks", "_classes"}
-CHECKED |= {"_graph", "_slots", "_contract", "delta_columns"}
+CHECKED |= {"_graph", "_slots", "_contract", "delta_columns", "_connected"}
 
 
 def test_oracles_import_only_data_types_errors_and_constants():
