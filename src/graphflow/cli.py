@@ -11,19 +11,22 @@ Each command is a fresh process that imports only the modules it runs:
 ``graphs``, ``solver`` and ``diagrams`` load inside the commands that
 call them, never for ``--version``, ``--help`` or a knot cache hit.  The
 benchmark wraps ``delta_matrix``, ``kernel_basis`` and ``a2_of_curve``
-by name in this module, so they stay here as forwarders.
+by name in this module, so they stay here as forwarders.  The front end
+is the standard library's ``argparse``, so those paths load neither click
+nor ``inspect``; as under click, options are matched whole and every
+usage error exits 2.  ``main.main`` keeps click's call, which the
+benchmark's in-process rounds make, until they call ``main(argv)``.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .curves import load_curve
@@ -82,7 +85,7 @@ def _fail(exc: Exception):
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, CurveValidationError):
         payload["error"]["invariant"] = exc.invariant
-    click.echo(json.dumps(payload, sort_keys=True), err=True)
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     sys.exit(code)
 
 
@@ -94,7 +97,7 @@ def _emit(command: str, config: dict, result) -> str:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         _fail(InvalidParams(f"result is not finite: {exc}"))
-    click.echo(text)
+    print(text)
     return text
 
 
@@ -111,20 +114,11 @@ def _run(command: str, config: dict, compute) -> str:
     return _emit(command, config, _checked(compute))
 
 
-def _default_cache_dir() -> Path:
-    env = os.environ.get("GRAPHFLOW_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "graphflow"
-
-
 def _cached(command: str, config_fn, cache_dir: str | None, no_cache: bool, compute):
     """Replay a stored result, or ``_run`` the command and store its output."""
     config = _checked(config_fn)
-    base = Path(cache_dir) if cache_dir else _default_cache_dir()
-    key_src = json.dumps(
-        {"command": command, "key": config, "version": __version__}, sort_keys=True
-    )
+    base = Path(cache_dir or os.environ.get("GRAPHFLOW_CACHE_DIR") or Path.home() / ".cache" / "graphflow")
+    key_src = json.dumps({"command": command, "key": config, "version": __version__}, sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()
     path = base / key[:2] / (key + ".json")
     stored = None if no_cache else _read_entry(path, command, config)
@@ -166,44 +160,89 @@ def _write_entry(path: Path, text: str) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        click.echo(json.dumps({"warning": f"result not cached: {exc}"}), err=True)
+        print(json.dumps({"warning": f"result not cached: {exc}"}), file=sys.stderr)
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
+def _file(path: str) -> str:
+    """``--input``: a path that exists and is not a directory."""
+    if os.path.isdir(path) or not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"no file {path!r}")
+    return path
+
+
+def _directory(path: str) -> str:
+    """``--cache-dir``: a directory, or a path that does not exist yet."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a directory")
+    return path
+
+
+_GROUPS = {"graphs": "Combinatorial operations on decorated graphs.", "knot": "Numerical knot quantities."}
+#: "group command" -> (function, options); an option is (flag, ``add_argument`` keywords),
+#: and the function takes the parsed options as keywords.
+_COMMANDS: dict[str, tuple] = {}
+_FLAVOR = ("--flavor", dict(choices=["manifold", "knot"], required=True))
+_ORDER = ("--order", dict(type=int, required=True))
+_CURVE = ("--curve", dict(dest="curve_path", metavar="CURVE", required=True))
+_GRID = ("--grid", dict(type=int, default=1024))
+_CACHE = ("--cache-dir", dict(type=_directory)), ("--no-cache", dict(action="store_true"))
+
+
+def _command(name: str, *options):
+    """Register the decorated function as command ``name`` with ``options``."""
+    return lambda fn: _COMMANDS.setdefault(name, (fn, options))[0]
+
+
+def _child(subparsers, name: str, doc: str) -> argparse.ArgumentParser:
+    """A level of the tree that, as under click, takes only ``--help`` for help."""
+    child = subparsers.add_parser(name, help=doc, description=doc, add_help=False, allow_abbrev=False)
+    child.add_argument("--help", action="help", help="Show this message and exit.")
+    return child
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command tree of _GROUPS and _COMMANDS."""
+    top = argparse.ArgumentParser("graphflow", description=main.__doc__, add_help=False, allow_abbrev=False)
+    top.add_argument("--version", action="version", version=f"graphflow, version {__version__}")
+    top.add_argument("--help", action="help", help="Show this message and exit.")
+    levels = {"": top.add_subparsers(metavar="COMMAND", required=True)}
+    for group, doc in _GROUPS.items():
+        levels[group] = _child(levels[""], group, doc).add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, options) in _COMMANDS.items():
+        group, leaf = name.split()
+        command = _child(levels[group], leaf, run.__doc__)
+        for flag, keywords in options:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(run=run)
+    return top
+
+
+def main(argv: list[str] | None = None) -> None:
     """Decorated-graph cohomology and knot configuration integrals."""
+    options = vars(_parser().parse_args(argv))
+    try:
+        options.pop("run")(**options)
+    except BrokenPipeError:  # the reader left early, as ``head`` does; click ignored that too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-@main.group()
-def graphs():
-    """Combinatorial operations on decorated graphs."""
+# click's ``main.main(args=..., prog_name=..., standalone_mode=False)``: success returns, and every
+# failure raises SystemExit with its code.  It goes when the benchmark calls main(argv) (ROADMAP item 1).
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
 
 
-_FLAVOR = click.Choice(["manifold", "knot"])
-
-
-@graphs.command("enumerate")
-@click.option("--flavor", type=_FLAVOR, required=True)
-@click.option("--order", type=int, required=True)
-@click.option("--degree", type=int, default=0, show_default=True)
-@click.option("--disconnected", is_flag=True, help="Include disconnected graphs.")
+@_command("graphs enumerate", _FLAVOR, _ORDER, ("--degree", dict(type=int, default=0)),
+          ("--disconnected", dict(action="store_true", help="Include disconnected graphs.")))
 def graphs_enumerate(flavor, order, degree, disconnected):
     """List canonical graphs of the given grade."""
     from .graphs import Flavor, enumerate_graphs
     config = {"flavor": flavor, "order": order, "degree": degree, "connected": not disconnected}
-    _run(
-        "graphs enumerate",
-        config,
-        lambda: [
-            g.to_json_obj()
-            for g in enumerate_graphs(Flavor(flavor), order, degree, connected=not disconnected)
-        ],
-    )
+    _run("graphs enumerate", config, lambda: [
+        g.to_json_obj() for g in enumerate_graphs(Flavor(flavor), order, degree, connected=not disconnected)
+    ])
 
 
-@graphs.command("delta")
-@click.option("--input", "path", type=click.Path(exists=True, dir_okay=False), required=True)
+@_command("graphs delta", ("--input", dict(dest="path", type=_file, required=True)))
 def graphs_delta(path):
     """Coboundary of the graph in a text-format file."""
     from .graphs import DecoratedGraph, delta
@@ -219,9 +258,7 @@ def graphs_delta(path):
     _run("graphs delta", config, compute)
 
 
-@graphs.command("cocycles")
-@click.option("--flavor", type=_FLAVOR, required=True)
-@click.option("--order", type=int, required=True)
+@_command("graphs cocycles", _FLAVOR, _ORDER)
 def graphs_cocycles(flavor, order):
     """Kernel basis of the coboundary matrix at the given order."""
     from .graphs import Flavor, GraphSum
@@ -229,28 +266,10 @@ def graphs_cocycles(flavor, order):
 
     def compute():
         basis0, basis1, m = delta_matrix(Flavor(flavor), order)
-        kernel = kernel_basis(m)
-        sums = []
-        for vec in kernel:
-            s = GraphSum({g: c for g, c in zip(basis0, vec) if c})
-            sums.append(s.to_json_obj())
-        return {
-            "basis": [g.to_json_obj() for g in basis0],
-            "kernel": sums,
-        }
+        sums = [GraphSum({g: c for g, c in zip(basis0, vec) if c}).to_json_obj() for vec in kernel_basis(m)]
+        return {"basis": [g.to_json_obj() for g in basis0], "kernel": sums}
 
     _run("graphs cocycles", config, compute)
-
-
-@main.group()
-def knot():
-    """Numerical knot quantities."""
-
-
-def _cache_options(f):
-    """Add ``--cache-dir`` and ``--no-cache`` to a knot command."""
-    f = click.option("--no-cache", is_flag=True)(f)
-    return click.option("--cache-dir", type=click.Path(file_okay=False), default=None)(f)
 
 
 def _knot_command(command: str, evaluate, curves: dict, cache_dir, no_cache, **params):
@@ -275,11 +294,8 @@ def _knot_command(command: str, evaluate, curves: dict, cache_dir, no_cache, **p
     _cached(command, config, cache_dir, no_cache, compute)
 
 
-@knot.command("a2")
-@click.option("--curve", "curve_path", required=True)
-@click.option("--directions", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
-@_cache_options
+@_command("knot a2", _CURVE, ("--directions", dict(type=int, default=3)),
+          ("--seed", dict(type=int, default=7)), *_CACHE)
 def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
     """Order-2 combinatorial invariant from planar projections."""
 
@@ -290,10 +306,7 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
     _knot_command("knot a2", evaluate, {"curve": curve_path}, cache_dir, no_cache, **params)
 
 
-@knot.command("sln")
-@click.option("--curve", "curve_path", required=True)
-@click.option("--grid", type=int, default=1024, show_default=True)
-@_cache_options
+@_command("knot sln", _CURVE, _GRID, *_CACHE)
 def knot_sln(curve_path, grid, cache_dir, no_cache):
     """Self-linking integral by midpoint sums and a Richardson step."""
     # checked before the cache lookup, so that a hit cannot replay a result beyond the limits
@@ -306,11 +319,8 @@ def knot_sln(curve_path, grid, cache_dir, no_cache):
     _knot_command("knot sln", evaluate, curves, cache_dir, no_cache, grid=grid, rule=SLN_RULE)
 
 
-@knot.command("lk")
-@click.option("--curve", "curve_path", required=True)
-@click.option("--curve2", "curve2_path", required=True)
-@click.option("--grid", type=int, default=1024, show_default=True)
-@_cache_options
+@_command("knot lk", _CURVE, ("--curve2", dict(dest="curve2_path", metavar="CURVE2", required=True)),
+          _GRID, *_CACHE)
 def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
     """Gauss linking number of two disjoint curves."""
     _checked(check_grid, grid, 2)  # before the cache lookup, as for sln
@@ -322,19 +332,9 @@ def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
     _knot_command("knot lk", evaluate, curves, cache_dir, no_cache, grid=grid, rule=LK_RULE)
 
 
-@knot.command("v2")
-@click.option("--curve", "curve_path", required=True)
-@click.option(
-    "--samples",
-    type=float,
-    default=1e6,
-    show_default=True,
-    help="Samples per Monte Carlo term, rounded down to a multiple of 64 "
-    f"(at least 64, at most {MC_MAX_SAMPLES}).",
-)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--workers", type=int, default=None)
-@_cache_options
+@_command("knot v2", _CURVE, ("--samples", dict(type=float, default=1e6, help="Samples per Monte Carlo term, "
+          f"rounded down to a multiple of 64 (at least 64, at most {MC_MAX_SAMPLES}).")),
+          ("--seed", dict(type=int, default=DEFAULT_SEED)), ("--workers", dict(type=int)), *_CACHE)
 def knot_v2(curve_path, samples, seed, cache_dir, no_cache, workers):
     """Order-2 cocycle configuration integral (crossed chords by
     quadrature, tripod by Monte Carlo)."""

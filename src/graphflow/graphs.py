@@ -245,16 +245,17 @@ def _classes(shape: tuple, edges: np.ndarray, seen: dict) -> tuple[np.ndarray, n
     images, parity = _group(n_ext, n_int)
     pairs, index, word, unit, n_words = _digits(n_ext + n_int, max(1, n_edges.bit_length()))
     size, step = len(images), max(1, _BLOCK // 16 // len(images))
+    column, inside = np.zeros(len(word), dtype=np.intp), np.zeros(len(word), dtype=np.int64)
     which, signs = [], []
     for block in (edges[s : s + step] for s in range(0, len(edges), step)):
         m = len(block)
         tie, odd = np.ones((size, m), dtype=bool), np.repeat(parity[:, None], m, axis=1)
         span = max(1, _BLOCK // (size * m))
         for start in range(0, n_words, span):
-            # a pair's column in this span's words, and its unit, 0 outside the span
+            # a pair's column in the span's words and its unit; any pair outside lo:hi adds 0 to column 0
             width = min(span, n_words - start)
-            column = np.clip(word - start, 0, width - 1)
-            inside = np.where(word // span == start // span, unit, 0)
+            lo, hi = np.searchsorted(word, (start, start + width))
+            column[lo:hi], inside[lo:hi] = word[lo:hi] - start, unit[lo:hi]
             rows = np.arange(size * m).reshape(size, m) * width
             vectors = np.zeros(size * m * width, dtype=np.int64)
             for e in range(n_edges):
@@ -263,6 +264,7 @@ def _classes(shape: tuple, edges: np.ndarray, seen: dict) -> tuple[np.ndarray, n
                 if start == 0:
                     odd ^= ia > ib
                 vectors[rows + column[c]] += inside[c]
+            column[lo:hi] = inside[lo:hi] = 0
             vectors = vectors.reshape(size, m, width)
             for w in range(width):  # narrow to the lexicographically largest
                 v = np.where(tie, vectors[..., w], -1)

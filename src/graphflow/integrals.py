@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import _numpy as np
 from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_pairs
@@ -79,22 +79,18 @@ NEAR_WEIGHT = 0.25
 _TRIPOD_TAG = int(hashlib.sha256(b"knot|3|1|((1, 4), (2, 4), (3, 4))").hexdigest()[:16], 16) >> 1
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
+class IntegralEstimate(namedtuple("IntegralEstimate", "value std_error n_samples seed method")):
     """Value with uncertainty and reproducibility provenance."""
 
-    value: float
-    std_error: float
-    n_samples: int
-    seed: int
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.std_error < 0:
+    def __new__(cls, value: float, std_error: float, n_samples: int, seed: int, method: str):
+        if std_error < 0:
             raise ValueError("negative standard error")
+        return super().__new__(cls, value, std_error, n_samples, seed, method)
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def resolve_workers(workers: int | None) -> int:

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,10 +9,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from graphflow import __version__, cli, errors, integrals
 from graphflow.cli import main
@@ -32,8 +36,34 @@ import oracles
 from oracles import round_circle, theta_graph, to_text
 
 
-def run(*args):
-    return CliRunner().invoke(main, list(args), catch_exceptions=False)
+class Result(NamedTuple):
+    """A command's exit code and what it wrote to each stream."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """Everything the command wrote, as a terminal would show it: both streams."""
+        return self.stdout + self.stderr
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+
+def run(*args, env=None) -> Result:
+    """``main(args)`` in this process, with ``env`` added to the environment
+    and both streams captured; an unhandled exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 def test_enumerate_knot_order1():
@@ -63,7 +93,7 @@ def test_delta_of_theta_is_empty(tmp_path):
 def test_delta_parse_error_exit_2(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("flavor knot\next 1\nint 0\nedge 1 2\n")
-    result = CliRunner().invoke(main, ["graphs", "delta", "--input", str(path)])
+    result = run("graphs", "delta", "--input", str(path))
     assert result.exit_code == 2
     err = json.loads(result.stderr)
     assert err["error"]["type"] == "InvalidGraph"
@@ -72,23 +102,21 @@ def test_delta_parse_error_exit_2(tmp_path):
 def test_delta_non_utf8_file_exit_2(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"# caf\xe9\nflavor knot\next 2\nint 0\nedge 1 2\n")  # not UTF-8
-    result = CliRunner().invoke(main, ["graphs", "delta", "--input", str(path)])
+    result = run("graphs", "delta", "--input", str(path))
     assert result.exit_code == 2
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"]["type"] == "InvalidGraph"
 
 
 def test_resource_limit_exit_3():
-    result = CliRunner().invoke(
-        main, ["graphs", "enumerate", "--flavor", "manifold", "--order", "6"]
-    )
+    result = run("graphs", "enumerate", "--flavor", "manifold", "--order", "6")
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
 
 def test_manifold_order5_exit_3_before_building_its_table():
     # 10! relabelings x 45 pairs x 3 words would take 3.9 GB
-    result = CliRunner().invoke(main, ["graphs", "enumerate", "--flavor", "manifold", "--order", "5"])
+    result = run("graphs", "enumerate", "--flavor", "manifold", "--order", "5")
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
@@ -97,7 +125,7 @@ def test_manifold_order5_exit_3_before_building_its_table():
 def test_huge_order_exit_3_before_listing_combos(order):
     # a knot grade has about 2*order combos; the first is already past
     # MAX_VERTICES, so none of the others may be built
-    result = CliRunner().invoke(main, ["graphs", "enumerate", "--flavor", "knot", "--order", order])
+    result = run("graphs", "enumerate", "--flavor", "knot", "--order", order)
     assert result.exit_code == 3
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
@@ -111,7 +139,7 @@ def test_huge_order_exit_3_before_listing_combos(order):
     ],
 )
 def test_order_below_one_exit_2(args):
-    result = CliRunner().invoke(main, ["graphs", *args.split()])
+    result = run("graphs", *args.split())
     assert result.exit_code == 2
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
@@ -123,7 +151,7 @@ def test_delta_beyond_largest_group_exit_3(tmp_path):
     path = tmp_path / "cycle13.txt"
     edges = "".join(f"edge {i} {i % 13 + 1}\n" for i in range(1, 14))
     path.write_text("flavor manifold\nint 13\n" + edges)
-    result = CliRunner().invoke(main, ["graphs", "delta", "--input", str(path)])
+    result = run("graphs", "delta", "--input", str(path))
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
@@ -134,7 +162,7 @@ _CAPPED = (
     "import resource\n"
     "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
     "from graphflow.cli import main\n"
-    "main(prog_name='graphflow')\n"
+    "main()\n"
 )
 
 
@@ -181,7 +209,7 @@ def _v2_after_a_cached_run(tmp_path, *extra, env=None):
     """A v2 run whose result is already cached, with ``extra`` options."""
     args = ["knot", "v2", "--curve", "circle", "--samples", "64", "--cache-dir", str(tmp_path)]
     assert run(*args).exit_code == 0
-    return CliRunner().invoke(main, [*args, *extra], env=env)
+    return run(*args, *extra, env=env)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -243,9 +271,7 @@ def test_validation_failure_exit_4(tmp_path):
     pts = np.stack([np.sin(4 * np.pi * t), np.sin(2 * np.pi * t), 0 * t], axis=1)
     path = tmp_path / "bad_curve.json"
     path.write_text(json.dumps({"type": "polyline", "points": pts.tolist()}))
-    result = CliRunner().invoke(
-        main, ["knot", "sln", "--curve", str(path), "--cache-dir", str(tmp_path / "c")]
-    )
+    result = run("knot", "sln", "--curve", str(path), "--cache-dir", str(tmp_path / "c"))
     assert result.exit_code == 4
     err = json.loads(result.stderr)
     assert err["error"]["type"] == "CurveValidationError"
@@ -253,9 +279,7 @@ def test_validation_failure_exit_4(tmp_path):
 
 
 def test_unknown_curve_exit_2(tmp_path):
-    result = CliRunner().invoke(
-        main, ["knot", "sln", "--curve", "nope", "--cache-dir", str(tmp_path)]
-    )
+    result = run("knot", "sln", "--curve", "nope", "--cache-dir", str(tmp_path))
     assert result.exit_code == 2
 
 
@@ -292,7 +316,7 @@ def test_param_bounds_exit_code(args, code, tmp_path):
     for name, harmonics in [("empty", [[], [], []]), ("no-sine", [[[1, 0]], [[0, 1]]])]:
         (tmp_path / f"{name}-harmonics.json").write_text(json.dumps({"type": "fourier", "harmonics": harmonics}))
     args = ["knot", *args.format(dir=tmp_path).split(), "--no-cache"]
-    result = CliRunner().invoke(main, args)
+    result = run(*args)
     assert result.exit_code == code
     if code:
         want = {2: "InvalidParams", 3: "ResourceLimit"}[code]
@@ -308,7 +332,7 @@ def test_sln_grid_is_checked_before_the_cache_lookup(tmp_path, monkeypatch):
         m.setattr(integrals, "SLN_MIN_GRID", 2)
         assert json.loads(run(*args).output)["result"]["value"] == 0.0
     assert len(list(tmp_path.rglob("*.json"))) == 1
-    result = CliRunner().invoke(main, args)
+    result = run(*args)
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
 
@@ -322,7 +346,7 @@ def test_grid_above_the_limit_is_checked_before_the_cache_lookup(command, tmp_pa
     assert run(*args).exit_code == 0
     assert len(list(tmp_path.rglob("*.json"))) == 1
     monkeypatch.setattr(integrals, "MAX_GRID", 32)
-    result = CliRunner().invoke(main, args)
+    result = run(*args)
     assert result.exit_code == 3
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
@@ -332,7 +356,7 @@ def test_grid_above_the_limit_is_checked_before_the_cache_lookup(command, tmp_pa
 def test_v2_samples_above_the_limit_exit_3(samples):
     assert float(samples) > MC_MAX_SAMPLES
     args = ["knot", "v2", "--curve", "circle", "--samples", samples, "--no-cache"]
-    result = CliRunner().invoke(main, args)
+    result = run(*args)
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
@@ -353,9 +377,7 @@ def test_nonfinite_curve_exit_2(kind, bad, tmp_path):
     path = tmp_path / "curve.json"
     # writes NaN / Infinity, or an integer beyond float range
     path.write_text(json.dumps(_nonfinite_curve(kind, bad)))
-    result = CliRunner().invoke(
-        main, ["knot", "sln", "--curve", str(path), "--cache-dir", str(tmp_path / "c")]
-    )
+    result = run("knot", "sln", "--curve", str(path), "--cache-dir", str(tmp_path / "c"))
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
     assert not (tmp_path / "c").exists()  # nothing cached
@@ -381,7 +403,7 @@ def test_knot_commands_validate_each_curve_exit_4(args, tmp_path):
     path = tmp_path / "figure_eight.json"
     path.write_text(json.dumps({"type": "polyline", "points": pts.tolist()}))
     args = [str(path) if a == "CURVE" else a for a in args]
-    result = CliRunner().invoke(main, ["knot", *args, "--no-cache"])
+    result = run("knot", *args, "--no-cache")
     assert result.exit_code == 4 and result.stdout == ""
     err = json.loads(result.stderr)["error"]
     assert (err["type"], err["invariant"]) == ("CurveValidationError", "embedded")
@@ -400,7 +422,7 @@ def test_curve_beyond_float_range_exit_2(args, tmp_path):
     points = [[1e308, 0, 0], [-1e308, 0, 0], [0, 1e308, 0]]
     path.write_text(json.dumps({"type": "polyline", "points": points}))
     cache = tmp_path / "c"
-    result = CliRunner().invoke(main, ["knot", *args, "--curve", str(path), "--cache-dir", str(cache)])
+    result = run("knot", *args, "--curve", str(path), "--cache-dir", str(cache))
     assert result.exit_code == 2 and result.stdout == ""
     assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
     assert not cache.exists()  # nothing cached
@@ -408,8 +430,12 @@ def test_curve_beyond_float_range_exit_2(args, tmp_path):
 
 #: Modules that a command loads only when it runs them: numpy (its core,
 #: as the package makes ``numpy`` itself a lazy module), the graph complex,
-#: its solver, the planar projections and the thread pool of --workers.
-WATCHED = ("numpy._core", "graphflow.graphs", "graphflow.solver", "graphflow.diagrams", "concurrent.futures")
+#: its solver, the planar projections, the thread pool of --workers and
+#: ``inspect``, which ``dataclasses`` loads; and click, which none loads.
+WATCHED = (
+    "numpy._core", "graphflow.graphs", "graphflow.solver", "graphflow.diagrams", "concurrent.futures", "inspect",
+    "click",
+)
 
 #: Runs the CLI like ``python -m graphflow.cli`` and reports, as the last
 #: line of stderr, which WATCHED modules were loaded when the process ended.
@@ -417,7 +443,7 @@ _PROBE = (
     "import atexit, sys\n"
     f"atexit.register(lambda: print('loaded:', *[m for m in {WATCHED!r} if m in sys.modules], file=sys.stderr))\n"
     "from graphflow.cli import main\n"
-    "main(prog_name='graphflow')\n"
+    "main()\n"
 )
 
 
@@ -436,15 +462,50 @@ def _probe(args, cache_dir) -> tuple[int, bytes, set[str], list[str]]:
 
 @pytest.mark.parametrize(
     "args, code",
-    [(["--version"], 0), (["--help"], 0), (["knot", "sln"], 2), (["knot", "sln", "--curve", "nope"], 2)],
-    ids=["version", "help", "missing-option", "unknown-curve"],
+    [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["knot", "--help"], 0),
+        (["knot", "sln", "--help"], 0),
+        ([], 2),
+        (["graphs"], 2),
+        (["knot"], 2),
+        (["nope"], 2),
+        (["knot", "sln"], 2),
+        (["graphs", "cocycles", "--flavor", "nope", "--order", "2"], 2),
+        (["knot", "sln", "--curve", "trefoil", "--grid", "x"], 2),
+        (["knot", "a2", "--curve", "trefoil", "--seed", "1.5"], 2),
+        (["graphs", "delta", "--input", "{dir}/missing.txt"], 2),
+        (["graphs", "delta", "--input", "{dir}"], 2),
+        (["knot", "sln", "--curve", "trefoil", "--cache-dir", "{dir}/file"], 2),
+        (["knot", "sln", "--cur", "trefoil"], 2),
+        (["knot", "sln", "--curve", "nope"], 2),
+    ],
+    ids=[
+        "version", "help", "group-help", "command-help", "no-arguments", "graphs-alone",
+        "knot-alone", "unknown-command", "missing-option", "bad-choice", "grid-not-integer",
+        "seed-not-integer", "missing-input", "input-is-directory", "cache-dir-is-file",
+        "abbreviated-option", "unknown-curve",
+    ],
 )
 def test_start_up_never_loads_numpy(args, code, tmp_path):
-    """Start-up loads neither numpy nor any other WATCHED module."""
-    exit_code, out, loaded, _ = _probe(args, tmp_path)
+    """Start-up loads neither numpy nor any other WATCHED module; help
+    goes to stdout, and every usage error exits 2 with nothing on it."""
+    (tmp_path / "file").write_text("")
+    args = [a.format(dir=tmp_path) for a in args]
+    exit_code, out, loaded, _ = _probe(args, tmp_path / "cache")
     assert exit_code == code and loaded == set()
+    assert bool(out) == (code == 0)
     if args == ["--version"]:
         assert out.decode() == f"graphflow, version {__version__}\n"
+
+
+def test_version_line_is_the_same_under_python_m():
+    """``python -m graphflow.cli`` names the program as the entry point does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "graphflow.cli", "--version"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.decode() == f"graphflow, version {__version__}\n"
 
 
 KNOT_ARGS = {
@@ -454,12 +515,13 @@ KNOT_ARGS = {
     "v2": ["knot", "v2", "--curve", "circle", "--samples", "64", "--workers", "1"],
 }
 
-#: The WATCHED modules that a cache miss of each knot command loads.
+#: The WATCHED modules that a cache miss of each knot command loads; numpy
+#: loads ``inspect`` itself, as do ``diagrams`` and ``graphs`` through ``dataclasses``.
 MISS_LOADS = {
-    "a2": {"numpy._core", "graphflow.diagrams"},
-    "sln": {"numpy._core"},
-    "lk": {"numpy._core"},
-    "v2": {"numpy._core", "graphflow.graphs"},
+    "a2": {"numpy._core", "graphflow.diagrams", "inspect"},
+    "sln": {"numpy._core", "inspect"},
+    "lk": {"numpy._core", "inspect"},
+    "v2": {"numpy._core", "graphflow.graphs", "inspect"},
 }
 
 
@@ -519,7 +581,7 @@ def test_cache_that_cannot_be_written_costs_only_the_entry(blocked, tmp_path, mo
         cache.mkdir()
         (cache / entry.parent.name).write_text("")
     monkeypatch.setenv("GRAPHFLOW_CACHE_DIR", str(cache))
-    result = CliRunner().invoke(main, args)
+    result = run(*args)
     assert result.exit_code == 0 and result.stdout == expected
     (line,) = result.stderr.splitlines()
     assert json.loads(line)["warning"].startswith("result not cached: ")
@@ -872,14 +934,22 @@ CLI_OPTIONS = {
 }
 
 
-def test_cli_option_surface_pinned():
-    def walk(cmd, path):
-        yield " ".join(path), cmd
-        for name, sub in getattr(cmd, "commands", {}).items():
-            yield from walk(sub, path + (name,))
+#: The name of each option type in CLI_OPTIONS; a flag is "boolean".
+TYPE_NAMES = {None: "text", int: "integer", float: "float", cli._file: "file", cli._directory: "directory"}
 
-    surface = {
-        path: [(p.name, p.type.name, "required" if p.required else p.default) for p in cmd.params]
-        for path, cmd in walk(main, ())
-    }
-    assert surface == CLI_OPTIONS
+
+def test_cli_option_surface_pinned():
+    def walk(parser, path):
+        options = []
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from walk(sub, path + (name,))
+            elif not isinstance(action, argparse._HelpAction):
+                kind = "choice" if action.choices else "boolean" if action.nargs == 0 else TYPE_NAMES[action.type]
+                # a flag left out reads False; --version stores nothing, as it exits at once
+                default = False if action.default is argparse.SUPPRESS else action.default
+                options.append((action.dest, kind, "required" if action.required else default))
+        yield " ".join(path), options
+
+    assert dict(walk(cli._parser(), ())) == CLI_OPTIONS

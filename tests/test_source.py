@@ -162,6 +162,7 @@ def test_every_function_runs_from_a_command_or_the_benchmark(tmp_path):
     crossing.write_text(json.dumps({"type": "polyline", "points": eight}))
     theta = tmp_path / "theta.txt"
     theta.write_text(to_text(theta_graph()))
+    cache = tmp_path / "cache"
     commands = [
         ["--version"],
         ["graphs", "enumerate", "--flavor", "knot", "--order", "2"],
@@ -173,10 +174,10 @@ def test_every_function_runs_from_a_command_or_the_benchmark(tmp_path):
         ["knot", "a2", "--curve", "trefoil"],
         ["knot", "sln", "--curve", str(warped), "--grid", "64"],
         ["knot", "sln", "--curve", str(crossing)],
-        ["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "64"],
+        ["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "64", "--cache-dir", str(cache)],
         ["knot", "v2", "--curve", "circle", "--samples", "6400", "--no-cache"],
     ]
-    env = {**os.environ, "GRAPHFLOW_CACHE_DIR": str(tmp_path / "cache")}
+    env = {**os.environ, "GRAPHFLOW_CACHE_DIR": str(cache)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     report = tmp_path / "report.json"
     subprocess.run(
