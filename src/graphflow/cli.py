@@ -261,13 +261,15 @@ def graphs_delta(path):
 @_command("graphs cocycles", _FLAVOR, _ORDER)
 def graphs_cocycles(flavor, order):
     """Kernel basis of the coboundary matrix at the given order."""
-    from .graphs import Flavor, GraphSum
+    from .graphs import Flavor, json_term
     config = {"flavor": flavor, "order": order}
 
     def compute():
         basis0, basis1, m = delta_matrix(Flavor(flavor), order)
-        sums = [GraphSum({g: c for g, c in zip(basis0, vec) if c}).to_json_obj() for vec in kernel_basis(m)]
-        return {"basis": [g.to_json_obj() for g in basis0], "kernel": sums}
+        basis = [g.to_json_obj() for g in basis0]
+        # basis0 is in GraphSum.items order, so each sum's nonzero entries come in its term order
+        sums = [[json_term(c, g) for g, c in zip(basis, vec) if c] for vec in kernel_basis(m)]
+        return {"basis": basis, "kernel": sums}
 
     _run("graphs cocycles", config, compute)
 

@@ -181,9 +181,12 @@ def _group(n_ext: int, n_int: int) -> tuple[np.ndarray, np.ndarray]:
     size = factorial(min(n_int, MAX_VERTICES)) * max(n_ext, 1) * (n_ext + n_int + 1)
     if size > _SHAPE_ENTRIES:
         raise ResourceLimit(f"V={n_ext + n_int} needs over {_SHAPE_ENTRIES} relabeling entries")
-    rotations = [tuple((i + k) % n_ext + 1 for i in range(n_ext)) for k in range(n_ext)] or [()]
-    perms = list(itertools.permutations(range(n_ext + 1, n_ext + n_int + 1)))
-    images = np.array([(0,) + rot + p for rot in rotations for p in perms], dtype=np.intp)
+    n_rot = max(n_ext, 1)  # rotation k takes external i to (i + k) % n_ext + 1; with none, one empty row
+    rotations = (np.arange(n_rot)[:, None] + np.arange(n_ext)) % n_rot + 1
+    perms = np.array(list(itertools.permutations(range(n_ext + 1, n_ext + n_int + 1))), dtype=np.intp)
+    images = np.zeros((n_rot * len(perms), n_ext + n_int + 1), dtype=np.intp)
+    images[:, 1 : n_ext + 1] = np.repeat(rotations, len(perms), axis=0)
+    images[:, n_ext + 1 :] = np.tile(perms, (n_rot, 1))
     # rotating k steps has parity (n_ext-1)*k; a permutation, that of its inversions
     i, j = np.triu_indices(n_int, 1)
     flips = np.count_nonzero(images[:, n_ext + 1 + i] > images[:, n_ext + 1 + j], axis=1)
@@ -429,10 +432,12 @@ class GraphSum:
         return not self._terms
 
     def to_json_obj(self) -> list:
-        return [
-            {"coeff": f"{c.numerator}/{c.denominator}", "graph": g.to_json_obj()}
-            for g, c in self.items()
-        ]
+        return [json_term(c, g.to_json_obj()) for g, c in self.items()]
+
+
+def json_term(c: Fraction, graph: dict) -> dict:
+    """A term of a sum's JSON form, from its coefficient and its graph's JSON object."""
+    return {"coeff": f"{c.numerator}/{c.denominator}", "graph": graph}
 
 
 def _sort_key(g: DecoratedGraph):
@@ -525,7 +530,8 @@ def enumerate_graphs(
     under any relabeling the |P| smallest edges of S are entrywise at
     most the sorted edges of P.  So each minimum is reached once, with
     no record of covered labelings.  Each prefix carries its vectors
-    under every relabeling, so an appended edge adds one precomputed row.
+    under every relabeling, so an appended edge adds one precomputed row,
+    and sibling prefixes are extended a block at a time (``_enumerate_combo``).
     Zero and connectivity are tested on full edge lists only, since a
     prefix that fails them can grow into a graph that passes.
 
@@ -549,9 +555,9 @@ def _enumerate_cached(
     return tuple(result)
 
 
-#: Entries (32 MB of int64) of the (candidates, |G|, W) packed words of
-#: one batch of extensions.
-_BATCH = 4_000_000
+#: Entries (256 KiB of int64) of the (rows, |G|, W) packed words of one
+#: batch of extensions; a batch's kept rows are the next block.
+_BATCH = 2**15
 
 #: Words (512 MiB) of the largest relabeling table: 9 vertices fit, 10 only as knots.
 _TABLE = 2**26
@@ -562,13 +568,14 @@ def _enumerate_combo(
 ) -> list[DecoratedGraph]:
     """Orbit minima among the edge multisets, by orderly generation.
 
-    Depth first, an edge list is extended by each edge not below its last
-    one, in batches, and an extension is kept when no relabeling's packed
-    vector is above the identity's: each prefix carries its (|G|, W)
-    vectors and reversal parities, and an edge adds its table row.  With
-    ``connected`` it is dropped once some vertex can get no edge: a vertex
-    below its last edge's lower endpoint has none yet, or the edges left
-    cannot touch every untouched vertex.
+    Depth first, a block of edge lists is extended by each edge not below a
+    list's last one, in batches of _BATCH entries whose kept rows are the
+    next block; an extension is kept when no relabeling's packed vector is
+    above the identity's: each list carries its (|G|, W) vectors and reversal
+    parities, and an edge adds its table row.  With ``connected`` it is
+    dropped once some vertex can get no edge: a vertex below its last edge's
+    lower endpoint has none yet, or the edges left cannot touch every
+    untouched vertex.
     """
     nv = n_ext + n_int
     pairs, index, word, unit, n_words = _digits(nv, n_edges.bit_length())
@@ -581,44 +588,47 @@ def _enumerate_combo(
     for p, (i, j) in enumerate(pairs):
         q = index[images[:, i], images[:, j]]
         words[p, np.arange(len(q)), word[q]], rev[p] = unit[q], images[:, i] > images[:, j]
+    step = max(1, _BATCH // words[0].size)
     found: list[DecoratedGraph] = []
 
-    def extend(prefix: list[int], vectors: np.ndarray, odd: np.ndarray):
-        k = len(prefix) + 1
-        cand = np.arange(prefix[-1] if prefix else 0, len(pairs))
+    def extend(prefixes: np.ndarray, vectors: np.ndarray, odd: np.ndarray):
+        n, k = prefixes.shape
+        # (list, edge) rows: each list with every edge from its last one on
+        counts = len(pairs) - (prefixes[:, -1] if k else np.zeros(n, dtype=np.intp))
+        src = np.repeat(np.arange(n), counts)
+        cand = np.arange(len(src)) - np.repeat(np.cumsum(counts) - len(pairs), counts)
         if connected:
-            free = np.ones(nv + 1, dtype=bool)
-            free[0] = False
-            free[pairs[prefix]] = False
+            free = np.ones((n, nv + 1), dtype=bool)
+            free[:, 0] = False
+            free[np.arange(n)[:, None, None], pairs[prefixes]] = False
             lo, hi = pairs[cand].T
-            left = free.sum() - free[lo] - free[hi]
-            cand = cand[(np.cumsum(free)[lo - 1] == 0) & (left <= 2 * (n_edges - k))]
-        step = max(1, _BATCH // words[0].size)
-        for s in range(0, len(cand), step):
-            batch = cand[s : s + step]
-            ext = vectors + words[batch]
-            # relabelings above the identity (row 0) at their first differing word
+            left = free.sum(axis=1)[src] - free[src, lo] - free[src, hi]
+            keep = (np.cumsum(free, axis=1)[src, lo - 1] == 0) & (left <= 2 * (n_edges - k - 1))
+            src, cand = src[keep], cand[keep]
+        for s in range(0, len(src), step):
+            rows, batch = src[s : s + step], cand[s : s + step]
+            ext = vectors[rows] + words[batch]
+            # relabelings above the identity (column 0) at their first differing word
             above, same = np.zeros(ext.shape[:2], dtype=bool), np.ones(ext.shape[:2], dtype=bool)
             for w in range(ext.shape[2]):
                 above |= same & (ext[..., w] > ext[:, :1, w])
                 same &= ext[..., w] == ext[:, :1, w]
-            minimal = ~above.any(axis=1)
-            if k < n_edges:
-                # only the kept rows stay alive while the children run
-                kept, ext = batch[minimal].tolist(), ext[minimal]
-                for p, row in zip(kept, ext):
-                    extend(prefix + [p], row, odd ^ rev[p])
+            kept = np.flatnonzero(~above.any(axis=1))
+            rows, batch = rows[kept], batch[kept]
+            # only the kept rows stay alive while their block runs
+            grown, ext, ext_odd = np.column_stack([prefixes[rows], batch]), ext[kept], odd[rows] ^ rev[batch]
+            if k + 1 < n_edges:
+                extend(grown, ext, ext_odd)
                 continue
             # a relabeling equal to the identity with sign -1 makes the class zero
-            zero = (same & (odd ^ rev[batch])).any(axis=1)
-            for r in np.flatnonzero(minimal & ~zero).tolist():
-                edges = tuple(map(tuple, pairs[prefix + [int(batch[r])]].tolist()))
+            good = ~(same[kept] & ext_odd).any(axis=1)
+            for edges in pairs[grown[good]].tolist():
+                edges = tuple(map(tuple, edges))
                 # connectivity is orbit-invariant: checked once per orbit
-                if connected and not _connected(n_ext, n_int, edges):
-                    continue
-                found.append(DecoratedGraph(flavor, n_ext, n_int, edges))
+                if not connected or _connected(n_ext, n_int, edges):
+                    found.append(DecoratedGraph(flavor, n_ext, n_int, edges))
 
-    extend([], np.zeros(words.shape[1:], dtype=np.int64), parity)
+    extend(np.zeros((1, 0), dtype=np.intp), np.zeros((1, *words.shape[1:]), dtype=np.int64), parity[None])
     return found
 
 

@@ -1,10 +1,11 @@
 """Exact rational linear algebra for the coboundary matrix and its kernel:
-sparse rows of Fractions, read from the batched coboundary, reduced exactly."""
+sparse rows of Fractions, read from the batched coboundary, reduced over the integers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .graphs import DecoratedGraph, Flavor, GraphSum, delta, delta_columns
 from .graphs import enumerate_graphs, graph_grade
@@ -56,39 +57,45 @@ def _rref(m: RationalMatrix) -> list[tuple[int, dict[int, Fraction]]]:
     """Reduced row echelon form as sparse (pivot column, {col: entry}) rows.
 
     Columns are eliminated left to right, each with the first remaining
-    row that has an entry there; every pivot row is scaled to a leading 1
-    and the pivot column is cleared from all other rows.  Works on copies
-    of the rows of ``m``.
+    row that has an entry there, and the pivot column is cleared from all
+    other rows.  Fraction-free (cf. Bareiss 1968): each row is scaled by
+    the lcm of its denominators, and only the pivot rows become Fractions,
+    with a leading 1; the RREF is unique, so they are exact.  Works on
+    copies of the rows of ``m``.
     """
-    pending = [dict(row) for row in m.sparse_rows if row]
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    scales = [lcm(*(x.denominator for x in row.values())) for row in m.sparse_rows]
+    pending = [{j: int(x * s) for j, x in row.items()} for row, s in zip(m.sparse_rows, scales) if row]
+    pivots: list[tuple[int, dict[int, int]]] = []
     for c in range(m.cols):
         k = next((k for k, row in enumerate(pending) if c in row), None)
         if k is None:
             continue
         top = pending.pop(k)
-        lead = top[c]
-        top = {j: x / lead for j, x in top.items()}
         for row in pending:
             _eliminate(row, top, c)
         for _, row in pivots:
             _eliminate(row, top, c)
         pending = [row for row in pending if row]
         pivots.append((c, top))
-    return pivots
+    return [(c, {j: Fraction(x, row[c]) for j, x in row.items()}) for c, row in pivots]
 
 
-def _eliminate(row: dict[int, Fraction], top: dict[int, Fraction], c: int) -> None:
-    """row -= row[c] * top, for a pivot row ``top`` with top[c] == 1."""
-    f = row.get(c)
-    if not f:
+def _eliminate(row: dict[int, int], top: dict[int, int], c: int) -> None:
+    """row := (top[c] * row - row[c] * top) / content, clearing column c."""
+    a, b = top[c], row.get(c)
+    if not b:
         return
+    for j in row:
+        row[j] *= a
     for j, x in top.items():
-        y = row.get(j, 0) - f * x
+        y = row.get(j, 0) - b * x
         if y:
             row[j] = y
         else:
             del row[j]
+    if (g := gcd(*row.values())) > 1:
+        for j in row:
+            row[j] //= g
 
 
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
@@ -97,6 +104,7 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     Vectors are ordered by the index of their free column, matching the
     deterministic basis order used to build the matrix.  The vector of
     free column fc is e_fc - sum over pivot rows r of R[r, fc] e_pc(r).
+    Vectors are dense, with the int 0 (== Fraction(0), cheap to test) for zeros.
     """
     # the pivot-column entries of each free column's vector, by column
     entries: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in range(m.cols)}
@@ -106,12 +114,11 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
             if fc != pc:
                 entries[fc].append((pc, -x))
     basis = []
-    zero = Fraction(0)
     for fc, column in entries.items():
         # normalize leading entry to 1; a reduced row has no entry left of
         # its pivot, so the smallest pivot column, listed first, leads
         lead = column[0][1] if column else Fraction(1)
-        v = [zero] * m.cols
+        v = [0] * m.cols
         v[fc] = 1 / lead
         for pc, x in column:
             v[pc] = x / lead

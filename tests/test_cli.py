@@ -646,11 +646,13 @@ def test_curve_file_and_bundled_name_equivalent(tmp_path):
 
 #: sha256 of the stdout of ``graphs cocycles``: the basis, its order and
 #: every kernel vector, byte for byte, as the brute-force canonical forms
-#: and the Bareiss kernel produced them.
+#: and the Bareiss kernel produced them.  Knot order 3 (4,609,641 bytes)
+#: has the most kernel work, 1,346 vectors of 1,660 entries.
 COCYCLES_SHA256 = {
     ("manifold", 2): "74e01de98fd68467d2a28e0cb818cd7f4b99d39a2dec22c88d1057a93b17eb5b",
     ("manifold", 3): "33b6482db6c710da65f5b2a6c355711b6f81c46c108e88592c9457d41c6e44cf",
     ("knot", 2): "8ee68530d2717ea15c7f0504af4c0d90339f84ffeaf69cee5c5c6d1bb44db9a9",
+    ("knot", 3): "4889211f1bce023ebeb6747ebd8910b8c5ee7369fc39ac0ea7d45a93f5b25e15",
 }
 
 

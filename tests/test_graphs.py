@@ -337,6 +337,19 @@ def test_shape_bound_refuses_past_the_largest_enumerated_relabelings():
             list(graphs_module._chunks([g]))
 
 
+@pytest.mark.parametrize("n_ext, n_int", [(0, 2), (0, 4), (2, 0), (3, 0), (2, 2), (3, 1), (5, 0), (4, 3), (7, 2)])
+def test_group_matches_its_tuple_form(n_ext, n_int):
+    """The relabeling images built by broadcasting equal the rotations and
+    permutations spelled out as tuples, row for row, and each parity is
+    that of the inversions of its whole relabeling."""
+    rotations = [tuple((i + k) % n_ext + 1 for i in range(n_ext)) for k in range(n_ext)] or [()]
+    perms = list(itertools.permutations(range(n_ext + 1, n_ext + n_int + 1)))
+    rows = [rot + p for rot in rotations for p in perms]
+    images, odd = graphs_module._group(n_ext, n_int)
+    assert images.tolist() == [[0, *row] for row in rows]
+    assert odd.tolist() == [sum(a > b for a, b in itertools.combinations(row, 2)) % 2 == 1 for row in rows]
+
+
 def test_grade_past_the_bounds_raises_before_any_combo_is_enumerated():
     # V = 10 fits, but E = 8 + Vi passes MAX_EDGES = 15 at Vi = 8, after
     # eight combos that would each take a full orderly generation
@@ -757,10 +770,11 @@ def test_enumerate_order3_pinned(flavor, degree, connected):
 @pytest.mark.parametrize("degree, count, bound_mib", [(0, 670, 4), (-1, 2774, 16)])
 def test_orderly_generation_stays_small_in_memory(degree, count, bound_mib):
     """Peak traced memory of a cold manifold order-3 enumeration, with
-    its relabeling table built: the depth-first search keeps only the
-    rows of a batch that it extends while their children run.  Sorting
-    every relabeled edge list instead peaked at 8.4 and 96 MiB, and
-    keeping whole batches or levels alive would cost more still."""
+    its relabeling table built: the depth-first search extends blocks of
+    edge lists in batches of _BATCH entries and keeps only a batch's kept
+    rows, the next block, while that block runs; about 2.7 and 7.2 MiB.
+    Sorting every relabeled edge list instead peaked at 8.4 and 96 MiB,
+    and keeping whole batches or levels alive would cost more still."""
     graphs_module._enumerate_cached.cache_clear()
     graphs_module._group.cache_clear()
     tracemalloc.start()

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphflow.errors import GradeMismatch
 from graphflow.graphs import (
@@ -184,24 +184,38 @@ def _kernel_basis_oracle(m: list[list[Fraction]], cols: int) -> list[list[Fracti
 
 @st.composite
 def sparse_rational_matrices(draw):
-    """Dense rows and a column count.  Mostly zero entries, as in
-    coboundary matrices; some rows repeat an earlier row up to scale, so
-    that the rank drops."""
-    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 9))
-    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    """Dense rows and a column count, up to 20 of each.  Mostly zero
+    entries, as in coboundary matrices, with denominators up to 10**6, so
+    that rows are scaled by the lcm of several.  Some rows combine one or
+    two earlier rows, so that the rank drops: such a row cancels to zero
+    partway through the elimination, after the content division has run
+    on what it left."""
+    rows, cols = draw(st.integers(0, 20)), draw(st.integers(1, 20))
+    entry = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
     out = []
     for _ in range(rows):
         if out and draw(st.integers(0, 3)) == 0:
-            earlier = out[draw(st.integers(0, len(out) - 1))]
-            scale = draw(entry.filter(bool))
-            out.append([scale * x for x in earlier])
+            earlier = draw(st.lists(st.integers(0, len(out) - 1), min_size=1, max_size=2))
+            scales = [draw(entry.filter(bool)) for _ in earlier]
+            out.append([sum(a * out[r][c] for a, r in zip(scales, earlier)) for c in range(cols)])
         else:
-            out.append([draw(entry) if draw(st.integers(0, 3)) == 0 else Fraction(0) for _ in range(cols)])
+            out.append([Fraction(0)] * cols)
+            for c, x in draw(st.lists(st.tuples(st.integers(0, cols - 1), entry), max_size=cols // 2)):
+                out[-1][c] = x
     return out, cols
+
+
+_TOP = [Fraction(1, 3), Fraction(2, 5), Fraction(0), Fraction(4, 999983)]
+_NEXT = [Fraction(0), Fraction(7, 11), Fraction(1, 13), Fraction(-3, 10**6)]
+#: The third row is 2/3 of the first minus 5/7 of the second: column 0
+#: takes its first entry and leaves a common factor for the content
+#: division, and column 1 takes the rest.
+CANCELLING = [_TOP, _NEXT, [Fraction(2, 3) * a - Fraction(5, 7) * b for a, b in zip(_TOP, _NEXT)]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_rational_matrices())
+@example((CANCELLING, 4))
 def test_kernel_basis_matches_bareiss_back_substitution(dense_cols):
     dense, cols = dense_cols
     assert kernel_basis(_matrix(dense, cols)) == _kernel_basis_oracle(dense, cols)
