@@ -184,7 +184,8 @@ _COMMANDS: dict[str, tuple] = {}
 _FLAVOR = ("--flavor", dict(choices=["manifold", "knot"], required=True))
 _ORDER = ("--order", dict(type=int, required=True))
 _CURVE = ("--curve", dict(dest="curve_path", metavar="CURVE", required=True))
-_GRID = ("--grid", dict(type=int, default=1024))
+_GRID = ("--grid", dict(type=int, default=1024, help="Most points per curve of the sums, which double from 64 until "
+         "they converge; sln takes at least 64."))
 _CACHE = ("--cache-dir", dict(type=_directory)), ("--no-cache", dict(action="store_true"))
 
 
@@ -310,7 +311,7 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
 
 @_command("knot sln", _CURVE, _GRID, *_CACHE)
 def knot_sln(curve_path, grid, cache_dir, no_cache):
-    """Self-linking integral by midpoint sums and a Richardson step."""
+    """Self-linking integral: the writhe of a projection minus its twist."""
     # checked before the cache lookup, so that a hit cannot replay a result beyond the limits
     _checked(check_grid, grid, SLN_MIN_GRID)
 

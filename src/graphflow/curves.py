@@ -98,8 +98,9 @@ class KnotCurve:
         return None if self._sin_rows is None else np.array(self._sin_rows)
 
     @cached_property
-    def _harmonic_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        # rows match the basis of _harmonics: 1, cos 2pi t, sin 2pi t, cos 4pi t, ...
+    def _harmonic_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # position, tangent and second derivative; rows match the basis of
+        # _harmonics: 1, cos 2pi t, sin 2pi t, cos 4pi t, ...
         # built on first use although threads share the curve: the first evaluation
         # is in validate, before a_gamma_mc starts any worker, and a race would
         # build identical arrays anyway
@@ -112,7 +113,8 @@ class KnotCurve:
         tan = np.zeros_like(pos)
         tan[1::2] = sin_c.T * fac[:, None]
         tan[2::2] = -cos_c[:, 1:].T * fac[:, None]
-        return pos, tan
+        acc = np.concatenate([[np.zeros(3)], pos[1:] * -np.repeat(fac, 2)[:, None] ** 2])
+        return pos, tan, acc
 
     # --- evaluation ---
 
@@ -136,10 +138,17 @@ class KnotCurve:
             idx = np.minimum(s.astype(int), n - 1)
             seg = pts[:, (idx + 1) % n] - (start := pts[:, idx])
             return start + (s - idx) * seg, seg * n
-        pos, tan = self._harmonic_matrices
+        pos, tan, _ = self._harmonic_matrices
         basis = _harmonics(t, self.sin_coeffs.shape[1])
         # (3, N) planes straight from the product, summed as basis.T @ pos sums
         return pos.T @ basis, tan.T @ basis
+
+    def bend_planes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives of a Fourier curve at flat t in
+        [0, 1), as (3, t.size) planes."""
+        _, tan, acc = self._harmonic_matrices
+        basis = _harmonics(t, self.sin_coeffs.shape[1])
+        return tan.T @ basis, acc.T @ basis
 
     def eval(self, t) -> np.ndarray:
         """Points at the parameters t as C-contiguous ``t.shape + (3,)`` rows."""

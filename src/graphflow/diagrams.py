@@ -5,7 +5,8 @@ crossing pairs on the Gauss diagram; it is the reference value for the
 configuration-space integrals of ``integrals``.  Its own reference, the
 z^2 coefficient of the Conway polynomial by skein recursion on the same
 diagram, lives in ``tests/oracles.py``.  Crossings are looked for among
-the segment pairs whose midpoints ``curves.near_pairs`` finds.
+the segment pairs whose midpoints ``curves.near_pairs`` finds on the
+coarsest polyline, and among their children on the finer ones.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .errors import DegenerateProjection, InconsistentDiagram, InvalidParams, Re
 #: Segment counts of the first and the finest projected polyline.
 MIN_SEGMENTS = 2048
 MAX_SEGMENTS = 32768
-#: Most projections of one ``a2_of_curve`` call: 12-19 ms each on the
-#: trefoil on a 2-core x86-64 machine, so at most about 20 s.
+#: Most projections of one ``a2_of_curve`` call: 4-7 ms each on the
+#: bundled knots on a 2-core x86-64 machine, so at most about 7 s.
 A2_MAX_DIRECTIONS = 1024
 
 
@@ -71,8 +72,10 @@ def _plane_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return e1, e2, d
 
 
-def _segment_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:
-    """Self-intersections of the projected closed polyline with n segments."""
+def _segment_crossings(curve: KnotCurve, direction, n: int, parents=None):
+    """Self-intersections of the projected closed polyline with n segments,
+    and the segment pairs tested: those ``near_pairs`` finds, or the
+    ``_children`` of ``parents``, the pairs tested on n / 2 segments."""
     e1, e2, d = _plane_basis(direction)
     t = np.arange(n) / n
     pts, tan = curve.eval_planes(t)
@@ -86,12 +89,15 @@ def _segment_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:
     if (np.hypot(du, dv) * n / tan3).min() < 1e-2:
         raise DegenerateProjection("curve tangent nearly parallel to direction")
 
-    # two crossing segments have midpoints at most the longest segment
-    # apart along each axis
-    mid = np.stack([u + u[nxt], v + v[nxt]], axis=1) / 2
-    pairs = near_pairs(mid, max(float(np.hypot(du, dv).max()), 1e-12), window=1)
+    if parents is None:
+        # two crossing segments have midpoints at most the longest segment
+        # apart along each axis
+        mid = np.stack([u + u[nxt], v + v[nxt]], axis=1) / 2
+        pairs = near_pairs(mid, max(float(np.hypot(du, dv).max()), 1e-12), window=1)
+    else:
+        pairs = _children(u, v, parents)
     if pairs.size == 0:
-        return []
+        return [], pairs
     i, j = pairs[:, 0], pairs[:, 1]
     denom = du[i] * dv[j] - dv[i] * du[j]
     wu, wv = u[j] - u[i], v[j] - v[i]
@@ -121,7 +127,32 @@ def _segment_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:
             over_t, under_t, sign = tj, ti, (1 if cross2 < 0 else -1)
         found.append(Crossing(over_t, under_t, sign))
     found.sort(key=lambda c: (min(c.over, c.under), max(c.over, c.under)))
-    return found
+    return found, pairs
+
+
+def _children(u: np.ndarray, v: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """Pairs (I, J), I < J, of segments of the polyline through the n
+    points (u, v) whose parents, segments of the polyline through every
+    second point, are a row of ``parents`` with overlapping boxes, or
+    adjacent.  Parent i's box spans the points 2i to 2i + 2, so it holds
+    its children, grown by the largest distance of a point 2i + 1 from its
+    parent's middle: on a smooth curve the points of all finer levels
+    stray a third as far, so no crossing of a finer level is lost."""
+    a, b = parents.T
+    keep = np.ones(a.size, dtype=bool)
+    for x in (u, v):
+        y = np.stack([x[0::2], x[1::2], np.roll(x[0::2], -1)])
+        grow = float(np.abs(y[1] - (y[0] + y[2]) / 2).max())
+        lo, hi = y.min(axis=0) - grow, y.max(axis=0) + grow
+        keep &= (lo[a] <= hi[b]) & (lo[b] <= hi[a])
+    # adjacent parents are never a tested pair: keep their children that are
+    # not adjacent, (2i, 2i + 2), (2i, 2i + 3) and (2i + 1, 2i + 3)
+    n = u.size
+    k = np.arange(0, n, 2)
+    i = np.concatenate([(2 * a[keep, None] + np.array([0, 0, 1, 1])).ravel(), k, k, k + 1])
+    j = np.concatenate([(2 * b[keep, None] + np.array([0, 1, 0, 1])).ravel(), k + 2, k + 3, k + 3])
+    j %= n
+    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
 def _crossings_match(a: list[Crossing], b: list[Crossing], tol: float) -> bool:
@@ -144,14 +175,14 @@ def project_to_diagram(curve: KnotCurve, direction) -> GaussDiagram:
     (callers retry with a perturbed direction).
     """
     history = []
-    levels = []
+    pairs = None
     n = MIN_SEGMENTS
     while n <= MAX_SEGMENTS:
-        history.append(_segment_crossings(curve, direction, n))
-        levels.append(n)
+        found, pairs = _segment_crossings(curve, direction, n, pairs)
+        history.append(found)
         if len(history) >= 3:
             a, b, c = history[-3:]
-            tol = 16.0 / levels[-3]
+            tol = 64.0 / n  # 16 segments of the coarsest of the three
             if _crossings_match(a, b, tol) and _crossings_match(b, c, tol):
                 params = sorted(t for cr in c for t in (cr.over, cr.under))
                 if params:

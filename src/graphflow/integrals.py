@@ -1,29 +1,30 @@
 """Configuration-space integrals for knots in flat R^3.
 
-Deterministic quadrature covers the integrals whose graphs have no
-internal vertex: the two-point integrals (self-linking and Gauss
-linking) by product quadrature, and the crossed-chord term X of v2 by an
-O(N^2) cumulative-sum form of its four-point midpoint sum.  All three
-read the Gauss integrand on the n x n grid of midpoint pairs, which
-``_gauss_blocks`` streams in 64-row blocks from coordinate planes of
-the curves' points and tangents; ``_richardson`` extrapolates their
-sums over halved grids, by no step for lk.  v2's other term, the
-tripod Y, runs Monte Carlo with its knot parameters on the ordered
-simplex and its spatial vertex importance-sampled from kernels centered
-on the sampled knot points.  Each of the 64 batches draws from its own
-random stream, and consecutive batches of m samples are sampled and
-evaluated together, in groups of at most max(m, MC_ROWS) rows.  Each
-sample's knot points are evaluated once, position and tangent together,
-and shared by the sampler and the compiled integrand; the pass runs on
-contiguous (3, B) coordinate planes and sums in the order of the
-row-layout pass in ``tests/test_integrals.py``, whose bits it keeps.  All
-estimators are bit-reproducible for a fixed (inputs, seed) pair.  The
-O(N^4) product quadrature of chord-only graph integrals that the
-crossed-chord quadrature is checked against, and the einsum form of the
-Gauss integrand whose bits the grid reproduces, live in ``tests/oracles.py``.
-Every knot command imports this module, so it imports ``graphs`` only
-in ``v2_invariant`` and ``concurrent.futures`` only for more than one
-worker: ``sln`` and ``lk`` load neither, one-worker ``v2`` no thread pool.
+Deterministic rules cover the integrals whose graphs have no internal
+vertex: self-linking as a projection's writhe minus a twist integral,
+Gauss linking by product quadrature, and the crossed-chord term X of v2
+by an O(N^2) cumulative-sum form of its four-point midpoint sum.  lk and
+X read the Gauss integrand on the n x n grid of midpoint pairs, which
+``_gauss_blocks`` streams in 64-row blocks from coordinate planes of the
+curves' points and tangents; lk's sums and the twist's double until
+converged (``_doubling``), and ``_richardson`` extrapolates X's over
+halved grids.  v2's other term, the tripod Y, runs Monte Carlo with its
+knot parameters on the ordered simplex and its spatial vertex
+importance-sampled from kernels centered on the sampled knot points.
+Each of the 64 batches draws from its own random stream, and consecutive
+batches of m samples are sampled and evaluated together, in groups of at
+most max(m, MC_ROWS) rows.  Each sample's knot points are evaluated
+once, position and tangent together, and shared by the sampler and the
+compiled integrand; the pass runs on contiguous (3, B) coordinate planes
+and sums in the order of the row-layout pass in
+``tests/test_integrals.py``, whose bits it keeps.  All estimators are
+bit-reproducible for a fixed (inputs, seed) pair.  The O(N^4) product
+quadrature of chord-only graph integrals that the crossed-chord
+quadrature is checked against, the einsum form of the Gauss integrand
+whose bits the grid reproduces, and sln's midpoint rule live in
+``tests/oracles.py``.  Every knot command imports this module, so it
+imports ``graphs``, ``diagrams`` and ``concurrent.futures`` only where
+v2, sln and more than one worker need them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import namedtuple
 
 from . import _numpy as np
 from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_pairs
-from .errors import CurvesIntersect, InvalidParams, ResourceLimit, SamplingFailed
+from .errors import CurvesIntersect, DegenerateProjection, InvalidParams, ResourceLimit, SamplingFailed
 from .forms import FOUR_PI, CompiledIntegrand
 
 #: Orientation of the component of cyclically ordered knot points,
@@ -54,13 +55,18 @@ DEFAULT_SEED = 20259
 X_GRID = 512
 #: Rules of ``sln_integral``, ``_x_quadrature`` and ``linking_integral``,
 #: named in the cache keys.
-SLN_RULE, X_RULE = "midpoint, Richardson in n^-2", "midpoint, Richardson in n^-1 and n^-2"
-LK_RULE = "midpoint, error from ceil(n / 2)"
-#: Smallest grid of ``sln_integral``: its coarsest grid, ceil(grid / 4), then
-#: has 5 points or more, so not only the antipode lies beyond the neighbours.
-SLN_MIN_GRID = 17
-#: Largest grid of sln and lk, whose O(grid^2) Gauss grid took 8.3-9.3 s at 16,384 for sln.
-MAX_GRID = 16384
+SLN_RULE = "writhe of a projection minus its twist, trapezoid doubled from 64; error from a second direction"
+X_RULE = "midpoint, Richardson in n^-1 and n^-2"
+LK_RULE = "midpoint, doubled from 64 to a rounding floor"
+#: Smallest grid of sln, its first twist sum, and largest grid of sln and
+#: lk, whose sums double up to it; a Gauss grid of 16,384^2 took 8.3-9.3 s.
+SLN_MIN_GRID, MAX_GRID = 64, 16384
+#: A doubled sum of order 1 has converged within this of the one before:
+#: 64 units in the last place of 1.0.
+ROUNDING_FLOOR = 2.0**-46
+#: sln's candidate directions, from the pole of a Fibonacci hemisphere,
+#: and the tangents that rank them.
+SLN_DIRECTIONS, GAP_SAMPLES = 64, 512
 #: Rows of a Gauss integrand grid filled per pass (``_gauss_blocks``):
 #: at grids 512 and 1024, 16 rows ran fastest of 4 to 64 on a 2-core
 #: x86-64 machine with numpy 2.4.
@@ -176,6 +182,22 @@ def _richardson(total, grid: int, power: int, steps: int) -> tuple[float, float]
     return col[-1], abs(col[-1] - col[-2])
 
 
+def _doubling(total, cap: int) -> tuple[float, float, int]:
+    """(value, error, n) of ``total(n)``, a periodic sum that converges
+    geometrically (Trefethen and Weideman, SIAM Review 2014), as n doubles
+    from min(64, cap) to at most ``cap`` until the sum is within
+    ROUNDING_FLOOR of the one before (on ceil(n / 2) points at first) or
+    not a number.  The error is their distance, at least ROUNDING_FLOOR."""
+    n = min(64, cap)
+    before = total(-(-n // 2))
+    while True:
+        value = total(n)
+        err = abs(value - before)
+        if not err > ROUNDING_FLOOR or n == cap:
+            return value, max(err, ROUNDING_FLOOR), n
+        before, n = value, min(2 * n, cap)
+
+
 def check_grid(grid: int, least: int) -> None:
     """InvalidParams for a grid below ``least``, ResourceLimit above MAX_GRID."""
     if grid < least:
@@ -184,23 +206,70 @@ def check_grid(grid: int, least: int) -> None:
         raise ResourceLimit(f"grid must be at most {MAX_GRID}, got {grid}")
 
 
+def _twist(curve: KnotCurve, u: np.ndarray, cap: int) -> tuple[float, float, int]:
+    """(Tw_u, error, nodes), Tw_u = (1 / 2 pi) times the integral of
+    (u.T) (u.(T x T')) / (1 - (u.T)^2) ds (Aldinger, Klapper and Tabor,
+    J. Knot Theory Ramifications 1995): trapezoid sums on a Fourier curve
+    (``_doubling``), and on a polygon, whose tangent turns along great
+    arcs at the vertices, a closed form per arc."""
+    if curve.points is None:
+
+        def total(n):
+            d1, d2 = curve.bend_planes(np.arange(n) / n)
+            ut, speed2 = u @ d1, np.einsum("ij,ij->j", d1, d1)
+            g = ut * (u @ np.cross(d1, d2, axis=0)) / (np.sqrt(speed2) * (speed2 - ut * ut))
+            return float(g.mean()) / (2 * math.pi)
+
+        return _doubling(total, cap)
+    # the arc from segment direction a to b adds atan(y_b / c) - atan(y_a / c),
+    # with m = a x b, c = u.m and y_x = u.(x x m)
+    a = np.roll(curve.points, -1, axis=0) - curve.points
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = np.roll(a, -1, axis=0)
+    m = np.cross(a, b)
+    c, ya, yb = m @ u, np.cross(a, m) @ u, np.cross(b, m) @ u
+    return float(np.arctan2(c * (yb - ya), c * c + ya * yb).sum()) / (2 * math.pi), ROUNDING_FLOOR, len(a)
+
+
 def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     """Self-linking integral: the Gauss form over the configuration of
     two points on the knot (the flat-space writhe integral).
 
-    The integrand vanishes on the diagonal like |s - t|, so the midpoint
-    sum S(n) has an error series in n^-2, n^-4, ... (Navot, J. Math. and
-    Phys. 1961); the value is (4 S(grid) - S(grid/2)) / 3 (``_richardson``).
+    By Calugareanu's theorem (White, Amer. J. Math. 1969) it is w(D_u) -
+    Tw_u for a direction u that the tangent T never meets: the signed
+    crossings of the projection along u minus the twist (``_twist``, at
+    most ``grid`` nodes).  Candidates go by their gap 1 - max |u.T|,
+    largest first; the first two generic projections give the value and
+    its check, and the error is the larger of their distance and the
+    twists' errors.  A warped curve is read through its base curve.
     """
+    from . import diagrams
     check_grid(grid, SLN_MIN_GRID)
     curve.validate()
-    value, err = _richardson(lambda n: _gauss_sum(curve, curve, n), grid, power=2, steps=1)
-    return IntegralEstimate(value, err, grid * grid, 0, "quadrature")
+    while curve.warp_base is not None:
+        curve = curve.warp_base
+    k = np.arange(SLN_DIRECTIONS)
+    z, phi = 1.0 - k / SLN_DIRECTIONS, k * (math.pi * (3.0 - math.sqrt(5.0)))
+    dirs = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], axis=1)
+    tan = curve.eval_planes(np.arange(GAP_SAMPLES) / GAP_SAMPLES)[1]
+    gap = 1.0 - np.abs(dirs @ (tan / np.linalg.norm(tan, axis=0))).max(axis=1)
+    found = []
+    for u in dirs[np.argsort(-gap, kind="stable")]:
+        try:
+            writhe = sum(c.sign for c in diagrams.project_to_diagram(curve, u).crossings)
+        except DegenerateProjection:
+            continue
+        twist, err, nodes = _twist(curve, u, grid)
+        found.append((writhe - twist, err, nodes))
+        if len(found) == 2:
+            (value, err, nodes), (check, check_err, _) = found
+            return IntegralEstimate(value, max(abs(value - check), err, check_err), nodes, 0, "projection")
+    raise DegenerateProjection("fewer than two generic directions")
 
 
 def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     """Gauss linking number of two disjoint curves by torus quadrature,
-    with the distance from the sum one grid coarser as its error."""
+    on grids doubled up to ``grid`` until converged (``_doubling``)."""
     check_grid(grid, 2)
     k1.validate()
     k2.validate()
@@ -216,8 +285,8 @@ def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> Integral
     min_d = least_distance(x, pairs[(pairs[:, 0] < len(p)) & (pairs[:, 1] >= len(p))])
     if min_d <= bound:
         raise CurvesIntersect(f"curves approach within {min_d:.3g}")
-    value, err = _richardson(lambda n: _gauss_sum(k1, k2, n), grid, power=2, steps=0)
-    return IntegralEstimate(value, err, grid * grid, 0, "quadrature")
+    value, err, n = _doubling(lambda n: _gauss_sum(k1, k2, n), grid)
+    return IntegralEstimate(value, err, n * n, 0, "quadrature")
 
 
 # --- the crossed-chord integral ---

@@ -289,7 +289,8 @@ def test_unknown_curve_exit_2(tmp_path):
         ("sln --curve circle --grid 0", 2),
         ("sln --curve circle --grid 1", 2),
         ("sln --curve circle --grid 16", 2),
-        ("sln --curve circle --grid 17", 0),
+        ("sln --curve circle --grid 63", 2),
+        ("sln --curve circle --grid 64", 0),
         ("sln --curve circle --grid 16385", 3),
         ("lk --curve hopf_a --curve2 hopf_b --grid 1", 2),
         ("lk --curve hopf_a --curve2 hopf_b --grid 2", 0),
@@ -324,8 +325,8 @@ def test_param_bounds_exit_code(args, code, tmp_path):
 
 
 def test_sln_grid_is_checked_before_the_cache_lookup(tmp_path, monkeypatch):
-    """An entry cached for a grid below SLN_MIN_GRID, whose coarsest
-    sum has only 4 points, is never replayed."""
+    """An entry cached for a grid below SLN_MIN_GRID, whose twist sums
+    cannot double from 64 nodes, is never replayed."""
     args = ["knot", "sln", "--curve", "circle", "--grid", "16", "--cache-dir", str(tmp_path)]
     with monkeypatch.context() as m:
         m.setattr(cli, "SLN_MIN_GRID", 2)
@@ -433,8 +434,8 @@ def test_curve_beyond_float_range_exit_2(args, tmp_path):
 #: its solver, the planar projections, the thread pool of --workers and
 #: ``inspect``, which ``dataclasses`` loads; and click, which none loads.
 WATCHED = (
-    "numpy._core", "graphflow.graphs", "graphflow.solver", "graphflow.diagrams", "concurrent.futures", "inspect",
-    "click",
+    "numpy._core", "numpy.random", "graphflow.graphs", "graphflow.solver", "graphflow.diagrams",
+    "concurrent.futures", "inspect", "click",
 )
 
 #: Runs the CLI like ``python -m graphflow.cli`` and reports, as the last
@@ -516,12 +517,14 @@ KNOT_ARGS = {
 }
 
 #: The WATCHED modules that a cache miss of each knot command loads; numpy
-#: loads ``inspect`` itself, as do ``diagrams`` and ``graphs`` through ``dataclasses``.
+#: loads ``inspect`` itself, as do ``diagrams`` and ``graphs`` through
+#: ``dataclasses``.  sln projects along fixed directions, so only a2's
+#: seeded directions and v2's Monte Carlo load ``numpy.random``.
 MISS_LOADS = {
-    "a2": {"numpy._core", "graphflow.diagrams", "inspect"},
-    "sln": {"numpy._core", "inspect"},
+    "a2": {"numpy._core", "numpy.random", "graphflow.diagrams", "inspect"},
+    "sln": {"numpy._core", "graphflow.diagrams", "inspect"},
     "lk": {"numpy._core", "inspect"},
-    "v2": {"numpy._core", "graphflow.graphs", "inspect"},
+    "v2": {"numpy._core", "numpy.random", "graphflow.graphs", "inspect"},
 }
 
 
@@ -694,20 +697,22 @@ def test_v2_stdout_pinned(curve):
 
 
 #: sha256 of the stdout of ``knot sln --curve K --no-cache`` (grid 1024):
-#: the Gauss grid, its plain sums on grids 256, 512 and 1024 and the
-#: Richardson step, byte for byte.  Re-pinned when the plain sums replaced
-#: the banded ones (config ``rule``).
+#: the directions' ranking, both projections' crossings, the doubled
+#: twist sums and the error, byte for byte.  Re-pinned when the writhe
+#: of a projection minus its twist replaced the midpoint sums (config
+#: ``rule``).
 SLN_SHA256 = {
-    "circle": "bb1b5ba1488ec234665a96a68e956bee5c20a4151567ff7271cb6ad867615f4e",
-    "trefoil": "f4526bb6e7d2a0a1fd050c52c1501f84cfe101ee23577e09e272d81dec66b28a",
-    "figure_eight": "23e196260c186e6f01a33efb7e655f1858e65207a2734160b5192dd41d5d1568",
-    "torus_2_5": "8ad9bb999c10b2bf21f80cb1f35c4ce87b17fca295b7836fb02a02f246a73adf",
+    "circle": "30073addd1422ab7bebf5b51b23e2db733e9ba45aa882ac868828db0e48f8503",
+    "trefoil": "bb7d38ddfdac0baef695e3a8c4e556ce22549452c6891c5a54834ac4a53df046",
+    "figure_eight": "b3714414be2e62794a4e38aca0cf010420479acc1bc7d771a3d5f0e3020caf6a",
+    "torus_2_5": "c61d73adc31564ea14b6f42590ef6e9b6059e8d06be25fcf1a533c75943de56d",
 }
 #: sha256 of the stdout of ``knot lk --curve hopf_a --curve2 hopf_b --no-cache``
-#: (grid 1024): the sums on grids 512 and 1024, their 64-row block sums
-#: added left to right as sln adds them.  Re-pinned when the block sums
-#: replaced one pairwise sum (config ``rule``; the value moved one ulp).
-LK_SHA256 = "9872609bfdfd14ce734caf574f0dd872369cd910d7a1064a3ef9fac615e0abb4"
+#: (grid 1024 as the cap): the sums on grids 32, 64 and 128, their 64-row
+#: block sums added left to right.  Re-pinned when the sums began doubling
+#: until converged (config ``rule``): the value kept its bits, 1 - 2^-53, and
+#: the error and ``n_samples`` changed.
+LK_SHA256 = "735ff81a9ce88feba6d1a76de643262a491473c042761af0a228b0c36159ec1f"
 
 
 @pytest.mark.parametrize("curve", list(SLN_SHA256))

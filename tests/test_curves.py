@@ -76,6 +76,18 @@ def test_derivative_matches_finite_difference():
     assert np.allclose(k.deriv(t), fd, rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("name", ["trefoil", "figure_eight", "torus_2_5"])
+def test_bend_planes_are_the_tangent_and_its_derivative(name):
+    """The first plane is eval_planes' tangent bit for bit, the second
+    its central difference."""
+    k = bundled_curve(name)
+    t, h = np.array([0.0, 0.123, 0.456, 0.789]), 1e-6
+    d1, d2 = k.bend_planes(t)
+    assert np.array_equal(d1, k.eval_planes(t)[1])
+    fd = (k.eval_planes(t + h)[1] - k.eval_planes(t - h)[1]) / (2 * h)
+    assert np.allclose(d2, fd, rtol=1e-6, atol=1e-4 * np.abs(d2).max())
+
+
 def test_validate_rejects_self_intersecting_curve():
     # planar figure-eight shaped loop crosses itself
     t = np.arange(256) / 256

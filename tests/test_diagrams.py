@@ -5,19 +5,22 @@ from graphflow.curves import KnotCurve, bundled_curve, near_pairs
 from graphflow.diagrams import (
     Crossing,
     GaussDiagram,
+    _children,
     _plane_basis,
     a2_of_curve,
     a2_oracle,
     generic_directions,
     project_to_diagram,
 )
-from graphflow.errors import DegenerateProjection, InconsistentDiagram
+from graphflow.errors import CurveValidationError, DegenerateProjection, InconsistentDiagram
 from oracles import (
     a2_from_conway,
     candidate_pairs,
     conway_polynomial,
     make_torus_knot,
     mirror,
+    project_full_search,
+    reparametrized,
     round_circle,
     writhe,
 )
@@ -164,3 +167,69 @@ def test_candidate_pairs_of_triangle_empty():
     u, v = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
     pairs = near_pairs(*_projected_midpoints(u, v), window=1)
     assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+
+
+def test_children_keep_grown_overlaps_and_near_adjacent_pairs():
+    """On a 32-point polyline out along u and back, whose point 25 strays 3
+    from its parent's middle: the parent pair (0, 2), whose boxes are 2
+    apart, keeps its four children, (0, 6), 10 apart, keeps none, and the
+    children of adjacent parents that are not adjacent themselves stay."""
+    u = np.array([float(min(k, 32 - k)) for k in range(32)])
+    u[25] = 10.0
+    got = {tuple(p) for p in _children(u, np.zeros(32), np.array([[0, 2], [0, 6]])).tolist()}
+    assert {(0, 4), (0, 5), (1, 4), (1, 5)} <= got
+    assert not {(0, 12), (0, 13), (1, 12), (1, 13)} & got
+    assert {(k, k + 2) for k in range(30)} | {(k, k + 3) for k in range(0, 29, 2)} <= got
+
+
+def _projection(project, curve, direction):
+    """The diagram, or the DegenerateProjection's message."""
+    try:
+        return project(curve, direction)
+    except DegenerateProjection as exc:
+        return str(exc)
+
+
+def _random_fourier_knots(count: int, seed: int) -> list[KnotCurve]:
+    """Curves of three harmonics with normal coefficients over the
+    harmonic, the first ``count`` that pass ``validate``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        scale = 1.0 / np.arange(1, 4)
+        cos_c = np.concatenate([np.zeros((3, 1)), rng.normal(size=(3, 3)) * scale], axis=1)
+        curve = KnotCurve(cos_coeffs=cos_c, sin_coeffs=rng.normal(size=(3, 3)) * scale)
+        try:
+            out.append(curve.validate())
+        except CurveValidationError:
+            continue
+    return out
+
+
+def _inherited_matches_full(curve, directions):
+    """Along each direction, the inherited crossing search gives the full
+    search's diagram bit for bit, or the same DegenerateProjection."""
+    seen = []
+    for direction in directions:
+        got = _projection(project_to_diagram, curve, direction)
+        assert got == _projection(project_full_search, curve, direction), direction
+        seen.append(got)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["circle", "trefoil", "figure_eight", "torus_2_5"])
+def test_inherited_search_matches_the_full_search_on_bundled_knots(name):
+    """Along 32 generic directions; most give a diagram, as a2 needs."""
+    seen = _inherited_matches_full(bundled_curve(name), generic_directions(seed=29, count=32))
+    assert sum(isinstance(x, GaussDiagram) for x in seen) >= 24
+
+
+def test_inherited_search_matches_the_full_search_on_other_curves():
+    """On random low-harmonic knots, a reparametrized torus knot and the
+    97-gon through the trefoil, along 8 directions each; some of these
+    projections are degenerate, and raise the same error both ways."""
+    polygon = KnotCurve(points=bundled_curve("trefoil").eval(np.arange(97) / 97))
+    curves = [*_random_fourier_knots(4, seed=5), reparametrized(bundled_curve("torus_2_5")), polygon]
+    seen = [x for c in curves for x in _inherited_matches_full(c, generic_directions(seed=31, count=8))]
+    assert any(isinstance(x, GaussDiagram) and len(x.crossings) > 2 for x in seen)
+    assert any(isinstance(x, str) for x in seen)

@@ -21,12 +21,14 @@ from oracles import (
     UnsupportedGraph,
     a2_from_conway,
     a_gamma_quadrature,
-    gauss_coeff,
+    gauss_grid_blocks,
+    gauss_grid_sum,
     make_torus_knot,
     polygon_writhe,
     reparametrized,
     round_circle,
     scaled,
+    sln_midpoint,
 )
 
 G1, G2, _ = knot_order2_graphs()
@@ -34,18 +36,30 @@ CIRCLE = round_circle(1.0)
 TREFOIL = make_torus_knot(2, 3, 2.0, 0.5)
 BUNDLED_KNOTS = ["circle", "trefoil", "figure_eight", "torus_2_5"]
 
-#: Converged sln and X of the bundled knots, (sln at grid 8192, X at grid
-#: 4096), whose stated errors are at most 1e-12 and 1e-7; made by
-#:   PYTHONPATH=src python -c "from graphflow import curves, integrals as i
+#: Converged sln and X of the bundled knots: sln by the midpoint rule at
+#: grid 16384, whose stated errors are at most 6e-14, and X at grid 4096,
+#: whose stated errors are at most 1e-7; made by
+#:   PYTHONPATH=src:tests python -c "import oracles; from graphflow import curves, integrals as i
 #:   k = curves.bundled_curve('trefoil')
-#:   print(i.sln_integral(k, grid=8192), i._x_quadrature(k, grid=4096))"
+#:   print(oracles.sln_midpoint(k, 16384), i._x_quadrature(k, grid=4096))"
+#: The sln values at grid 8192 were up to 5e-14 off these (torus_2_5).
 #: ``test_sln_references_match_polygon_writhe`` checks the sln values
 #: against an independent oracle.
 REFERENCE = {
     "circle": (0.0, 0.0),
-    "trefoil": (-3.126859232824687, 4.198435959414823),
-    "figure_eight": (0.08631611344068953, -3.8004587969237407),
-    "torus_2_5": (-5.70511452399703, 12.176178466074644),
+    "trefoil": (-3.126859232824684, 4.198435959414823),
+    "figure_eight": (0.08631611344068545, -3.8004587969237407),
+    "torus_2_5": (-5.705114523996978, 12.176178466074644),
+}
+#: sln of thin torus knots, make_torus_knot(p, q, 2, r) keyed by (p, q, r),
+#: by the midpoint rule at grid 16384 (about 20 s each on a 2-core x86-64
+#: machine, stated errors at most 2.4e-14); made by
+#:   PYTHONPATH=src:tests python -c "import oracles
+#:   print(oracles.sln_midpoint(oracles.make_torus_knot(2, 5, 2.0, 0.05), 16384))"
+THIN_SLN = {
+    (2, 5, 0.05): -5.008192073216453,
+    (3, 5, 0.05): -10.00277952282418,
+    (2, 5, 0.02): -5.001312217496753,
 }
 
 
@@ -70,15 +84,16 @@ def test_sln_reparametrization_invariant():
 @pytest.mark.parametrize("copy", ["plain", "reparametrized", "scaled"])
 @pytest.mark.parametrize("name", BUNDLED_KNOTS)
 def test_stated_errors_cover_the_references(name, copy):
-    """sln at grid 1024 and X at grid 512 are within their stated errors
-    of the converged values, also on a reparametrized copy (the same
-    image at non-uniform speed) and on a copy scaled by 1e-3."""
+    """sln and X at grid 512 are within their stated errors of the
+    converged values, also on a reparametrized copy (the same image at
+    non-uniform speed) and on a copy scaled by 1e-3; sln's error is
+    below 1e-12."""
     base = bundled_curve(name)
     copies = {"plain": base, "reparametrized": reparametrized(base), "scaled": scaled(base, 1e-3)}
     knot = copies[copy]
     sln_ref, x_ref = REFERENCE[name]
     sln, x = sln_integral(knot), integrals._x_quadrature(knot)
-    assert abs(sln.value - sln_ref) <= sln.std_error, (sln, sln_ref)
+    assert abs(sln.value - sln_ref) <= sln.std_error < 1e-12, (sln, sln_ref)
     assert abs(x.value - x_ref) <= x.std_error, (x, x_ref)
 
 
@@ -95,13 +110,50 @@ def test_sln_references_match_polygon_writhe(name):
 
 @pytest.mark.parametrize("grid", [256, 512, 1024, 2048])
 def test_sln_error_covers_a_polygon(grid):
-    """A polygon's tangent jumps at its vertices, so its midpoint sums
-    do not follow the n^-2 expansion; on the 97-gon through the trefoil
-    the stated error must still cover the distance from its exact
-    writhe."""
+    """A polygon's tangent jumps at its vertices, where its twist is a
+    closed form over great arcs that takes no grid; on the 97-gon through
+    the trefoil the stated error must still cover the distance from its
+    exact writhe."""
     points = bundled_curve("trefoil").eval(np.arange(97) / 97)
     est = sln_integral(KnotCurve(points=points), grid=grid)
     assert abs(est.value - polygon_writhe(points)) <= est.std_error
+
+
+@pytest.mark.parametrize("name, n", [("trefoil", 97), ("torus_2_5", 61), ("figure_eight", 80)])
+def test_sln_of_a_polygon_is_its_writhe(name, n):
+    """On the polygons through n points of the bundled knots, sln is the
+    solid-angle writhe within an error below 1e-12."""
+    points = bundled_curve(name).eval(np.arange(n) / n)
+    est = sln_integral(KnotCurve(points=points))
+    assert abs(est.value - polygon_writhe(points)) <= est.std_error < 1e-12, est
+    assert est.n_samples == n and est.method == "projection"
+
+
+def test_sln_of_a_warped_curve_is_its_base_curves():
+    """The writhe does not depend on the parametrization: a warped curve,
+    also a warp of a warp, reads its base curve's estimate bit for bit."""
+    base = bundled_curve("torus_2_5")
+    est = sln_integral(base)
+    assert sln_integral(reparametrized(base)) == est
+    assert sln_integral(reparametrized(reparametrized(base, -0.4))) == est
+
+
+@pytest.mark.parametrize("p, q, r", list(THIN_SLN))
+def test_sln_of_thin_torus_knots_matches_the_midpoint_rule(p, q, r):
+    """On thin torus knots, where the midpoint rule needs grid 16384, sln
+    is within its stated error of that grid's value."""
+    est = sln_integral(make_torus_knot(p, q, 2.0, r))
+    assert abs(est.value - THIN_SLN[p, q, r]) <= est.std_error < 1e-12, est
+
+
+def test_sln_twist_doubles_up_to_the_grid():
+    """The twist sums double from 64 nodes until converged; a grid below
+    that caps them, and their last step is then the stated error."""
+    knot = make_torus_knot(2, 5, 2.0, 0.02)
+    capped, free = sln_integral(knot, grid=64), sln_integral(knot)
+    assert capped.n_samples == 64 and free.n_samples > 64
+    assert abs(capped.value - free.value) <= capped.std_error
+    assert capped.std_error > 100 * free.std_error == 100 * integrals.ROUNDING_FLOOR
 
 
 @pytest.mark.parametrize("grid", [17, 1001, 1023, 1024])
@@ -145,24 +197,28 @@ def test_linking_near_integer_on_bundled_links():
 @pytest.mark.parametrize(
     "shift, value, error",
     [
-        (1e6, "-0x1.d000000000000p-102", "0x1.8800000000000p-101"),
-        (1e12, "-0x1.4800000000000p-141", "0x1.c000000000000p-140"),
+        (1e6, "-0x1.3a80000000000p-101", "0x1.0000000000000p-46"),
+        (1e12, "-0x1.3fc0000000000p-139", "0x1.0000000000000p-46"),
     ],
     ids=["1e6", "1e12"],
 )
 def test_linking_of_a_far_pair(shift, value, error):
     """hopf_b translated by ``shift`` along (1, 1, 1) gives, with no
-    warning, the estimate the full cross-distance matrix let through
-    (the values were read off it): the separation check keeps only the
-    points near the other curve's bounding box, here none."""
+    warning, the estimate the full cross-distance matrix let through:
+    the separation check keeps only the points near the other curve's
+    bounding box, here none.  The sums stop at 64 points, within the
+    rounding floor of the sum on 32, which is then the error (the values
+    were read off the doubled sums)."""
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
     cos_c = b.cos_coeffs.copy()
     cos_c[:, 0] += shift
+    far = KnotCurve(cos_coeffs=cos_c, sin_coeffs=b.sin_coeffs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = linking_integral(a, KnotCurve(cos_coeffs=cos_c, sin_coeffs=b.sin_coeffs))
+        est = linking_integral(a, far)
     assert (est.value, est.std_error) == (float.fromhex(value), float.fromhex(error))
-    assert (est.n_samples, est.seed, est.method) == (1024 * 1024, 0, "quadrature")
+    assert est.value == gauss_grid_sum(a, far, 64) and est.std_error == integrals.ROUNDING_FLOOR
+    assert (est.n_samples, est.seed, est.method) == (64 * 64, 0, "quadrature")
 
 
 def test_linking_rejects_a_curve_collapsed_by_rounding():
@@ -207,7 +263,7 @@ def test_x_sum_independent_of_row_blocks(monkeypatch):
     in one block."""
     streamed = integrals._crossed_chord_sum(TREFOIL, 200)
     monkeypatch.setattr(
-        integrals, "_gauss_blocks", lambda k1, k2, n: _oracle_gauss_blocks(k1, k2, n, rows=n)
+        integrals, "_gauss_blocks", lambda k1, k2, n: gauss_grid_blocks(k1, k2, n, rows=n)
     )
     assert streamed == pytest.approx(integrals._crossed_chord_sum(TREFOIL, 200), rel=1e-12)
 
@@ -348,50 +404,44 @@ def test_v2_difference_is_a2_along_a_family_of_knots():
     assert abs(slope - 1) <= 4 * sigma, (slope, sigma)
 
 
-def _oracle_gauss_blocks(k1, k2, n, rows=64):
-    """Row blocks of the Gauss grid of k1 and k2 at n midpoints, by the
-    einsum form on (n, 3) rows; on one curve its nan diagonal is set to 0."""
-    t = (np.arange(n) + 0.5) / n
-    p1, d1 = k1.eval(t), k1.deriv(t)
-    p2, d2 = k2.eval(t), k2.deriv(t)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f = gauss_coeff(p2[None] - p1[i0:i1, None], -d1[i0:i1, None], d2[None])
-        if k2 is k1:
-            assert np.isnan(np.diagonal(f, offset=i0)).all()
-            f[np.eye(i1 - i0, n, i0, dtype=bool)] = 0.0
-        assert np.isfinite(f).all()
-        yield i0, i1, f
-
-
-def _oracle_gauss_sum(k1, k2, n):
-    """The grid sum as a separate loop: the einsum form's 64-row block
-    sums, added left to right."""
-    return sum(float(f.sum()) for _, _, f in _oracle_gauss_blocks(k1, k2, n)) / (n * n)
-
-
 @pytest.mark.parametrize("curve", [CIRCLE, TREFOIL], ids=["circle", "trefoil"])
-def test_sln_quadrature_bit_identical_to_separate_loop(curve, monkeypatch):
-    """The plain sums on grids 250, 500 and 1000 (the last block of each
-    partial) and the Richardson step on them equal the oracle loop's."""
-    est = sln_integral(curve, grid=1000)
-    monkeypatch.setattr(integrals, "_gauss_sum", _oracle_gauss_sum)
-    assert est == sln_integral(curve, grid=1000)
+def test_sln_quadrature_bit_identical_to_separate_loop(curve):
+    """The midpoint rule of the self-linking integral, on one curve's
+    Gauss grid, by ``_gauss_sum`` and ``_richardson`` (which lk and X
+    keep): its plain sums on grids 250, 500 and 1000 (the last block of
+    each partial) and the Richardson step on them equal the oracle's."""
+    sums = lambda n: integrals._gauss_sum(curve, curve, n)  # noqa: E731
+    assert integrals._richardson(sums, 1000, power=2, steps=1) == sln_midpoint(curve, 1000)
 
 
 def test_linking_quadrature_bit_identical_to_separate_loop(monkeypatch):
-    """At grid 1024 and at the odd grid 999, whose coarse grid is 500 and
-    whose last blocks are partial, the value is the oracle's sum on the
-    grid and the error its distance from the sum on ceil(grid / 2)."""
+    """The doubled sums are the oracle's: on the Hopf pair they stop at
+    the grid 128, whose sum is within the rounding floor of the one on
+    64, and a cap of 99 stops them at 99 points, whose last blocks are
+    partial; the error is the rounding floor."""
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
-    for grid in (1024, 999):
+    for grid, n, before in ((1024, 128, 64), (99, 99, 64)):
         est = linking_integral(a, b, grid=grid)
-        fine, coarse = (_oracle_gauss_sum(a, b, n) for n in (grid, -(-grid // 2)))
-        assert (est.value, est.std_error) == (fine, abs(fine - coarse))
+        fine, coarse = gauss_grid_sum(a, b, n), gauss_grid_sum(a, b, before)
+        err = abs(fine - coarse)
+        assert (est.value, est.std_error, est.n_samples) == (fine, max(err, integrals.ROUNDING_FLOOR), n * n)
+        assert err <= integrals.ROUNDING_FLOOR
         with monkeypatch.context() as m:
-            m.setattr(integrals, "_gauss_sum", _oracle_gauss_sum)
+            m.setattr(integrals, "_gauss_sum", gauss_grid_sum)
             assert est == linking_integral(a, b, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [1024, 2048])
+def test_linking_of_a_pair_near_the_separation_bound(grid):
+    """hopf_b moved to within 3 times the separation bound of hopf_a
+    (twice, about its two crossings with hopf_a's plane) needs sums on
+    more points than either cap; the error from the last doubling still
+    covers the distance from 1."""
+    a = bundled_curve("hopf_a")
+    b = KnotCurve(cos_coeffs=[[0.006, 1.0], [0.0, 0.0], [0.0, 0.0]], sin_coeffs=[[0.0], [0.0], [-1.0]])
+    est = linking_integral(a, b, grid=grid)
+    assert est.n_samples == grid * grid
+    assert abs(est.value - 1.0) <= est.std_error < 0.2, est
 
 
 @pytest.mark.parametrize(
@@ -400,10 +450,11 @@ def test_linking_quadrature_bit_identical_to_separate_loop(monkeypatch):
     ids=["sln", "lk"],
 )
 def test_grid_integrals_stay_small_in_memory(integral, names):
-    """Peak traced memory at grid 1024 on fresh curves.  Both grids are
-    summed in 64-row blocks of 0.5 MiB; sln with its 1024 x 1024 blocks
-    and band masks peaked at 19.7 MiB, and lk with its one 1024 x 1024
-    block at 8.9 MiB."""
+    """Peak traced memory at grid 1024 on fresh curves.  lk's grids are
+    summed in 64-row blocks of 0.5 MiB, and sln projects polylines of at
+    most 8192 segments on the bundled knots; sln with its 1024 x 1024
+    Gauss blocks and band masks peaked at 19.7 MiB, and lk with its one
+    1024 x 1024 block at 8.9 MiB."""
     curves = [bundled_curve(name) for name in names]
     tracemalloc.start()
     try:
@@ -421,12 +472,12 @@ def test_gauss_blocks_cross_chunks():
     the planar circle), the Hopf pair at n = 2048 (32 blocks) and the
     trefoil at n = 200 (the last block partial)."""
     a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
-    assert integrals._gauss_sum(a, b, 2048) == _oracle_gauss_sum(a, b, 2048)
+    assert integrals._gauss_sum(a, b, 2048) == gauss_grid_sum(a, b, 2048)
     cases = [(k, k, 1024) for k in map(bundled_curve, BUNDLED_KNOTS)]
     cases += [(a, b, 2048), (TREFOIL, TREFOIL, 200)]
     for k1, k2, n in cases:
         blocks = integrals._gauss_blocks(k1, k2, n)
-        for (i0, i1, f), (j0, j1, want) in zip(blocks, _oracle_gauss_blocks(k1, k2, n), strict=True):
+        for (i0, i1, f), (j0, j1, want) in zip(blocks, gauss_grid_blocks(k1, k2, n), strict=True):
             assert (i0, i1) == (j0, j1)
             assert np.array_equal(f.view(np.int64), want.view(np.int64)), (n, i0)
             off = ~np.eye(i1 - i0, n, i0, dtype=bool)
