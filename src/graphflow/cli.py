@@ -16,6 +16,8 @@ is the standard library's ``argparse``, so those paths load neither click
 nor ``inspect``; as under click, options are matched whole and every
 usage error exits 2.  ``main.main`` keeps click's call, which the
 benchmark's in-process rounds make, until they call ``main(argv)``.
+``knot lk --grid`` is parsed and ignored, lk being an exact crossing
+count, while the benchmark's tests pass it.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ from .integrals import (
     DEFAULT_SEED,
     LK_RULE,
     MC_MAX_SAMPLES,
-    SLN_MIN_GRID,
     SLN_RULE,
     X_GRID,
     X_RULE,
-    check_grid,
     linking_integral,
     resolve_workers,
     sln_integral,
@@ -184,8 +184,6 @@ _COMMANDS: dict[str, tuple] = {}
 _FLAVOR = ("--flavor", dict(choices=["manifold", "knot"], required=True))
 _ORDER = ("--order", dict(type=int, required=True))
 _CURVE = ("--curve", dict(dest="curve_path", metavar="CURVE", required=True))
-_GRID = ("--grid", dict(type=int, default=1024, help="Most points per curve of the sums, which double from 64 until "
-         "they converge; sln takes at least 64."))
 _CACHE = ("--cache-dir", dict(type=_directory)), ("--no-cache", dict(action="store_true"))
 
 
@@ -309,30 +307,26 @@ def knot_a2(curve_path, directions, seed, cache_dir, no_cache):
     _knot_command("knot a2", evaluate, {"curve": curve_path}, cache_dir, no_cache, **params)
 
 
-@_command("knot sln", _CURVE, _GRID, *_CACHE)
-def knot_sln(curve_path, grid, cache_dir, no_cache):
+@_command("knot sln", _CURVE, *_CACHE)
+def knot_sln(curve_path, cache_dir, no_cache):
     """Self-linking integral: the writhe of a projection minus its twist."""
-    # checked before the cache lookup, so that a hit cannot replay a result beyond the limits
-    _checked(check_grid, grid, SLN_MIN_GRID)
 
     def evaluate(curve):
-        return {**sln_integral(curve, grid=grid).to_json_obj(), "op": "sln"}
+        return {**sln_integral(curve).to_json_obj(), "op": "sln"}
 
-    curves = {"curve": curve_path}
-    _knot_command("knot sln", evaluate, curves, cache_dir, no_cache, grid=grid, rule=SLN_RULE)
+    _knot_command("knot sln", evaluate, {"curve": curve_path}, cache_dir, no_cache, rule=SLN_RULE)
 
 
 @_command("knot lk", _CURVE, ("--curve2", dict(dest="curve2_path", metavar="CURVE2", required=True)),
-          _GRID, *_CACHE)
+          ("--grid", dict(type=int, default=1024, help="Ignored: lk is an exact crossing count.")), *_CACHE)
 def knot_lk(curve_path, curve2_path, grid, cache_dir, no_cache):
-    """Gauss linking number of two disjoint curves."""
-    _checked(check_grid, grid, 2)  # before the cache lookup, as for sln
+    """Gauss linking number of two disjoint curves, exactly."""
 
     def evaluate(k1, k2):
-        return {**linking_integral(k1, k2, grid=grid).to_json_obj(), "op": "lk"}
+        return {**linking_integral(k1, k2).to_json_obj(), "op": "lk"}
 
     curves = {"curve": curve_path, "curve2": curve2_path}
-    _knot_command("knot lk", evaluate, curves, cache_dir, no_cache, grid=grid, rule=LK_RULE)
+    _knot_command("knot lk", evaluate, curves, cache_dir, no_cache, rule=LK_RULE)
 
 
 @_command("knot v2", _CURVE, ("--samples", dict(type=float, default=1e6, help="Samples per Monte Carlo term, "

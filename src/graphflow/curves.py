@@ -296,6 +296,18 @@ def near_pairs(x: np.ndarray, cell: float, window: int = -1) -> np.ndarray:
     return np.stack([i[keep], j[keep]], axis=1)
 
 
+def near_cross_pairs(a: np.ndarray, b: np.ndarray, cell: float) -> np.ndarray:
+    """The ``near_pairs`` (i, len(a) + j) of a row i of a and a row j of b,
+    numbered as rows of the two stacked.  Only the rows within ``cell`` of
+    the other set's bounding box are searched, so the cells span no more
+    than the smaller box, and far-apart sets give none."""
+    x = np.concatenate([a, b])
+    box = np.repeat([(y.min(axis=0) - cell, y.max(axis=0) + cell) for y in (b, a)], [len(a), len(b)], axis=0)
+    kept = np.nonzero(np.all((box[:, 0] <= x) & (x <= box[:, 1]), axis=1))[0]
+    pairs = kept[near_pairs(x[kept], cell)]
+    return pairs[(pairs[:, 0] < len(a)) & (pairs[:, 1] >= len(a))]
+
+
 def least_distance(x: np.ndarray, pairs: np.ndarray) -> float:
     """Least |x[i] - x[j]| over the rows (i, j) of ``pairs`` (inf if none),
     coordinates summed left to right, so bit for bit ``np.linalg.norm``'s."""

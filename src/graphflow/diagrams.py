@@ -1,27 +1,33 @@
 """Planar projections, Gauss diagrams, and combinatorial knot invariants.
 
-The second-coefficient invariant a2 is a signed count of interlaced
-crossing pairs on the Gauss diagram; it is the reference value for the
-configuration-space integrals of ``integrals``.  Its own reference, the
-z^2 coefficient of the Conway polynomial by skein recursion on the same
-diagram, lives in ``tests/oracles.py``.  Crossings are looked for among
-the segment pairs whose midpoints ``curves.near_pairs`` finds on the
-coarsest polyline, and among their children on the finer ones.
+Every projection of the package is made here, along the directions of
+``ranked_directions``, by one crossing search for one curve or two,
+``stable_crossings``: among the segment pairs whose midpoints
+``curves.near_pairs`` finds on the coarsest polylines (of two curves,
+those with one segment from each, near the other curve's box), and among
+their children on the finer ones.  Two curves' crossings give lk, and
+one curve's its Gauss diagram, whose writhe sln reads and whose signed
+count of interlaced crossing pairs is a2, the reference value for the
+integrals of ``integrals``; a2's own reference, the z^2 Conway
+coefficient by skein recursion, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _numpy as np
-from .curves import KnotCurve, near_pairs
+from .curves import KnotCurve, near_cross_pairs, near_pairs
 from .errors import DegenerateProjection, InconsistentDiagram, InvalidParams, ResourceLimit
 
 #: Segment counts of the first and the finest projected polyline.
 MIN_SEGMENTS = 2048
 MAX_SEGMENTS = 32768
-#: Most projections of one ``a2_of_curve`` call: 4-7 ms each on the
-#: bundled knots on a 2-core x86-64 machine, so at most about 7 s.
+#: Tangents per curve that rank the directions of ``ranked_directions``.
+GAP_SAMPLES = 512
+#: Most projections of one ``a2_of_curve`` call: 3-6 ms each on the
+#: bundled knots on a 2-core x86-64 machine, so at most about 6 s.
 A2_MAX_DIRECTIONS = 1024
 
 
@@ -72,30 +78,50 @@ def _plane_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return e1, e2, d
 
 
-def _segment_crossings(curve: KnotCurve, direction, n: int, parents=None):
-    """Self-intersections of the projected closed polyline with n segments,
-    and the segment pairs tested: those ``near_pairs`` finds, or the
-    ``_children`` of ``parents``, the pairs tested on n / 2 segments."""
+def ranked_directions(curves, count: int = 64, seed: int = 0) -> np.ndarray:
+    """The ``count`` points z = 1 - k / count of a Fibonacci hemisphere,
+    turned about its pole by ``seed`` golden angles (seeds taken modulo
+    2^53, so that any integer turns it), as rows: largest gap 1 - max |u.T|
+    first, T the unit tangents of ``curves`` at GAP_SAMPLES parameters, and
+    ties in the set's order."""
+    k = np.arange(count)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    z, phi = 1.0 - k / count, k * golden + (seed % 2**53) * golden % (2 * math.pi)
+    dirs = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], axis=1)
+    t = np.arange(GAP_SAMPLES) / GAP_SAMPLES
+    tan = np.concatenate([curve.eval_planes(t)[1] for curve in curves], axis=1)
+    gap = 1.0 - np.abs(dirs @ (tan / np.linalg.norm(tan, axis=0))).max(axis=1)
+    return dirs[np.argsort(-gap, kind="stable")]
+
+
+def _segment_crossings(curves, direction, n: int, parents=None):
+    """Crossings of the projected closed polylines of ``curves``, n
+    segments each, and the segment pairs tested: those ``near_pairs``
+    finds, or the ``_children`` of ``parents``, the pairs tested on n / 2
+    segments.  The curves' segments are numbered in one sequence, so a
+    crossing parameter t on the second curve reads 1 + t; two curves keep
+    only the pairs with one segment from each."""
     e1, e2, d = _plane_basis(direction)
     t = np.arange(n) / n
-    pts, tan = curve.eval_planes(t)
+    pts, tan = (np.concatenate(planes, axis=1) for planes in zip(*(c.eval_planes(t) for c in curves)))
     u, v, depth = e1 @ pts, e2 @ pts, d @ pts
     scale = max(np.ptp(u), np.ptp(v))
-    nxt = np.concatenate([np.arange(1, n), [0]])
+    k = np.arange(u.size)
+    nxt = np.where(k % n == n - 1, k + 1 - n, k + 1)  # each curve closes on itself
     du, dv = u[nxt] - u, v[nxt] - v
 
     # tangency with the viewing direction collapses the projected speed
-    tan3 = np.linalg.norm(tan, axis=0)
-    if (np.hypot(du, dv) * n / tan3).min() < 1e-2:
+    if (np.hypot(du, dv) * n / np.linalg.norm(tan, axis=0)).min() < 1e-2:
         raise DegenerateProjection("curve tangent nearly parallel to direction")
 
     if parents is None:
         # two crossing segments have midpoints at most the longest segment
         # apart along each axis
         mid = np.stack([u + u[nxt], v + v[nxt]], axis=1) / 2
-        pairs = near_pairs(mid, max(float(np.hypot(du, dv).max()), 1e-12), window=1)
+        cell = max(float(np.hypot(du, dv).max()), 1e-12)
+        pairs = near_pairs(mid, cell, window=1) if len(curves) == 1 else near_cross_pairs(mid[:n], mid[n:], cell)
     else:
-        pairs = _children(u, v, parents)
+        pairs = _children(u, v, parents, len(curves))
     if pairs.size == 0:
         return [], pairs
     i, j = pairs[:, 0], pairs[:, 1]
@@ -112,8 +138,7 @@ def _segment_crossings(curve: KnotCurve, direction, n: int, parents=None):
         si, rj = float(s[a]), float(r[a])
         if min(si, 1 - si, rj, 1 - rj) * np.hypot(du[ii], dv[ii]) < 1e-9 * scale:
             raise DegenerateProjection("crossing too close to a segment endpoint")
-        ti = (ii + si) / n
-        tj = (jj + rj) / n
+        ti, tj = (ii + si) / n, (jj + rj) / n
         zi = depth[ii] + si * (depth[nxt[ii]] - depth[ii])
         zj = depth[jj] + rj * (depth[nxt[jj]] - depth[jj])
         if abs(zi - zj) < 1e-7 * scale:
@@ -121,89 +146,77 @@ def _segment_crossings(curve: KnotCurve, direction, n: int, parents=None):
         cross2 = du[ii] * dv[jj] - dv[ii] * du[jj]
         if abs(cross2) < 1e-9 * np.hypot(du[ii], dv[ii]) * np.hypot(du[jj], dv[jj]):
             raise DegenerateProjection("near-tangential crossing")
-        if zi > zj:
-            over_t, under_t, sign = ti, tj, (1 if cross2 > 0 else -1)
-        else:
-            over_t, under_t, sign = tj, ti, (1 if cross2 < 0 else -1)
-        found.append(Crossing(over_t, under_t, sign))
+        over, under = (ti, tj) if zi > zj else (tj, ti)
+        found.append(Crossing(over, under, 1 if (cross2 > 0) == (zi > zj) else -1))
     found.sort(key=lambda c: (min(c.over, c.under), max(c.over, c.under)))
     return found, pairs
 
 
-def _children(u: np.ndarray, v: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """Pairs (I, J), I < J, of segments of the polyline through the n
-    points (u, v) whose parents, segments of the polyline through every
-    second point, are a row of ``parents`` with overlapping boxes, or
-    adjacent.  Parent i's box spans the points 2i to 2i + 2, so it holds
-    its children, grown by the largest distance of a point 2i + 1 from its
-    parent's middle: on a smooth curve the points of all finer levels
-    stray a third as far, so no crossing of a finer level is lost."""
+def _children(u: np.ndarray, v: np.ndarray, parents: np.ndarray, curves: int = 1) -> np.ndarray:
+    """Pairs (I, J), I < J, of segments of the polylines through the n
+    points (u, v), ``curves`` closed curves one after the other, whose
+    parents, segments of the polylines through every second point, are a
+    row of ``parents`` with overlapping boxes, or, on one curve, adjacent.
+    Parent i's box spans the points 2i to 2i + 2 of its curve, so it holds
+    its children, grown by the largest distance on that curve of a point
+    2i + 1 from its parent's middle: on a smooth curve the points of all
+    finer levels stray a third as far, so no crossing of a finer level is
+    lost."""
     a, b = parents.T
     keep = np.ones(a.size, dtype=bool)
     for x in (u, v):
-        y = np.stack([x[0::2], x[1::2], np.roll(x[0::2], -1)])
-        grow = float(np.abs(y[1] - (y[0] + y[2]) / 2).max())
-        lo, hi = y.min(axis=0) - grow, y.max(axis=0) + grow
+        boxes = []
+        for c in np.split(x, curves):
+            y = np.stack([c[0::2], c[1::2], np.roll(c[0::2], -1)])
+            grow = float(np.abs(y[1] - (y[0] + y[2]) / 2).max())
+            boxes.append((y.min(axis=0) - grow, y.max(axis=0) + grow))
+        lo, hi = (np.concatenate(ends) for ends in zip(*boxes))
         keep &= (lo[a] <= hi[b]) & (lo[b] <= hi[a])
-    # adjacent parents are never a tested pair: keep their children that are
-    # not adjacent, (2i, 2i + 2), (2i, 2i + 3) and (2i + 1, 2i + 3)
-    n = u.size
-    k = np.arange(0, n, 2)
-    i = np.concatenate([(2 * a[keep, None] + np.array([0, 0, 1, 1])).ravel(), k, k, k + 1])
-    j = np.concatenate([(2 * b[keep, None] + np.array([0, 1, 0, 1])).ravel(), k + 2, k + 3, k + 3])
-    j %= n
+    i = (2 * a[keep, None] + np.array([0, 0, 1, 1])).ravel()
+    j = (2 * b[keep, None] + np.array([0, 1, 0, 1])).ravel()
+    if curves == 1:
+        # adjacent parents are never a tested pair: keep their children that
+        # are not adjacent, (2i, 2i + 2), (2i, 2i + 3) and (2i + 1, 2i + 3)
+        k = np.arange(0, u.size, 2)
+        i = np.concatenate([i, k, k, k + 1])
+        j = np.concatenate([j, k + 2, k + 3, k + 3]) % u.size
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
 def _crossings_match(a: list[Crossing], b: list[Crossing], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    for ca, cb in zip(a, b):
-        if ca.sign != cb.sign:
-            return False
-        if abs(ca.over - cb.over) > tol or abs(ca.under - cb.under) > tol:
-            return False
-    return True
+    return len(a) == len(b) and all(
+        ca.sign == cb.sign and abs(ca.over - cb.over) <= tol and abs(ca.under - cb.under) <= tol
+        for ca, cb in zip(a, b)
+    )
 
 
-def project_to_diagram(curve: KnotCurve, direction) -> GaussDiagram:
-    """Gauss diagram of the projection along ``direction``.
-
-    The projected polyline is refined by doubling from MIN_SEGMENTS up to
-    MAX_SEGMENTS segments until the crossing set stabilizes twice in a
-    row; unstable or tangential projections raise DegenerateProjection
-    (callers retry with a perturbed direction).
-    """
-    history = []
-    pairs = None
-    n = MIN_SEGMENTS
+def stable_crossings(curves, direction) -> list[Crossing]:
+    """The crossings of ``curves`` along ``direction`` on polylines doubled
+    from MIN_SEGMENTS up to MAX_SEGMENTS segments each until the crossing
+    set stabilizes twice in a row; unstable or tangential projections, and
+    two crossings that nearly coincide on a curve, raise
+    DegenerateProjection (callers retry with another direction)."""
+    history, pairs, n = [], None, MIN_SEGMENTS
     while n <= MAX_SEGMENTS:
-        found, pairs = _segment_crossings(curve, direction, n, pairs)
+        found, pairs = _segment_crossings(curves, direction, n, pairs)
         history.append(found)
         if len(history) >= 3:
             a, b, c = history[-3:]
             tol = 64.0 / n  # 16 segments of the coarsest of the three
             if _crossings_match(a, b, tol) and _crossings_match(b, c, tol):
-                params = sorted(t for cr in c for t in (cr.over, cr.under))
-                if params:
-                    gaps = np.diff(np.array(params + [params[0] + 1.0]))
-                    if gaps.min() < 4.0 / n:
+                for k in range(len(curves)):  # each curve's parameters, cyclically
+                    p = sorted(t - k for cr in c for t in (cr.over, cr.under) if k <= t < k + 1)
+                    if p and np.diff(p + [p[0] + 1.0]).min() < 4.0 / n:
                         raise DegenerateProjection("two crossings nearly coincide")
-                return GaussDiagram(tuple(c))
+                return c
         n *= 2
     raise DegenerateProjection("crossing set did not stabilize")
 
 
-def generic_directions(seed: int = 7, count: int = 16) -> list[np.ndarray]:
-    """Deterministic sequence of unit vectors for projection retries."""
-    rng = np.random.default_rng(seed)
-    dirs = []
-    while len(dirs) < count:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-3:
-            dirs.append(v / norm)
-    return dirs
+def project_to_diagram(curve: KnotCurve, direction) -> GaussDiagram:
+    """Gauss diagram of the projection along ``direction``, from the
+    crossings of ``stable_crossings``."""
+    return GaussDiagram(tuple(stable_crossings((curve,), direction)))
 
 
 # --- invariants ---
@@ -262,7 +275,7 @@ def a2_of_curve(curve: KnotCurve, directions: int = 3, seed: int = 7) -> int:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
     curve.validate()
     values = []
-    for direction in generic_directions(seed=seed, count=directions + 13):
+    for direction in ranked_directions((curve,), directions + 13, seed):
         try:
             diagram = project_to_diagram(curve, direction)
         except DegenerateProjection:

@@ -1,14 +1,14 @@
 """Configuration-space integrals for knots in flat R^3.
 
 Deterministic rules cover the integrals whose graphs have no internal
-vertex: self-linking as a projection's writhe minus a twist integral,
-Gauss linking by product quadrature, and the crossed-chord term X of v2
-by an O(N^2) cumulative-sum form of its four-point midpoint sum.  lk and
-X read the Gauss integrand on the n x n grid of midpoint pairs, which
-``_gauss_blocks`` streams in 64-row blocks from coordinate planes of the
-curves' points and tangents; lk's sums and the twist's double until
-converged (``_doubling``), and ``_richardson`` extrapolates X's over
-halved grids.  v2's other term, the tripod Y, runs Monte Carlo with its
+vertex.  The two-point integrals are read off projections along the
+directions of ``diagrams``: lk is exactly a signed crossing count, and
+self-linking is a projection's writhe minus a twist integral, whose sums
+double until converged (``_twist``).  The crossed-chord term X of v2
+is an O(N^2) cumulative-sum form of its four-point midpoint sum on one
+curve's Gauss integrand grid, which ``_gauss_blocks`` streams in 64-row
+blocks from coordinate planes, extrapolated over halved grids by
+``_richardson``.  v2's other term, the tripod Y, runs Monte Carlo with its
 knot parameters on the ordered simplex and its spatial vertex
 importance-sampled from kernels centered on the sampled knot points.
 Each of the 64 batches draws from its own random stream, and consecutive
@@ -18,13 +18,12 @@ once, position and tangent together, and shared by the sampler and the
 compiled integrand; the pass runs on contiguous (3, B) coordinate planes
 and sums in the order of the row-layout pass in
 ``tests/test_integrals.py``, whose bits it keeps.  All estimators are
-bit-reproducible for a fixed (inputs, seed) pair.  The O(N^4) product
-quadrature of chord-only graph integrals that the crossed-chord
-quadrature is checked against, the einsum form of the Gauss integrand
-whose bits the grid reproduces, and sln's midpoint rule live in
-``tests/oracles.py``.  Every knot command imports this module, so it
-imports ``graphs``, ``diagrams`` and ``concurrent.futures`` only where
-v2, sln and more than one worker need them.
+bit-reproducible for a fixed (inputs, seed) pair.  The O(N^4) quadrature
+of chord-only graph integrals, the einsum form of the Gauss integrand,
+sln's midpoint rule and lk's torus quadrature, which these are checked
+against, live in ``tests/oracles.py``.  Every knot command imports this
+module, so it imports ``graphs``, ``diagrams`` and ``concurrent.futures``
+only where v2, sln, lk and more than one worker need them.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import os
 from collections import namedtuple
 
 from . import _numpy as np
-from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_pairs
+from .curves import SEPARATION_SAMPLES, KnotCurve, least_distance, near_cross_pairs
 from .errors import CurvesIntersect, DegenerateProjection, InvalidParams, ResourceLimit, SamplingFailed
 from .forms import FOUR_PI, CompiledIntegrand
 
@@ -57,16 +56,14 @@ X_GRID = 512
 #: named in the cache keys.
 SLN_RULE = "writhe of a projection minus its twist, trapezoid doubled from 64; error from a second direction"
 X_RULE = "midpoint, Richardson in n^-1 and n^-2"
-LK_RULE = "midpoint, doubled from 64 to a rounding floor"
-#: Smallest grid of sln, its first twist sum, and largest grid of sln and
-#: lk, whose sums double up to it; a Gauss grid of 16,384^2 took 8.3-9.3 s.
-SLN_MIN_GRID, MAX_GRID = 64, 16384
+LK_RULE = "signed crossings of one projection where the first curve is over, checked against the second"
+#: Most nodes of sln's twist sums (``_twist``), which double from 64: the
+#: bundled knots stop at 64-512, and all the sums up to this cap took 3-4
+#: ms on the trefoil and torus(2,5) on a 2-core x86-64 machine.
+TWIST_MAX_NODES = 2**14
 #: A doubled sum of order 1 has converged within this of the one before:
 #: 64 units in the last place of 1.0.
 ROUNDING_FLOOR = 2.0**-46
-#: sln's candidate directions, from the pole of a Fibonacci hemisphere,
-#: and the tangents that rank them.
-SLN_DIRECTIONS, GAP_SAMPLES = 64, 512
 #: Rows of a Gauss integrand grid filled per pass (``_gauss_blocks``):
 #: at grids 512 and 1024, 16 rows ran fastest of 4 to 64 on a 2-core
 #: x86-64 machine with numpy 2.4.
@@ -116,12 +113,12 @@ def resolve_workers(workers: int | None) -> int:
 # --- two-point quadratures ---
 
 
-def _gauss_blocks(k1: KnotCurve, k2: KnotCurve, n: int):
+def _gauss_blocks(curve: KnotCurve, n: int):
     """Row blocks (i0, i1, f) of the n x n Gauss integrand grid
-    f[i, j] = det(v, -d1[i], d2[j]) / (4 pi |v|^3), v = p2[j] - p1[i], of
-    points p and tangents d of k1 and k2 at the midpoints (i + 1/2) / n, 64
-    rows (0.5 MiB at n = 1024) at a time; on one curve (``k2 is k1``) the
-    nan diagonal of coincident points is set to 0.
+    f[i, j] = det(v, -d[i], d[j]) / (4 pi |v|^3), v = p[j] - p[i], of the
+    curve's points p and tangents d at the midpoints (i + 1/2) / n, 64
+    rows (0.5 MiB at n = 1024) at a time; the nan diagonal of coincident
+    points is set to 0.
 
     Each block is filled GAUSS_PASS_ROWS rows at a time from (3, n)
     coordinate planes (``KnotCurve.eval_planes``), so that a pass's
@@ -132,9 +129,8 @@ def _gauss_blocks(k1: KnotCurve, k2: KnotCurve, n: int):
     in ``tests/oracles.py``, signed zeros included.
     """
     t = (np.arange(n) + 0.5) / n
-    x1, d1 = k1.eval_planes(t)
-    x2, b = (x1, d1) if k2 is k1 else k2.eval_planes(t)
-    a = -d1
+    x, b = curve.eval_planes(t)
+    a = -b
     buf = np.empty((5, GAUSS_PASS_ROWS, n))
     for i0 in range(0, n, 64):
         i1 = min(i0 + 64, n)
@@ -146,7 +142,7 @@ def _gauss_blocks(k1: KnotCurve, k2: KnotCurve, n: int):
             r2.fill(0.0)
             for k in (0, 2, 1):
                 j1, j2 = (k + 1) % 3, (k + 2) % 3
-                np.subtract(x2[k], x1[k, r0:r1, None], out=v)
+                np.subtract(x[k], x[k, r0:r1, None], out=v)
                 np.multiply(a[j1, r0:r1, None], b[j2], out=c)
                 np.multiply(a[j2, r0:r1, None], b[j1], out=s)
                 c -= s  # (a x b)[k], as np.cross forms it
@@ -158,15 +154,8 @@ def _gauss_blocks(k1: KnotCurve, k2: KnotCurve, n: int):
             r2 *= FOUR_PI
             with np.errstate(invalid="ignore", divide="ignore"):
                 np.divide(num, r2, out=f[r0 - i0 : r1 - i0])
-        if k2 is k1:
-            np.fill_diagonal(f[:, i0:], 0.0)
+        np.fill_diagonal(f[:, i0:], 0.0)
         yield i0, i1, f
-
-
-def _gauss_sum(k1: KnotCurve, k2: KnotCurve, n: int) -> float:
-    """Midpoint sum of the Gauss integrand over the n x n grid, its block
-    sums added left to right (on one curve, the diagonal set to 0)."""
-    return sum(float(f.sum()) for _, _, f in _gauss_blocks(k1, k2, n)) / (n * n)
 
 
 def _richardson(total, grid: int, power: int, steps: int) -> tuple[float, float]:
@@ -182,36 +171,16 @@ def _richardson(total, grid: int, power: int, steps: int) -> tuple[float, float]
     return col[-1], abs(col[-1] - col[-2])
 
 
-def _doubling(total, cap: int) -> tuple[float, float, int]:
-    """(value, error, n) of ``total(n)``, a periodic sum that converges
-    geometrically (Trefethen and Weideman, SIAM Review 2014), as n doubles
-    from min(64, cap) to at most ``cap`` until the sum is within
-    ROUNDING_FLOOR of the one before (on ceil(n / 2) points at first) or
-    not a number.  The error is their distance, at least ROUNDING_FLOOR."""
-    n = min(64, cap)
-    before = total(-(-n // 2))
-    while True:
-        value = total(n)
-        err = abs(value - before)
-        if not err > ROUNDING_FLOOR or n == cap:
-            return value, max(err, ROUNDING_FLOOR), n
-        before, n = value, min(2 * n, cap)
-
-
-def check_grid(grid: int, least: int) -> None:
-    """InvalidParams for a grid below ``least``, ResourceLimit above MAX_GRID."""
-    if grid < least:
-        raise InvalidParams(f"grid must be at least {least}, got {grid}")
-    if grid > MAX_GRID:
-        raise ResourceLimit(f"grid must be at most {MAX_GRID}, got {grid}")
-
-
-def _twist(curve: KnotCurve, u: np.ndarray, cap: int) -> tuple[float, float, int]:
+def _twist(curve: KnotCurve, u: np.ndarray) -> tuple[float, float, int]:
     """(Tw_u, error, nodes), Tw_u = (1 / 2 pi) times the integral of
     (u.T) (u.(T x T')) / (1 - (u.T)^2) ds (Aldinger, Klapper and Tabor,
-    J. Knot Theory Ramifications 1995): trapezoid sums on a Fourier curve
-    (``_doubling``), and on a polygon, whose tangent turns along great
-    arcs at the vertices, a closed form per arc."""
+    J. Knot Theory Ramifications 1995).  On a Fourier curve it is a
+    trapezoid sum, periodic, so converging geometrically (Trefethen and
+    Weideman, SIAM Review 2014): the nodes double from 64 (after a sum on
+    32) until a sum is within ROUNDING_FLOOR of the one before, or not a
+    number, or TWIST_MAX_NODES is reached; the error is that distance, at
+    least ROUNDING_FLOOR.  On a polygon, whose tangent turns along great
+    arcs at the vertices, it is a closed form per arc."""
     if curve.points is None:
 
         def total(n):
@@ -220,7 +189,13 @@ def _twist(curve: KnotCurve, u: np.ndarray, cap: int) -> tuple[float, float, int
             g = ut * (u @ np.cross(d1, d2, axis=0)) / (np.sqrt(speed2) * (speed2 - ut * ut))
             return float(g.mean()) / (2 * math.pi)
 
-        return _doubling(total, cap)
+        n, before = 64, total(32)
+        while True:
+            value = total(n)
+            err = abs(value - before)
+            if not err > ROUNDING_FLOOR or n >= TWIST_MAX_NODES:
+                return value, max(err, ROUNDING_FLOOR), n
+            before, n = value, 2 * n
     # the arc from segment direction a to b adds atan(y_b / c) - atan(y_a / c),
     # with m = a x b, c = u.m and y_x = u.(x x m)
     a = np.roll(curve.points, -1, axis=0) - curve.points
@@ -231,35 +206,29 @@ def _twist(curve: KnotCurve, u: np.ndarray, cap: int) -> tuple[float, float, int
     return float(np.arctan2(c * (yb - ya), c * c + ya * yb).sum()) / (2 * math.pi), ROUNDING_FLOOR, len(a)
 
 
-def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
+def sln_integral(curve: KnotCurve) -> IntegralEstimate:
     """Self-linking integral: the Gauss form over the configuration of
     two points on the knot (the flat-space writhe integral).
 
     By Calugareanu's theorem (White, Amer. J. Math. 1969) it is w(D_u) -
     Tw_u for a direction u that the tangent T never meets: the signed
-    crossings of the projection along u minus the twist (``_twist``, at
-    most ``grid`` nodes).  Candidates go by their gap 1 - max |u.T|,
-    largest first; the first two generic projections give the value and
-    its check, and the error is the larger of their distance and the
+    crossings of the projection along u minus the twist (``_twist``).
+    The directions come from ``diagrams.ranked_directions``, largest gap
+    1 - max |u.T| first; the first two generic projections give the value
+    and its check, and the error is the larger of their distance and the
     twists' errors.  A warped curve is read through its base curve.
     """
     from . import diagrams
-    check_grid(grid, SLN_MIN_GRID)
     curve.validate()
     while curve.warp_base is not None:
         curve = curve.warp_base
-    k = np.arange(SLN_DIRECTIONS)
-    z, phi = 1.0 - k / SLN_DIRECTIONS, k * (math.pi * (3.0 - math.sqrt(5.0)))
-    dirs = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], axis=1)
-    tan = curve.eval_planes(np.arange(GAP_SAMPLES) / GAP_SAMPLES)[1]
-    gap = 1.0 - np.abs(dirs @ (tan / np.linalg.norm(tan, axis=0))).max(axis=1)
     found = []
-    for u in dirs[np.argsort(-gap, kind="stable")]:
+    for u in diagrams.ranked_directions((curve,)):
         try:
             writhe = sum(c.sign for c in diagrams.project_to_diagram(curve, u).crossings)
         except DegenerateProjection:
             continue
-        twist, err, nodes = _twist(curve, u, grid)
+        twist, err, nodes = _twist(curve, u)
         found.append((writhe - twist, err, nodes))
         if len(found) == 2:
             (value, err, nodes), (check, check_err, _) = found
@@ -267,26 +236,32 @@ def sln_integral(curve: KnotCurve, grid: int = 1024) -> IntegralEstimate:
     raise DegenerateProjection("fewer than two generic directions")
 
 
-def linking_integral(k1: KnotCurve, k2: KnotCurve, grid: int = 1024) -> IntegralEstimate:
-    """Gauss linking number of two disjoint curves by torus quadrature,
-    on grids doubled up to ``grid`` until converged (``_doubling``)."""
-    check_grid(grid, 2)
+def linking_integral(k1: KnotCurve, k2: KnotCurve) -> IntegralEstimate:
+    """Gauss linking number of two disjoint curves, exactly: the signed
+    count of the crossings where k1 is over k2 in a generic projection
+    (Rolfsen, "Knots and Links", 1976, ch. 5D), along the first ranked
+    direction where the count where k2 is over agrees; ``n_samples`` is
+    the number of crossings."""
+    from . import diagrams
     k1.validate()
     k2.validate()
     t = np.arange(SEPARATION_SAMPLES) / SEPARATION_SAMPLES
     p, q = k1.eval_planes(t)[0].T, k2.eval_planes(t)[0].T
     bound = 1e-3 * max(k1.diameter(), k2.diameter())
-    # only points in the other curve's box grown by 2 * bound (the bound, and
-    # room for rounding) can be that close; far-apart curves keep none
-    boxes = [(b.min(axis=0) - 2 * bound, b.max(axis=0) + 2 * bound) for b in (q, p)]
-    p, q = (a[np.all((lo <= a) & (a <= hi), axis=1)] for a, (lo, hi) in zip((p, q), boxes))
-    x = np.concatenate([p, q])
-    pairs = near_pairs(x, 2 * bound)
-    min_d = least_distance(x, pairs[(pairs[:, 0] < len(p)) & (pairs[:, 1] >= len(p))])
+    # a cell of twice the bound leaves room for rounding
+    min_d = least_distance(np.concatenate([p, q]), near_cross_pairs(p, q, 2 * bound))
     if min_d <= bound:
         raise CurvesIntersect(f"curves approach within {min_d:.3g}")
-    value, err, n = _doubling(lambda n: _gauss_sum(k1, k2, n), grid)
-    return IntegralEstimate(value, err, n * n, 0, "quadrature")
+    for u in diagrams.ranked_directions((k1, k2)):
+        try:
+            crossings = diagrams.stable_crossings((k1, k2), u)
+        except DegenerateProjection:
+            continue
+        # k2's parameters read 1 + t
+        lk, check = (sum(c.sign for c in crossings if (c.over < 1) == first) for first in (True, False))
+        if lk == check:
+            return IntegralEstimate(float(lk), 0.0, len(crossings), 0, "projection")
+    raise DegenerateProjection("no generic direction")
 
 
 # --- the crossed-chord integral ---
@@ -302,7 +277,7 @@ def _crossed_chord_sum(curve: KnotCurve, n: int) -> float:
     """
     above = np.zeros((1, n))  # column sums of the rows before the block
     total = 0.0
-    for j0, j1, w in _gauss_blocks(curve, curve, n):
+    for j0, j1, w in _gauss_blocks(curve, n):
         p = np.cumsum(np.concatenate([above, w]), axis=0)
         above = p[-1:]
         p = p[:-1]

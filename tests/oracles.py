@@ -14,7 +14,7 @@ import numpy as np
 
 from graphflow.curves import KnotCurve
 from graphflow.diagrams import MAX_SEGMENTS, MIN_SEGMENTS, Crossing, GaussDiagram
-from graphflow.errors import DegenerateProjection, GraphflowError, InvalidParams
+from graphflow.errors import CurveValidationError, DegenerateProjection, GraphflowError, InvalidParams
 from graphflow.forms import FOUR_PI
 from graphflow.graphs import DecoratedGraph, Flavor
 from graphflow.integrals import COMPONENT_ORIENT, IntegralEstimate
@@ -442,6 +442,24 @@ def sln_midpoint(curve: KnotCurve, grid: int) -> tuple[float, float]:
     return steps[-1], abs(steps[-1] - steps[-2])
 
 
+def linking_quadrature(k1: KnotCurve, k2: KnotCurve, cap: int = 1024) -> IntegralEstimate:
+    """Gauss linking integral of two disjoint curves by midpoint sums over
+    the torus of their parameters (``gauss_grid_sum``), on n points per
+    curve doubled from 64 (the sum on 32 first) up to ``cap`` until two
+    sums are within 2^-46 of each other: a periodic sum converges
+    geometrically (Trefethen and Weideman, SIAM Review 2014).  The error
+    is their distance, at least 2^-46, and ``n_samples`` is n^2."""
+    floor = 2.0**-46
+    n = min(64, cap)
+    before = gauss_grid_sum(k1, k2, -(-n // 2))
+    while True:
+        value = gauss_grid_sum(k1, k2, n)
+        err = abs(value - before)
+        if not err > floor or n == cap:
+            return IntegralEstimate(value, max(err, floor), n * n, 0, "quadrature")
+        before, n = value, min(2 * n, cap)
+
+
 # --- reference graphs, their text form and the per-edge contraction rule ---
 
 
@@ -680,6 +698,38 @@ def make_torus_knot(p: int, q: int, R: float, r: float) -> KnotCurve:
     return curve.validate()
 
 
+def torus_curve(p: int, q: int, R: float, r: float, phase: float = 0.0) -> KnotCurve:
+    """The curve ((R + r cos(2 pi q t + phase)) cos 2 pi p t, (R + r cos(2 pi
+    q t + phase)) sin 2 pi p t, r sin(2 pi q t + phase)) on the torus of
+    radii R > r.  Its harmonics stop at p + q, so its Fourier coefficients
+    come exactly, up to rounding, from the FFT of 4 (p + q + 1) samples."""
+    h = p + q
+    theta = 2 * np.pi * np.arange(4 * (h + 1)) / (4 * (h + 1))
+    ring = R + r * np.cos(q * theta + phase)
+    xyz = [ring * np.cos(p * theta), ring * np.sin(p * theta), r * np.sin(q * theta + phase)]
+    c = np.fft.rfft(xyz, axis=1)[:, : h + 1] / theta.size
+    cos_c = 2 * c.real
+    cos_c[:, 0] /= 2
+    return KnotCurve(cos_coeffs=cos_c, sin_coeffs=-2 * c.imag[:, 1:])
+
+
+def random_fourier_knots(count: int, seed: int, harmonics: int = 3) -> list[KnotCurve]:
+    """The first ``count`` curves of ``harmonics`` harmonics, coefficients
+    normal over the harmonic from ``default_rng(seed)``, that pass
+    ``validate``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        scale = 1.0 / np.arange(1, harmonics + 1)
+        cos_c = np.concatenate([np.zeros((3, 1)), rng.normal(size=(3, harmonics)) * scale], axis=1)
+        curve = KnotCurve(cos_coeffs=cos_c, sin_coeffs=rng.normal(size=(3, harmonics)) * scale)
+        try:
+            out.append(curve.validate())
+        except CurveValidationError:
+            continue
+    return out
+
+
 def reparametrized(curve: KnotCurve, amplitude: float = 0.3) -> KnotCurve:
     """Same geometric curve traversed at non-uniform speed.
 
@@ -712,26 +762,47 @@ def scaled(curve: KnotCurve, factor: float) -> KnotCurve:
 # --- readings of a Gauss diagram, and the full crossing search ---
 
 
+def generic_directions(seed: int = 7, count: int = 16) -> list[np.ndarray]:
+    """Unit vectors of normal draws from ``default_rng(seed)``, for tests
+    that sample projection directions."""
+    rng = np.random.default_rng(seed)
+    dirs = []
+    while len(dirs) < count:
+        v = rng.normal(size=3)
+        norm = np.linalg.norm(v)
+        if norm > 1e-3:
+            dirs.append(v / norm)
+    return dirs
+
+
 def project_full_search(curve: KnotCurve, direction) -> GaussDiagram:
     """The Gauss diagram of the projection along ``direction`` as
-    ``project_to_diagram`` finds it, with every level's crossings looked
-    for among all the segment pairs whose midpoints share or neighbour a
-    cell (``candidate_pairs``), not only among the children of the level
-    before: the same refinement, arithmetic and checks."""
+    ``project_to_diagram`` finds it, from ``full_search_crossings``."""
+    return GaussDiagram(tuple(full_search_crossings((curve,), direction)))
+
+
+def full_search_crossings(curves, direction) -> list[Crossing]:
+    """The crossings of one curve, or of two, along ``direction`` as the
+    production search finds them, with every level's crossings looked for
+    among all the segment pairs whose midpoints share or neighbour a cell
+    (``candidate_pairs``, or ``cross_candidate_pairs`` for two curves),
+    not only among the children of the level before: the same refinement,
+    arithmetic and checks.  A parameter t of the second curve reads 1 + t."""
     history = []
     n = MIN_SEGMENTS
     while n <= MAX_SEGMENTS:
-        history.append(_full_search_crossings(curve, direction, n))
+        history.append(_full_search_crossings(curves, direction, n))
         if len(history) >= 3:
             a, b, c = history[-3:]
             tol = 16.0 / (n // 4)
             if _same_crossings(a, b, tol) and _same_crossings(b, c, tol):
-                params = sorted(t for cr in c for t in (cr.over, cr.under))
-                if params:
-                    gaps = np.diff(np.array(params + [params[0] + 1.0]))
-                    if gaps.min() < 4.0 / n:
-                        raise DegenerateProjection("two crossings nearly coincide")
-                return GaussDiagram(tuple(c))
+                for k in range(len(curves)):
+                    params = sorted(t - k for cr in c for t in (cr.over, cr.under) if k <= t < k + 1)
+                    if params:
+                        gaps = np.diff(np.array(params + [params[0] + 1.0]))
+                        if gaps.min() < 4.0 / n:
+                            raise DegenerateProjection("two crossings nearly coincide")
+                return c
         n *= 2
     raise DegenerateProjection("crossing set did not stabilize")
 
@@ -743,7 +814,30 @@ def _same_crossings(a: list[Crossing], b: list[Crossing], tol: float) -> bool:
     )
 
 
-def _full_search_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing]:
+def cross_candidate_pairs(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Pairs (i, j) of a segment i of the first and j of the second of two
+    projected closed polylines of n segments each, numbered one after the
+    other, whose midpoints share or neighbour a cell of side the longest
+    segment, by a dict of cell buckets of the second curve's midpoints
+    (Python integers, so the cells of far-apart curves cannot overflow):
+    i ascending, then the offsets in lex order, then j ascending."""
+    nxt = np.concatenate([np.arange(1, n), [0], np.arange(n + 1, 2 * n), [n]])
+    mu, mv = (u + u[nxt]) / 2, (v + v[nxt]) / 2
+    cell = max(float(np.hypot(u[nxt] - u, v[nxt] - v).max()), 1e-12)
+    cells = [(math.floor(a / cell), math.floor(b / cell)) for a, b in zip(mu.tolist(), mv.tolist())]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for j in range(n, 2 * n):
+        buckets.setdefault(cells[j], []).append(j)
+    pairs = []
+    for i in range(n):
+        ci, cj = cells[i]
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                pairs += [(i, j) for j in buckets.get((ci + da, cj + db), ())]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _full_search_crossings(curves, direction, n: int) -> list[Crossing]:
     d = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(d)
     if norm == 0:
@@ -753,14 +847,16 @@ def _full_search_crossings(curve: KnotCurve, direction, n: int) -> list[Crossing
     e1 = np.cross(d, helper)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(d, e1)
-    pts, tan = curve.eval_planes(np.arange(n) / n)
+    planes = [curve.eval_planes(np.arange(n) / n) for curve in curves]
+    pts, tan = (np.concatenate([p[k] for p in planes], axis=1) for k in (0, 1))
     u, v, depth = e1 @ pts, e2 @ pts, d @ pts
     scale = max(np.ptp(u), np.ptp(v))
-    nxt = np.concatenate([np.arange(1, n), [0]])
+    nxt = np.concatenate([np.arange(c * n + 1, (c + 1) * n + 1) for c in range(len(curves))])
+    nxt[n - 1 :: n] -= n
     du, dv = u[nxt] - u, v[nxt] - v
     if (np.hypot(du, dv) * n / np.linalg.norm(tan, axis=0)).min() < 1e-2:
         raise DegenerateProjection("curve tangent nearly parallel to direction")
-    i, j = candidate_pairs(u, v, n).T
+    i, j = (candidate_pairs(u, v, n) if len(curves) == 1 else cross_candidate_pairs(u, v, n)).T
     denom = du[i] * dv[j] - dv[i] * du[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         s = ((u[j] - u[i]) * dv[j] - (v[j] - v[i]) * du[j]) / denom

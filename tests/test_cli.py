@@ -22,7 +22,6 @@ from graphflow.diagrams import a2_of_curve
 from graphflow.graphs import knot_order2_cocycle
 from graphflow.integrals import (
     LK_RULE,
-    MAX_GRID,
     MC_MAX_SAMPLES,
     SLN_RULE,
     X_GRID,
@@ -185,12 +184,6 @@ def test_delta_past_the_shape_bound_exit_3_before_allocating(text, tmp_path):
     _assert_capped_run_exits_3("graphs", "delta", "--input", str(path))
 
 
-@pytest.mark.parametrize("command", ["sln --curve circle", "lk --curve hopf_a --curve2 hopf_b"])
-def test_huge_grid_exit_3_before_allocating(command):
-    # a (2e9,) parameter array alone would take 16 GB
-    _assert_capped_run_exits_3("knot", *command.split(), "--grid", "2000000000", "--no-cache")
-
-
 def _assert_capped_run_exits_3(*args):
     """The command, run under _CAPPED, exits 3 with a ResourceLimit and no
     output, in far less time than the work it refuses would take."""
@@ -239,9 +232,7 @@ def test_a2_bundled_trefoil(tmp_path):
 
 
 def test_sln_circle(tmp_path):
-    res = run(
-        "knot", "sln", "--curve", "circle", "--grid", "512", "--cache-dir", str(tmp_path)
-    )
+    res = run("knot", "sln", "--curve", "circle", "--cache-dir", str(tmp_path))
     doc = json.loads(res.output)
     assert abs(doc["result"]["value"]) < 1e-6
 
@@ -260,8 +251,8 @@ def test_lk_hopf(tmp_path):
         str(tmp_path),
     )
     doc = json.loads(res.output)
-    assert doc["result"]["value"] == json.loads(res.output)["result"]["value"]
-    assert abs(doc["result"]["value"] - 1.0) < 1e-3
+    assert (doc["result"]["value"], doc["result"]["std_error"]) == (1.0, 0.0)
+    assert "grid" not in doc["config"]
 
 
 def test_validation_failure_exit_4(tmp_path):
@@ -286,15 +277,7 @@ def test_unknown_curve_exit_2(tmp_path):
 @pytest.mark.parametrize(
     "args, code",
     [
-        ("sln --curve circle --grid 0", 2),
-        ("sln --curve circle --grid 1", 2),
-        ("sln --curve circle --grid 16", 2),
-        ("sln --curve circle --grid 63", 2),
-        ("sln --curve circle --grid 64", 0),
-        ("sln --curve circle --grid 16385", 3),
-        ("lk --curve hopf_a --curve2 hopf_b --grid 1", 2),
         ("lk --curve hopf_a --curve2 hopf_b --grid 2", 0),
-        ("lk --curve hopf_a --curve2 hopf_b --grid 16385", 3),
         ("v2 --curve circle --samples nan", 2),
         ("v2 --curve circle --samples inf", 2),
         ("v2 --curve circle --samples 0", 2),
@@ -322,35 +305,6 @@ def test_param_bounds_exit_code(args, code, tmp_path):
     if code:
         want = {2: "InvalidParams", 3: "ResourceLimit"}[code]
         assert json.loads(result.stderr)["error"]["type"] == want
-
-
-def test_sln_grid_is_checked_before_the_cache_lookup(tmp_path, monkeypatch):
-    """An entry cached for a grid below SLN_MIN_GRID, whose twist sums
-    cannot double from 64 nodes, is never replayed."""
-    args = ["knot", "sln", "--curve", "circle", "--grid", "16", "--cache-dir", str(tmp_path)]
-    with monkeypatch.context() as m:
-        m.setattr(cli, "SLN_MIN_GRID", 2)
-        m.setattr(integrals, "SLN_MIN_GRID", 2)
-        assert json.loads(run(*args).output)["result"]["value"] == 0.0
-    assert len(list(tmp_path.rglob("*.json"))) == 1
-    result = run(*args)
-    assert result.exit_code == 2
-    assert json.loads(result.stderr)["error"]["type"] == "InvalidParams"
-
-
-@pytest.mark.parametrize("command", ["sln --curve circle", "lk --curve hopf_a --curve2 hopf_b"])
-def test_grid_above_the_limit_is_checked_before_the_cache_lookup(command, tmp_path, monkeypatch):
-    """An entry cached at a grid that a lower MAX_GRID refuses is never
-    replayed: the bound holds before the lookup, as SLN_MIN_GRID does."""
-    assert MAX_GRID == 16384
-    args = ["knot", *command.split(), "--grid", "64", "--cache-dir", str(tmp_path)]
-    assert run(*args).exit_code == 0
-    assert len(list(tmp_path.rglob("*.json"))) == 1
-    monkeypatch.setattr(integrals, "MAX_GRID", 32)
-    result = run(*args)
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert json.loads(result.stderr)["error"]["type"] == "ResourceLimit"
 
 
 @pytest.mark.parametrize("samples", ["1e15", "1e30"])
@@ -474,19 +428,20 @@ def _probe(args, cache_dir) -> tuple[int, bytes, set[str], list[str]]:
         (["nope"], 2),
         (["knot", "sln"], 2),
         (["graphs", "cocycles", "--flavor", "nope", "--order", "2"], 2),
-        (["knot", "sln", "--curve", "trefoil", "--grid", "x"], 2),
+        (["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "x"], 2),
         (["knot", "a2", "--curve", "trefoil", "--seed", "1.5"], 2),
         (["graphs", "delta", "--input", "{dir}/missing.txt"], 2),
         (["graphs", "delta", "--input", "{dir}"], 2),
         (["knot", "sln", "--curve", "trefoil", "--cache-dir", "{dir}/file"], 2),
         (["knot", "sln", "--cur", "trefoil"], 2),
         (["knot", "sln", "--curve", "nope"], 2),
+        (["knot", "sln", "--curve", "trefoil", "--grid", "64"], 2),
     ],
     ids=[
         "version", "help", "group-help", "command-help", "no-arguments", "graphs-alone",
         "knot-alone", "unknown-command", "missing-option", "bad-choice", "grid-not-integer",
         "seed-not-integer", "missing-input", "input-is-directory", "cache-dir-is-file",
-        "abbreviated-option", "unknown-curve",
+        "abbreviated-option", "unknown-curve", "sln-takes-no-grid",
     ],
 )
 def test_start_up_never_loads_numpy(args, code, tmp_path):
@@ -511,19 +466,20 @@ def test_version_line_is_the_same_under_python_m():
 
 KNOT_ARGS = {
     "a2": ["knot", "a2", "--curve", "trefoil"],
-    "sln": ["knot", "sln", "--curve", "trefoil", "--grid", "64"],
+    "sln": ["knot", "sln", "--curve", "trefoil"],
     "lk": ["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "64"],
     "v2": ["knot", "v2", "--curve", "circle", "--samples", "64", "--workers", "1"],
 }
 
 #: The WATCHED modules that a cache miss of each knot command loads; numpy
 #: loads ``inspect`` itself, as do ``diagrams`` and ``graphs`` through
-#: ``dataclasses``.  sln projects along fixed directions, so only a2's
-#: seeded directions and v2's Monte Carlo load ``numpy.random``.
+#: ``dataclasses``.  a2, sln and lk project along the turned Fibonacci
+#: directions of ``diagrams.ranked_directions``, so only v2's Monte Carlo
+#: loads ``numpy.random``.
 MISS_LOADS = {
-    "a2": {"numpy._core", "numpy.random", "graphflow.diagrams", "inspect"},
+    "a2": {"numpy._core", "graphflow.diagrams", "inspect"},
     "sln": {"numpy._core", "graphflow.diagrams", "inspect"},
-    "lk": {"numpy._core", "inspect"},
+    "lk": {"numpy._core", "graphflow.diagrams", "inspect"},
     "v2": {"numpy._core", "numpy.random", "graphflow.graphs", "inspect"},
 }
 
@@ -561,7 +517,7 @@ def test_result_beyond_float_range_exit_2(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(big.to_json_obj()))
     cache = tmp_path / "cache"
-    code, out, _, err = _probe(["knot", "sln", "--curve", str(path), "--grid", "64"], cache)
+    code, out, _, err = _probe(["knot", "sln", "--curve", str(path)], cache)
     assert code == 2 and out == b""
     assert json.loads(err[-1])["error"]["type"] == "InvalidParams"
     assert not cache.exists()  # nothing cached
@@ -573,7 +529,7 @@ def test_cache_that_cannot_be_written_costs_only_the_entry(blocked, tmp_path, mo
     subdirectory of the entry, should be: the command prints its result,
     exits 0 and says on one stderr line that it was not cached, and it
     leaves no temp file behind."""
-    args = ["knot", "sln", "--curve", "circle", "--grid", "64"]
+    args = ["knot", "sln", "--curve", "circle"]
     first = tmp_path / "first"
     expected = run(*args, "--cache-dir", str(first)).stdout
     cache = tmp_path / "cache"
@@ -642,8 +598,8 @@ def test_v2_cache_file_created(tmp_path):
 def test_curve_file_and_bundled_name_equivalent(tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(round_circle(1.0).to_json_obj()))
-    a = run("knot", "sln", "--curve", str(path), "--grid", "256", "--no-cache")
-    b = run("knot", "sln", "--curve", "circle", "--grid", "256", "--no-cache")
+    a = run("knot", "sln", "--curve", str(path), "--no-cache")
+    b = run("knot", "sln", "--curve", "circle", "--no-cache")
     assert json.loads(a.output)["result"]["value"] == json.loads(b.output)["result"]["value"]
 
 
@@ -696,23 +652,25 @@ def test_v2_stdout_pinned(curve):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == V2_SHA256[curve]
 
 
-#: sha256 of the stdout of ``knot sln --curve K --no-cache`` (grid 1024):
-#: the directions' ranking, both projections' crossings, the doubled
-#: twist sums and the error, byte for byte.  Re-pinned when the writhe
-#: of a projection minus its twist replaced the midpoint sums (config
-#: ``rule``).
+#: sha256 of the stdout of ``knot sln --curve K --no-cache``: the
+#: directions' ranking, both projections' crossings, the doubled twist
+#: sums and the error, byte for byte.  Re-pinned when the writhe of a
+#: projection minus its twist replaced the midpoint sums (config
+#: ``rule``), and again when ``--grid`` left sln, so that only the config's
+#: ``grid`` key left the output: the result kept its value, error and
+#: ``n_samples``.
 SLN_SHA256 = {
-    "circle": "30073addd1422ab7bebf5b51b23e2db733e9ba45aa882ac868828db0e48f8503",
-    "trefoil": "bb7d38ddfdac0baef695e3a8c4e556ce22549452c6891c5a54834ac4a53df046",
-    "figure_eight": "b3714414be2e62794a4e38aca0cf010420479acc1bc7d771a3d5f0e3020caf6a",
-    "torus_2_5": "c61d73adc31564ea14b6f42590ef6e9b6059e8d06be25fcf1a533c75943de56d",
+    "circle": "326e5e9f541983cc428365610b5d0ef50cff827526ea88959b18e4a453fa0959",
+    "trefoil": "ede4b844c6c54c4ba794b2bf4e4912006e4493fbba8ab5533c8cc1019877d7ca",
+    "figure_eight": "03efc58282153d76e1a7af4292b7f97070fb6023765d1b6f27ee40bef5df606f",
+    "torus_2_5": "6d06006b608364483e7f648227537cb061fb652b315f07e9bd523540530d68bc",
 }
-#: sha256 of the stdout of ``knot lk --curve hopf_a --curve2 hopf_b --no-cache``
-#: (grid 1024 as the cap): the sums on grids 32, 64 and 128, their 64-row
-#: block sums added left to right.  Re-pinned when the sums began doubling
-#: until converged (config ``rule``): the value kept its bits, 1 - 2^-53, and
-#: the error and ``n_samples`` changed.
-LK_SHA256 = "735ff81a9ce88feba6d1a76de643262a491473c042761af0a228b0c36159ec1f"
+#: sha256 of the stdout of ``knot lk --curve hopf_a --curve2 hopf_b --no-cache``:
+#: the crossings of the first ranked direction's projection, where hopf_a is
+#: over, value 1.0 with error 0.0 and ``n_samples`` 2, the crossings of
+#: the pair.  Re-pinned when the count replaced the doubled torus sums,
+#: whose value was 1 - 2^-53 (config ``rule``, and no ``grid``).
+LK_SHA256 = "b90e95a8b7dc362e47592715fc2218acf3f8c655db515e39bfa51765ee6a17e7"
 
 
 @pytest.mark.parametrize("curve", list(SLN_SHA256))
@@ -728,8 +686,27 @@ def test_lk_stdout_pinned():
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == LK_SHA256
 
 
+#: sha256 of the stdouts of ``knot a2 --curve K --seed S --no-cache`` for S
+#: = 0, ..., 9, concatenated, as they read when a2 projected along normal
+#: draws of ``numpy.random``: the turned Fibonacci directions keep every
+#: byte.
+A2_SEEDS_SHA256 = {
+    "circle": "bb472728ff6a5bd1f11251de8300c4d597370975bda892713f669eb9f5653409",
+    "trefoil": "5521bbfc84946ebf74545bcf8b2a1367d9fa40b2ab4d5df1639806dfd5a0c495",
+    "figure_eight": "51a42304c55e1e24b4ea06b2db86d9b15a080b565a8bca7536112befde6a6c95",
+    "torus_2_5": "4d871275a548307d8ad0c210391d82ab10da69324f234beec1c0e8b0fdbb1184",
+}
+
+
+@pytest.mark.parametrize("curve", list(A2_SEEDS_SHA256))
+def test_a2_stdout_pinned_over_seeds(curve):
+    outs = [run("knot", "a2", "--curve", curve, "--seed", str(seed), "--no-cache") for seed in range(10)]
+    assert [res.exit_code for res in outs] == [0] * 10
+    assert hashlib.sha256(b"".join(res.stdout_bytes for res in outs)).hexdigest() == A2_SEEDS_SHA256[curve]
+
+
 def _sln_circle(cache_dir):
-    return run("knot", "sln", "--curve", "circle", "--grid", "64", "--cache-dir", str(cache_dir))
+    return run("knot", "sln", "--curve", "circle", "--cache-dir", str(cache_dir))
 
 
 def test_truncated_cache_entry_is_recomputed(tmp_path):
@@ -749,7 +726,7 @@ def test_cache_entry_for_another_config_is_recomputed(tmp_path):
     first = _sln_circle(tmp_path)
     (entry,) = tmp_path.rglob("*.json")
     doc = json.loads(entry.read_text())
-    doc["config"]["grid"] = 65
+    doc["config"]["rule"] += " (another)"
     doc["result"]["value"] = 123.0
     entry.write_text(json.dumps(doc))
     again = _sln_circle(tmp_path)
@@ -761,7 +738,7 @@ def test_cache_entry_for_another_config_is_recomputed(tmp_path):
 @pytest.mark.parametrize(
     "args, rule_key",
     [
-        (["sln", "--curve", "circle", "--grid", "64"], "rule"),
+        (["sln", "--curve", "circle"], "rule"),
         (["v2", "--curve", "circle", "--samples", "64", "--seed", "1"], "x_rule"),
     ],
     ids=["sln", "v2"],
@@ -850,15 +827,15 @@ def _a2_doc():
 def _sln_doc():
     curve = load_curve("circle")
     h = curve.content_hash()
-    config = {"curve": "circle", "curve_hash": h, "grid": 256, "rule": SLN_RULE}
-    return config, {**sln_integral(curve, grid=256).to_json_obj(), "op": "sln", "curve_hash": h}
+    config = {"curve": "circle", "curve_hash": h, "rule": SLN_RULE}
+    return config, {**sln_integral(curve).to_json_obj(), "op": "sln", "curve_hash": h}
 
 
 def _lk_doc():
     k1, k2 = load_curve("hopf_a"), load_curve("hopf_b")
     hashes = {"curve_hash": k1.content_hash(), "curve2_hash": k2.content_hash()}
-    config = {"curve": "hopf_a", "curve2": "hopf_b", "grid": 256, **hashes, "rule": LK_RULE}
-    return config, {**linking_integral(k1, k2, grid=256).to_json_obj(), "op": "lk", **hashes}
+    config = {"curve": "hopf_a", "curve2": "hopf_b", **hashes, "rule": LK_RULE}
+    return config, {**linking_integral(k1, k2).to_json_obj(), "op": "lk", **hashes}
 
 
 def _v2_doc():
@@ -878,7 +855,7 @@ def _v2_doc():
     "args, expected",
     [
         (["a2", "--curve", "trefoil"], _a2_doc),
-        (["sln", "--curve", "circle", "--grid", "256"], _sln_doc),
+        (["sln", "--curve", "circle"], _sln_doc),
         (["lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "256"], _lk_doc),
         (["v2", "--curve", "trefoil", "--samples", "2e4", "--seed", "11"], _v2_doc),
     ],
@@ -926,7 +903,6 @@ CLI_OPTIONS = {
     ],
     "knot sln": [
         ("curve_path", "text", "required"),
-        ("grid", "integer", 1024),
         ("cache_dir", "directory", None),
         ("no_cache", "boolean", False),
     ],

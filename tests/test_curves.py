@@ -398,7 +398,7 @@ def _linking_check(monkeypatch, a, b):
     message it raised (None when it passed)."""
     seen = _recorded_minima(monkeypatch, integrals)
     try:
-        linking_integral(a, b, grid=2)
+        linking_integral(a, b)
         message = None
     except CurvesIntersect as exc:
         message = str(exc)

@@ -3,25 +3,31 @@ import pytest
 
 from graphflow.curves import KnotCurve, bundled_curve, near_pairs
 from graphflow.diagrams import (
+    GAP_SAMPLES,
     Crossing,
     GaussDiagram,
     _children,
     _plane_basis,
     a2_of_curve,
     a2_oracle,
-    generic_directions,
     project_to_diagram,
+    ranked_directions,
+    stable_crossings,
 )
-from graphflow.errors import CurveValidationError, DegenerateProjection, InconsistentDiagram
+from graphflow.errors import DegenerateProjection, InconsistentDiagram
 from oracles import (
     a2_from_conway,
     candidate_pairs,
     conway_polynomial,
+    full_search_crossings,
+    generic_directions,
     make_torus_knot,
     mirror,
     project_full_search,
+    random_fourier_knots,
     reparametrized,
     round_circle,
+    torus_curve,
     writhe,
 )
 
@@ -182,28 +188,26 @@ def test_children_keep_grown_overlaps_and_near_adjacent_pairs():
     assert {(k, k + 2) for k in range(30)} | {(k, k + 3) for k in range(0, 29, 2)} <= got
 
 
+def test_children_of_two_curves_close_each_curve_on_itself():
+    """Two 8-point polylines numbered one after the other, the second the
+    first moved along u: each curve's last parent closes on its own first
+    point, so at a distance of 10 no pair of a parent of each keeps a
+    child, and at 0.25 the first parents' pair keeps its four children
+    and no pair of adjacent segments is added."""
+    u1, v1 = np.array([0, 1, 2, 3, 3, 2, 1, 0.0]), np.array([0, 0, 0, 0, 1, 1, 1, 1.0])
+    pairs = np.array([[a, b] for a in range(4) for b in range(4, 8)])
+    far = _children(np.concatenate([u1, u1 + 10]), np.concatenate([v1, v1]), pairs, curves=2)
+    assert far.shape == (0, 2)
+    near = _children(np.concatenate([u1, u1 + 0.25]), np.concatenate([v1, v1 + 0.25]), pairs[:1], curves=2)
+    assert sorted(map(tuple, near.tolist())) == [(0, 8), (0, 9), (1, 8), (1, 9)]
+
+
 def _projection(project, curve, direction):
     """The diagram, or the DegenerateProjection's message."""
     try:
         return project(curve, direction)
     except DegenerateProjection as exc:
         return str(exc)
-
-
-def _random_fourier_knots(count: int, seed: int) -> list[KnotCurve]:
-    """Curves of three harmonics with normal coefficients over the
-    harmonic, the first ``count`` that pass ``validate``."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        scale = 1.0 / np.arange(1, 4)
-        cos_c = np.concatenate([np.zeros((3, 1)), rng.normal(size=(3, 3)) * scale], axis=1)
-        curve = KnotCurve(cos_coeffs=cos_c, sin_coeffs=rng.normal(size=(3, 3)) * scale)
-        try:
-            out.append(curve.validate())
-        except CurveValidationError:
-            continue
-    return out
 
 
 def _inherited_matches_full(curve, directions):
@@ -229,7 +233,104 @@ def test_inherited_search_matches_the_full_search_on_other_curves():
     97-gon through the trefoil, along 8 directions each; some of these
     projections are degenerate, and raise the same error both ways."""
     polygon = KnotCurve(points=bundled_curve("trefoil").eval(np.arange(97) / 97))
-    curves = [*_random_fourier_knots(4, seed=5), reparametrized(bundled_curve("torus_2_5")), polygon]
+    curves = [*random_fourier_knots(4, seed=5), reparametrized(bundled_curve("torus_2_5")), polygon]
     seen = [x for c in curves for x in _inherited_matches_full(c, generic_directions(seed=31, count=8))]
     assert any(isinstance(x, GaussDiagram) and len(x.crossings) > 2 for x in seen)
     assert any(isinstance(x, str) for x in seen)
+
+
+@pytest.mark.parametrize("name", ["circle", "trefoil", "figure_eight", "torus_2_5"])
+def test_ranked_directions_at_seed_0_are_sln_order(name):
+    """At seed 0 the ranked set is, bit for bit and in order, the one sln
+    built inline before: the 64-point Fibonacci hemisphere sorted by its
+    gap 1 - max |u.T| on 512 tangents, largest first, ties in order."""
+    curve = bundled_curve(name)
+    k = np.arange(64)
+    z, phi = 1.0 - k / 64, k * (np.pi * (3.0 - np.sqrt(5.0)))
+    dirs = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], axis=1)
+    tan = curve.eval_planes(np.arange(512) / 512)[1]
+    gap = 1.0 - np.abs(dirs @ (tan / np.linalg.norm(tan, axis=0))).max(axis=1)
+    want = dirs[np.argsort(-gap, kind="stable")]
+    assert GAP_SAMPLES == 512
+    assert np.array_equal(ranked_directions((curve,)).view(np.int64), want.view(np.int64))
+
+
+def test_ranked_directions_turn_with_the_seed():
+    """A seed turns the hemisphere about its pole by that many golden
+    angles: the heights stay, the directions move, and the ranking by gap
+    takes every tangent of every curve.  Seeds count modulo 2^53, so a
+    seed beyond float range still turns it, and a2 reads with it."""
+    a, b = bundled_curve("hopf_a"), bundled_curve("hopf_b")
+    base, turned = ranked_directions((a,), 16), ranked_directions((a,), 16, seed=3)
+    assert np.allclose(np.linalg.norm(turned, axis=1), 1.0) and (turned[:, 2] > 0).all()
+    assert np.array_equal(np.sort(base[:, 2]), np.sort(turned[:, 2]))
+    assert not np.allclose(base, turned)
+    huge = 10**400
+    assert np.array_equal(ranked_directions((a,), 16, seed=huge), ranked_directions((a,), 16, seed=huge % 2**53))
+    assert a2_of_curve(bundled_curve("trefoil"), seed=huge) == 1
+    # hopf_a lies in the xy-plane, so its best direction is the pole; hopf_b,
+    # in the xz-plane, moves the pair's best direction off it
+    assert np.array_equal(base[0], [0.0, 0.0, 1.0]) and ranked_directions((a, b))[0][2] < 1.0
+
+
+def _far(curve: KnotCurve, shift: float) -> KnotCurve:
+    cos_c = curve.cos_coeffs.copy()
+    cos_c[:, 0] += shift
+    return KnotCurve(cos_coeffs=cos_c, sin_coeffs=curve.sin_coeffs)
+
+
+#: Pairs of curves and their linking numbers: the Hopf pair both ways,
+#: hopf_b moved to 3 times lk's separation bound, torus links on one torus
+#: with lk -1 and -2, and the circle with a far copy of itself.
+LINKS = {
+    "hopf": (lambda: (bundled_curve("hopf_a"), bundled_curve("hopf_b")), 1),
+    "swapped": (lambda: (bundled_curve("hopf_b"), bundled_curve("hopf_a")), 1),
+    "near-bound": (lambda: (bundled_curve("hopf_a"), KnotCurve(
+        cos_coeffs=[[0.006, 1.0], [0.0, 0.0], [0.0, 0.0]], sin_coeffs=[[0.0], [0.0], [-1.0]])), 1),
+    "torus-q1": (lambda: (torus_curve(1, 1, 2.0, 1.0), torus_curve(1, 1, 2.0, 1.0, np.pi / 2)), -1),
+    "torus-q2": (lambda: (torus_curve(1, 2, 2.0, 1.0), torus_curve(1, 2, 2.0, 1.0, np.pi / 2)), -2),
+    "far": (lambda: (round_circle(1.0), _far(round_circle(1.0), 3.0)), 0),
+}
+
+
+@pytest.fixture(scope="module")
+def link_projections():
+    """name -> (pair, lk, [(direction, inherited search, full search)]) along
+    each pair's first 6 ranked directions, each search's crossing list or
+    DegenerateProjection message; the full search runs once per module."""
+    out = {}
+    for name, (make, lk) in LINKS.items():
+        pair = make()
+        rows = [
+            (u, _projection(stable_crossings, pair, u), _projection(full_search_crossings, pair, u))
+            for u in ranked_directions(pair)[:6]
+        ]
+        out[name] = pair, lk, rows
+    return out
+
+
+@pytest.mark.parametrize("name", list(LINKS))
+def test_two_curve_search_matches_the_full_search(name, link_projections):
+    """The inherited search on two curves gives the full search's crossing
+    list bit for bit, or the same DegenerateProjection, and keeps only
+    crossings of one curve with the other: one parameter below 1, one in
+    [1, 2)."""
+    _, _, rows = link_projections[name]
+    for u, got, want in rows:
+        assert got == want, u
+        assert isinstance(got, str) or all((c.over < 1) != (c.under < 1) for c in got)
+    assert any(isinstance(got, list) for _, got, _ in rows)
+
+
+@pytest.mark.parametrize("name", list(LINKS))
+def test_full_search_counts_give_the_linking_number(name, link_projections):
+    """On each generic projection of the full search, the signed crossings
+    where the first curve is over, and those where the second is, each sum
+    to the pair's linking number, as ``linking_integral`` reads it."""
+    from graphflow.integrals import linking_integral
+
+    pair, lk, rows = link_projections[name]
+    for _, _, want in rows:
+        if isinstance(want, list):
+            assert [sum(c.sign for c in want if (c.over < 1) == first) for first in (True, False)] == [lk, lk]
+    assert linking_integral(*pair).value == lk

@@ -8,7 +8,7 @@ ORACLES = Path(__file__).with_name("oracles.py")
 #: What ``oracles.py`` may take from graphflow: data types, errors and constants.
 ALLOWED = {"Crossing", "DecoratedGraph", "Flavor", "GaussDiagram", "IntegralEstimate"}
 ALLOWED |= {"KnotCurve", "GraphflowError", "InvalidParams", "COMPONENT_ORIENT", "FOUR_PI"}
-ALLOWED |= {"DegenerateProjection", "MIN_SEGMENTS", "MAX_SEGMENTS"}
+ALLOWED |= {"DegenerateProjection", "MIN_SEGMENTS", "MAX_SEGMENTS", "CurveValidationError"}
 #: Production code that the oracles are compared against.
 CHECKED = {"CompiledIntegrand", "a2_oracle", "a_gamma_mc", "kernel_basis", "delta"}
 CHECKED |= {"near_pairs", "least_distance", "diameter"}
@@ -16,7 +16,8 @@ CHECKED |= {"sparse_rows", "delta_matrix", "_rref", "_gauss_blocks"}
 CHECKED |= {"canonicalize", "canonicalize_many", "contract_edge", "_chunks", "_classes"}
 CHECKED |= {"_graph", "_slots", "_contract", "delta_columns", "_connected"}
 CHECKED |= {"project_to_diagram", "_segment_crossings", "_children", "_plane_basis"}
-CHECKED |= {"sln_integral", "_twist", "_doubling", "_richardson", "_gauss_sum"}
+CHECKED |= {"sln_integral", "_twist", "_richardson", "linking_integral"}
+CHECKED |= {"ranked_directions", "stable_crossings"}
 
 
 def test_oracles_import_only_data_types_errors_and_constants():

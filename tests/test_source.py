@@ -172,7 +172,7 @@ def test_every_function_runs_from_a_command_or_the_benchmark(tmp_path):
         ["graphs", "cocycles", "--flavor", "knot", "--order", "2"],
         ["knot", "a2", "--curve", "trefoil"],
         ["knot", "a2", "--curve", "trefoil"],
-        ["knot", "sln", "--curve", str(warped), "--grid", "64"],
+        ["knot", "sln", "--curve", str(warped)],
         ["knot", "sln", "--curve", str(crossing)],
         ["knot", "lk", "--curve", "hopf_a", "--curve2", "hopf_b", "--grid", "64", "--cache-dir", str(cache)],
         ["knot", "v2", "--curve", "circle", "--samples", "6400", "--no-cache"],
